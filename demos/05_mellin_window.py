@@ -26,7 +26,7 @@ print(f"Gamma(1/4) = {gamma_fn(0.25).value.real:.12f}, sqrt(pi) = {math.sqrt(mat
 
 print(f"\n{'height':>7} {'series':>22} {'quadrature':>22} {'residual':>10} {'tail bound':>10}")
 for height in (4.0, 6.0, 8.0, 10.0):
-    r = mellin_check(q, chi, height=height, step=1 / 64, workers=4)
+    r = mellin_check(q, chi, height=height, step=1 / 64)
     print(
         f"{height:>7.1f} {r.series.real:>10.8f}{r.series.imag:>+11.8f}j "
         f"{r.quadrature.real:>10.8f}{r.quadrature.imag:>+11.8f}j "

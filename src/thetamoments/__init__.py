@@ -66,6 +66,7 @@ from .specfun import (
 from .theta import (
     MellinCheckResult,
     mellin_check,
+    mellin_checks,
     theta_all_chars,
     theta_moment,
     theta_value,
@@ -92,7 +93,7 @@ __all__ = [
     "large_value_counts", "log_l_majorant",
     # theta
     "MellinCheckResult", "truncation_length", "theta_value", "theta_all_chars",
-    "theta_moment", "mellin_check",
+    "theta_moment", "mellin_check", "mellin_checks",
     # bounds
     "ShiftTuple", "BoundProfile", "RegimeBound", "pair_log_weight",
     "pair_factor", "variance_parameter", "cutoff_exponent", "large_value_bound",

@@ -33,7 +33,7 @@ from .lfunc import central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
 from .randmodel import model_moment
 from .reports import csv_text, fmt, make_envelope, moment_csv
-from .theta import mellin_check, theta_moment
+from .theta import mellin_checks, theta_moment
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
 
@@ -187,8 +187,7 @@ def _cmd_mellin_check(args, cfg):
            if group.parity_bits[i] == 0 and group.primitive_mask[i]]
     if not idx:
         raise DomainError(f"q = {args.q} has no even primitive characters")
-    results = [mellin_check(args.q, group.char(i), args.height, args.step,
-                            workers=cfg.resolved_workers()) for i in idx]
+    results = mellin_checks(args.q, [group.char(i) for i in idx], args.height, args.step)
     meta = {"command": "mellin-check", "q": args.q, "height": args.height,
             "step": args.step}
     columns = ("q", "char_index", "series_re", "series_im", "quadrature_re",
@@ -232,8 +231,7 @@ def _cmd_lemma_cos(args, cfg):
 
 
 def _cmd_rand_model(args, cfg):
-    est = model_moment(args.q, args.k, args.samples, seed=cfg.seed,
-                       eps=args.eps, workers=cfg.resolved_workers())
+    est = model_moment(args.q, args.k, args.samples, seed=cfg.seed, eps=args.eps)
     meta = {"command": "rand-model", "q": args.q, "k": args.k,
             "samples": args.samples, "seed": cfg.seed, "eps": args.eps}
     return None, est, meta  # JSON-only report

@@ -9,10 +9,16 @@ higher moments probe the conjectured q^{k/2} (log q)^{(k-1)^2} growth without
 any character arithmetic.
 
 Randomness is numpy's default PCG64 generator; a sample is fully determined
-by (N, seed), and Monte-Carlo runs derive per-sample seeds as seed + index,
-so estimates are bit-identical for any worker count.  k >= 2 powers are
-heavy-tailed, so the estimate record carries a median-of-means value
-alongside the plain mean.
+by (N, seed), and Monte-Carlo runs derive per-sample seeds as seed + index.
+model_moment draws a block of SAMPLE_BLOCK samples at a time: one generator
+per sample fills one row of a (block x primes) angle array, the additive
+angle table arg f(m) = sum_p v_p(m) angle_p is built for the whole block with
+one strided update per prime power, and the weighted sums are row reductions.
+Each row is bit-identical to sample(N, seed + index), which is the one-row
+case of the same helper, so working memory is O(block N) for any sample
+count and an estimate replays bit for bit.  k >= 2 powers are heavy-tailed,
+so the estimate record carries a median-of-means value alongside the plain
+mean.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numtheory import PrimeTable, sieve
-from .summation import chunked_sum, parallel_map
+from .summation import chunked_sum
 from .theta import truncation_length
 
 __all__ = [
@@ -34,6 +40,8 @@ __all__ = [
     "model_theta",
     "model_moment",
 ]
+
+SAMPLE_BLOCK = 4096  # samples drawn and reduced together in model_moment
 
 
 @dataclass(frozen=True)
@@ -59,19 +67,26 @@ def sample(n: int, seed: int, table: PrimeTable | None = None) -> SteinhausSampl
     if table is None or table.limit < n:
         table = sieve(n)
     primes = table.primes_in(2, n)
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2 * math.pi, size=len(primes))
+    angles, values = _draw(n, primes, [seed])
+    return SteinhausSample(n=n, seed=seed, primes=primes,
+                           prime_values=np.exp(1j * angles[0]), values=values[0])
+
+
+def _draw(n: int, primes: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, values) for one sample per seed: row r of values is f(0..N)
+    drawn from default_rng(seeds[r]), with values[:, 0] = 0."""
+    angles = np.array([np.random.default_rng(s).uniform(0.0, 2 * math.pi, size=len(primes))
+                       for s in seeds])
     # additive angle table: arg f(m) = sum_p v_p(m) angle_p
-    acc = np.zeros(n + 1)
-    for p, a in zip(primes, angles):
+    acc = np.zeros((len(angles), n + 1))
+    for p, a in zip(primes, angles.T):
         pj = int(p)
         while pj <= n:
-            acc[pj::pj] += a
+            acc[:, pj::pj] += a[:, None]
             pj *= int(p)
     values = np.exp(1j * acc)
-    values[0] = 0.0
-    return SteinhausSample(n=n, seed=seed, primes=primes,
-                           prime_values=np.exp(1j * angles), values=values)
+    values[:, 0] = 0.0
+    return angles, values
 
 
 def _weights(q: int, eta: int, n: int) -> np.ndarray:
@@ -113,9 +128,27 @@ class ModelMomentEstimate:
         return float(np.sum(self.weights ** 2))
 
 
+def _model_thetas(w: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """sum_n f(n) w_n for the samples f = sample(max(N, 2), seed + i),
+    i < samples, N = len(w); drawn SAMPLE_BLOCK samples at a time."""
+    n = len(w)
+    support = max(n, 2)
+    primes = sieve(support).primes_in(2, support)
+    out = np.empty(samples, dtype=complex)
+    for i0 in range(0, samples, SAMPLE_BLOCK):
+        i1 = min(i0 + SAMPLE_BLOCK, samples)
+        _, values = _draw(support, primes, range(seed + i0, seed + i1))
+        out[i0:i1] = chunked_sum(values[:, 1:n + 1] * w)
+    return out
+
+
 def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
                  eta: int = 0, workers: int = 1) -> ModelMomentEstimate:
-    """Estimate E |model_theta|^{2k} from `samples` independent samples."""
+    """Estimate E |model_theta|^{2k} from `samples` independent samples.
+
+    `workers` is accepted and ignored: the samples are drawn in blocks of
+    SAMPLE_BLOCK in this thread, and the result does not depend on it.
+    """
     if q < 3:
         raise DomainError("model_moment requires q >= 3")
     if k < 1:
@@ -123,14 +156,10 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     if samples < 100:
         raise DomainError("at least 100 samples required")
     n = truncation_length(q, 1.0, eta, eps)
-    table = sieve(max(n, 2))
     w = _weights(q, eta, n)
-
-    def one(i: int) -> float:
-        s = sample(max(n, 2), seed + i, table=table)
-        return abs(complex(chunked_sum(s.values[1:n + 1] * w))) ** (2 * k)
-
-    powers = np.array(parallel_map(one, range(samples), workers))
+    # scalar abs and pow: numpy's vector abs and power differ in the last bit
+    powers = np.array([abs(z) ** (2 * k)
+                       for z in _model_thetas(w, samples, seed).tolist()])
     mean = float(chunked_sum(powers)) / samples
     std = float(np.sqrt(chunked_sum((powers - mean) ** 2) / (samples - 1)))
     se = std / math.sqrt(samples)

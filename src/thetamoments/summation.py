@@ -45,13 +45,34 @@ def neumaier_sum(values: Iterable[complex]) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex:
+def _neumaier_rows(partials: list[np.ndarray]) -> np.ndarray:
+    """neumaier_sum applied entry-wise across equal-shape real arrays."""
+    s = np.zeros_like(partials[0])
+    c = np.zeros_like(s)
+    for v in partials:
+        t = s + v
+        c += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
+        s = t
+    return s + c
+
+
+def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
     """Sum an array in fixed-size chunks, combining partials in index order.
 
     The chunking grid depends only on len(values), so the result is invariant
-    under any parallel split of the chunk work.
+    under any parallel split of the chunk work.  A 2-D array is summed along
+    its rows: entry i of the result equals chunked_sum(values[i]) bit for bit.
     """
     a = np.asarray(values)
+    if a.ndim == 2:
+        partials = ([np.sum(a[:, i:i + chunk], axis=1) for i in range(0, a.shape[1], chunk)]
+                    or [np.zeros(a.shape[0], dtype=a.dtype)])
+        if not np.iscomplexobj(a):
+            return _neumaier_rows(partials)
+        out = np.empty(a.shape[0], dtype=complex)
+        out.real = _neumaier_rows([p.real for p in partials])
+        out.imag = _neumaier_rows([p.imag for p in partials])
+        return out
     if a.size == 0:
         return 0.0 if not np.iscomplexobj(a) else 0j
     partials = [np.sum(a[i:i + chunk]) for i in range(0, a.size, chunk)]

@@ -11,14 +11,18 @@ identical in cost to one FFT per parity; moments S_2k(q) over the
 even-primitive or odd-primitive family normalize by phi(q) q^{k/2}
 (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
-mellin_check compares the series against the line integral
+mellin_checks compares the series against the line integral
 
     theta(1, chi) = (q/pi)^{1/4} 1/(2 pi) Integral L(1/2 + 2it, chi)
                     (q/pi)^{it} Gamma(1/4 + it) dt        (even primitive chi)
 
-by trapezoidal quadrature on [-H, H]; Gamma(1/4 + it) decays like
-e^{-pi |t| / 2}, and the reported tail bound is the numerically integrated
-Gamma mass beyond H scaled by the largest sampled |L|.
+by trapezoidal quadrature on [-H, H], for several characters mod q at once:
+each t-point costs one all-character L column (one shared Hurwitz vector and
+one group transform), from which the requested characters are read off, and
+the Gamma kernel on the grid and the Gamma tail mass are computed once for
+all of them.  Gamma(1/4 + it) decays like e^{-pi |t| / 2}, and the reported
+tail bound is the numerically integrated Gamma mass beyond H scaled by the
+largest sampled |L|.  mellin_check is the one-character case.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import numpy as np
 
 from .characters import Character, CharacterGroup, build_group
 from .errors import DomainError
-from .lfunc import l_value
+from .lfunc import l_values_all_chars
 from .reports import MomentReport
 from .specfun import ComplexApprox, gamma_fn
-from .summation import chunked_sum, parallel_map
+from .summation import chunked_sum
 
 __all__ = [
     "MellinCheckResult",
@@ -42,6 +46,7 @@ __all__ = [
     "theta_all_chars",
     "theta_moment",
     "mellin_check",
+    "mellin_checks",
 ]
 
 _EPS = np.finfo(float).eps
@@ -172,39 +177,67 @@ def _gamma_quarter(t: float) -> complex:
     return gamma_fn(complex(0.25, t)).value
 
 
+def _trapezoid_weights(n: int) -> np.ndarray:
+    weights = np.ones(n)
+    weights[0] = weights[-1] = 0.5
+    return weights
+
+
 def _gamma_tail_mass(height: float) -> float:
     """Numeric integral of |Gamma(1/4 + it)| over |t| > height (both tails)."""
     # e^{-pi t / 2} decay: 60 more units of t is far past underflow
     step = 1 / 16
     ts = height + step * np.arange(int(60 / step) + 1)
     g = np.array([abs(_gamma_quarter(float(t))) for t in ts])
-    return 2 * float(np.trapezoid(g, dx=step))
+    return 2 * step * float(chunked_sum(g * _trapezoid_weights(len(g))))
+
+
+def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
+                  eps: float = 1e-12, workers: int = 1) -> list[MellinCheckResult]:
+    """Trapezoidal quadrature of the Mellin integral vs the theta series, for
+    each character in `chars` (even, primitive, nontrivial, modulus q).
+
+    Every character is validated before any L evaluation.  L-values come from
+    one l_values_all_chars column per t-point at tol 1e-10, so PrecisionError
+    is raised exactly where the single-character l_value would raise it.
+    `workers` is accepted and ignored.
+    """
+    chars = list(chars)
+    for chi in chars:
+        if chi.q != q:
+            raise DomainError(f"character modulus {chi.q} does not match q = {q}")
+        if not chi.is_even or not chi.is_primitive or chi.is_trivial:
+            raise DomainError("mellin_check needs an even primitive nontrivial character")
+    if not height > 0 or not step > 0:
+        raise DomainError("height and step must be positive")
+    if not chars:
+        return []
+    group = chars[0].group
+    idx = [chi.index for chi in chars]
+    m = int(round(height / step))
+    grid = step * np.arange(-m, m + 1)
+    lq = math.log(q / math.pi)
+    # rows = characters, columns = t-points
+    lvals = np.stack([l_values_all_chars(q, complex(0.5, 2 * t), tol=1e-10, group=group)[0][idx]
+                      for t in grid.tolist()], axis=1)
+    gam = np.array([_gamma_quarter(t) for t in grid.tolist()])
+    f = lvals * np.exp(1j * lq * grid) * gam
+    pref = (q / math.pi) ** 0.25 / (2 * math.pi)
+    quads = pref * step * chunked_sum(f * _trapezoid_weights(len(grid)))
+    tail_mass = _gamma_tail_mass(m * step)
+    results = []
+    for chi, quad, row in zip(chars, quads.tolist(), lvals):
+        series = theta_value(q, chi, 1.0, eps).value
+        results.append(MellinCheckResult(
+            q=q, char_index=chi.index, series=series, quadrature=quad,
+            residual=abs(series - quad), height=m * step, step=step,
+            tail_bound=pref * float(np.max(np.abs(row))) * tail_mass))
+    return results
 
 
 def mellin_check(q: int, chi: Character, height: float = 8.0, step: float = 1 / 64,
                  eps: float = 1e-12, workers: int = 1) -> MellinCheckResult:
-    """Trapezoidal quadrature of the Mellin integral vs the theta series."""
-    if chi.q != q:
-        raise DomainError(f"character modulus {chi.q} does not match q = {q}")
-    if not chi.is_even or not chi.is_primitive or chi.is_trivial:
-        raise DomainError("mellin_check needs an even primitive nontrivial character")
-    if not height > 0 or not step > 0:
-        raise DomainError("height and step must be positive")
-    series = theta_value(q, chi, 1.0, eps)
-    m = int(round(height / step))
-    grid = step * np.arange(-m, m + 1)
-    lq = math.log(q / math.pi)
-    lvals = np.array(parallel_map(
-        lambda t: l_value(q, chi, complex(0.5, 2 * t), tol=1e-10).value,
-        [float(t) for t in grid], workers))
-    gam = np.array([_gamma_quarter(float(t)) for t in grid])
-    f = lvals * np.exp(1j * lq * grid) * gam
-    weights = np.ones(len(f))
-    weights[0] = weights[-1] = 0.5
-    pref = (q / math.pi) ** 0.25 / (2 * math.pi)
-    quad = pref * step * chunked_sum(f * weights)
-    tail = pref * float(np.max(np.abs(lvals))) * _gamma_tail_mass(m * step)
-    return MellinCheckResult(
-        q=q, char_index=chi.index, series=series.value, quadrature=complex(quad),
-        residual=abs(series.value - complex(quad)), height=m * step, step=step,
-        tail_bound=tail)
+    """Trapezoidal quadrature of the Mellin integral vs the theta series for
+    one character: mellin_checks(q, [chi], ...)[0].  `workers` is accepted
+    and ignored."""
+    return mellin_checks(q, [chi], height, step, eps)[0]

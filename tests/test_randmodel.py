@@ -7,11 +7,14 @@ import pytest
 
 from thetamoments.errors import DomainError
 from thetamoments.randmodel import (
+    SAMPLE_BLOCK,
     SteinhausSample,
+    _model_thetas,
     model_moment,
     model_theta,
     sample,
 )
+from thetamoments.summation import chunked_sum
 from thetamoments.theta import truncation_length
 
 
@@ -124,3 +127,22 @@ def test_model_moment_domain():
         model_moment(101, 0, 100, seed=0)
     with pytest.raises(DomainError):
         model_moment(101, 1, 99, seed=0)
+
+
+def test_model_moment_across_block_boundary_matches_model_theta():
+    """Blocked draws reproduce model_theta(q, sample(N, seed + i)) sample by
+    sample, including the three samples of the second block."""
+    q, k, seed = 101, 2, 17
+    samples = SAMPLE_BLOCK + 3
+    n = truncation_length(q, 1.0, 0, 1e-12)
+    est = model_moment(q, k, samples, seed)
+    one_by_one = [model_theta(q, sample(max(n, 2), seed + i)) for i in range(samples)]
+    assert _model_thetas(est.weights, samples, seed).tolist() == one_by_one
+    powers = np.array([abs(z) ** (2 * k) for z in one_by_one])
+    assert est.estimate == float(chunked_sum(powers)) / samples
+
+
+def test_model_moment_empty_truncation():
+    """An eps so loose that the series truncates to no terms gives zero."""
+    est = model_moment(3, 1, 100, 1, eps=10.0)
+    assert est.weights.size == 0 and est.estimate == 0.0

@@ -1,14 +1,19 @@
 """Theta series: truncation bound, goldens, batch path, moments, Mellin check."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from thetamoments import theta
 from thetamoments.characters import build_group
 from thetamoments.errors import DomainError
+from thetamoments.lfunc import l_value
+from thetamoments.specfun import gamma_fn
 from thetamoments.theta import (
     mellin_check,
+    mellin_checks,
     theta_all_chars,
     theta_moment,
     theta_value,
@@ -274,3 +279,60 @@ def test_mellin_domain():
         mellin_check(5, chi, 8.0, -1.0)
     with pytest.raises(DomainError):
         mellin_check(7, chi, 8.0, 1 / 64)  # modulus mismatch
+
+
+def _even_primitive(q):
+    return [c for c in build_group(q) if c.is_even and c.is_primitive and not c.is_trivial]
+
+
+def test_mellin_checks_match_per_character_quadrature():
+    """The batched route against a quadrature built from l_value and gamma_fn."""
+    q, height, step = 13, 4.0, 1 / 16
+    chars = _even_primitive(q)
+    results = mellin_checks(q, chars, height, step)
+    assert [r.char_index for r in results] == [c.index for c in chars]
+    m = int(round(height / step))
+    ts = [step * j for j in range(-m, m + 1)]
+    pref = (q / math.pi) ** 0.25 / (2 * math.pi)
+    for chi, r in zip(chars, results):
+        f = [l_value(q, chi, complex(0.5, 2 * t), tol=1e-10).value
+             * cmath.exp(1j * t * math.log(q / math.pi)) * gamma_fn(complex(0.25, t)).value
+             for t in ts]
+        quad = pref * step * (sum(f) - (f[0] + f[-1]) / 2)
+        assert abs(r.quadrature - quad) < 1e-13
+        assert r.series == theta_value(q, chi, 1.0).value
+        assert r.height == height and r.step == step
+    # the one-character call reads the same row of the same batched route
+    assert mellin_check(q, chars[1], height, step) == results[1]
+
+
+def test_mellin_checks_rejects_mixed_sets(monkeypatch):
+    """Every character is validated before any L evaluation."""
+    def no_l_values(*args, **kwargs):
+        raise AssertionError("L evaluated before validation")
+
+    monkeypatch.setattr(theta, "l_values_all_chars", no_l_values)
+    g13 = build_group(13)
+    good = _even_primitive(13)
+    odd = next(c for c in g13 if not c.is_even)
+    other = _even_primitive(5)[0]
+    for bad in (odd, g13.char(0), other):
+        with pytest.raises(DomainError):
+            mellin_checks(13, good + [bad], 4.0, 1 / 16)
+    assert mellin_checks(13, [], 4.0, 1 / 16) == []
+
+
+def test_gamma_tail_mass_against_mpmath():
+    """The trapezoid tail mass over-estimates the convex tail by under 0.2%."""
+    mp = pytest.importorskip("mpmath")
+    for height in (4.0, 8.0):
+        exact = 2 * mp.quad(lambda t: abs(mp.gamma(mp.mpc(0.25, t))),
+                            [height, height + 8, height + 30, mp.inf])
+        assert 1 <= theta._gamma_tail_mass(height) / float(exact) < 1.002
+
+
+def test_mellin_check_without_numpy_trapezoid(monkeypatch):
+    """numpy < 2.0, which pyproject admits, has no np.trapezoid."""
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    r = mellin_check(5, quadratic_char(5), 2.0, 1 / 8)
+    assert r.tail_bound > 0
