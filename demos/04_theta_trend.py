@@ -26,9 +26,9 @@ for q in (5, 101, 1009, 100003):
 q = 29
 g = build_group(q)
 vals, err = theta_all_chars(q, 1.0, group=g)
-even = np.abs(vals[(g.parity_bits == 0) & (np.arange(len(g)) > 0)])
-odd = np.abs(vals[g.parity_bits == 1])
-print(f"\nmod {q}: {len(even)} even nontrivial, {len(odd)} odd characters (bound {err:.1e})")
+even = np.abs(vals[g.family_mask("even")])
+odd = np.abs(vals[g.family_mask("odd")])
+print(f"\nmod {q}: {len(even)} even primitive, {len(odd)} odd primitive characters (bound {err:.1e})")
 print(f"  |theta| even: mean {even.mean():.4f}, spread {even.std():.4f}")
 print(f"  |theta| odd:  mean {odd.mean():.4f}, spread {odd.std():.4f}")
 

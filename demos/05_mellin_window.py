@@ -10,14 +10,13 @@ the window height H -- each extra unit of height buys a factor ~5.
 
 import math
 
+import numpy as np
+
 from thetamoments import build_group, gamma_fn, mellin_check
 
 q = 13
 g = build_group(q)
-even_primitive = [
-    i for i in range(len(g)) if g.primitive_mask[i] and g.char(i).is_even and not g.char(i).is_trivial
-]
-chi = g.char(even_primitive[0])
+chi = g.char(int(np.flatnonzero(g.family_mask("even"))[0]))
 print(f"modulus {q}, character index {chi.index} (order {chi.order})")
 
 # The kernel at the centre of the window is Gamma(1/4): the integrand there

@@ -11,6 +11,9 @@ Everything numerical is deterministic: fixed-chunk reductions make results
 independent of worker count, and Monte-Carlo runs are seeded per sample.
 """
 
+# set before the submodule imports: reports reads it while the package loads
+__version__ = "0.1.0"
+
 from .bounds import (
     BoundProfile,
     RegimeBound,
@@ -25,7 +28,7 @@ from .bounds import (
     shifted_moment_bound,
     variance_parameter,
 )
-from .characters import Character, CharacterGroup, build_group, gauss_sum
+from .characters import FAMILIES, Character, CharacterGroup, build_group, gauss_sum
 from .errors import DomainError, PoleError, PrecisionError
 from .lfunc import (
     LAMBDA0,
@@ -73,8 +76,6 @@ from .theta import (
     truncation_length,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "__version__",
     # errors
@@ -83,7 +84,7 @@ __all__ = [
     "PrimeTable", "Factorization", "GroupStructure", "sieve", "factorize",
     "euler_phi", "divisors", "primitive_root", "index_table", "group_structure",
     # characters
-    "Character", "CharacterGroup", "build_group", "gauss_sum",
+    "FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum",
     # specfun
     "ComplexApprox", "EulerMaclaurinConfig", "hurwitz_zeta",
     "hurwitz_zeta_vector", "digamma_vector", "log_gamma", "gamma_fn",

@@ -101,28 +101,28 @@ def _require_q(q, floor: int, why: str) -> None:
         raise DomainError(f"q must be >= {floor} ({why}); got {q}")
 
 
+def _pair_scale(ti: float, tj: float, q) -> float:
+    """min(1/D, log q) for a close pair (D = 0 giving log q), loglog q for a
+    far pair; F is its log and E its square root."""
+    d = abs(ti - tj)
+    lq = math.log(q)
+    if d <= CLOSE_THRESHOLD:
+        return lq if d == 0 else min(1 / d, lq)
+    return math.log(lq)
+
+
 def pair_log_weight(ti: float, tj: float, q) -> float:
     """Log-scale pair kernel F: close pairs log(min(1/D, log q)) with D=0
     resolving to loglog q, far pairs logloglog q.  Requires q >= 17."""
     _require_q(q, 17, "log log log q must be positive")
-    d = abs(ti - tj)
-    lq = math.log(q)
-    if d <= CLOSE_THRESHOLD:
-        inner = lq if d == 0 else min(1 / d, lq)
-        return math.log(inner)
-    return math.log(math.log(lq))
+    return math.log(_pair_scale(ti, tj, q))
 
 
 def pair_factor(ti: float, tj: float, q) -> float:
     """Moment-bound pair factor E: sqrt of the close-branch min, or
     sqrt(loglog q) for far pairs.  Equals exp(F/2) branchwise.  q >= 16."""
     _require_q(q, 16, "log log q must be positive")
-    d = abs(ti - tj)
-    lq = math.log(q)
-    if d <= CLOSE_THRESHOLD:
-        inner = lq if d == 0 else min(1 / d, lq)
-        return math.sqrt(inner)
-    return math.sqrt(math.log(lq))
+    return math.sqrt(_pair_scale(ti, tj, q))
 
 
 def variance_parameter(t, q) -> float:
@@ -249,10 +249,7 @@ class BoundProfile:
 
     @property
     def moment_bound(self) -> float:
-        prod = 1.0
-        for p in self.pairs:
-            prod *= p.factor
-        return euler_phi(self.q) * math.log(self.q) ** (self.k / 2 + self.eps) * prod
+        return shifted_moment_bound(self.q, self.shifts, self.eps)
 
 
 def bound_profile(q, t, eps: float = 0.1) -> BoundProfile:
@@ -264,6 +261,4 @@ def bound_profile(q, t, eps: float = 0.1) -> BoundProfile:
                  log_weight=pair_log_weight(t[i], t[j], q),
                  factor=pair_factor(t[i], t[j], q))
         for i, j, d in t.pairs())
-    llq = math.log(math.log(q))
-    w = 2 * t.k * llq + 2 * sum(p.log_weight for p in pairs)
-    return BoundProfile(q=q, shifts=t, k=t.k, w=w, pairs=pairs, eps=eps)
+    return BoundProfile(q=q, shifts=t, k=t.k, w=variance_parameter(t, q), pairs=pairs, eps=eps)

@@ -7,12 +7,19 @@ character values are exact roots of unity up to one complex rounding.
 
 Characters are enumerated in C order of their exponent tuples; index 0 is the
 trivial character.  The group also provides vectorized tables (parity bits,
-conductors, orders) and the fast weighted-sum transform
+conductors, orders, the conjugation permutation), the character families every
+moment sums over (`family_mask`), and the fast weighted-sum transform
 
     transform(w)[j] = sum_a chi_j(a) w[a],
 
 computed for all phi(q) characters at once as a multidimensional inverse FFT
 over the cyclic components (a single length-(q-1) transform when q is prime).
+
+A conductor is the product of local conductors, one per p^e || q, read off
+the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
+order o > 1; 4 when p^e = 4 and chi is nontrivial there; for 2^e, e >= 3, -3
+(not the generator 3) spans the units = 1 mod 4: 4 o if chi(-3) has order
+o > 1, else 4 or 1 by parity.  Every table is O(phi(q)) memory.
 """
 
 from __future__ import annotations
@@ -23,12 +30,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import GroupStructure, divisors, group_structure
+from .numtheory import GroupStructure, factorize, group_structure
 from .specfun import ComplexApprox
 
-__all__ = ["Character", "CharacterGroup", "build_group", "gauss_sum"]
+__all__ = ["FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum"]
 
 _EPS = np.finfo(float).eps
+
+THETA_FAMILIES = ("even", "odd")  # primitive characters of one parity
+L_FAMILIES = ("star", "nonquadratic", "star-nonquadratic")
+FAMILIES = THETA_FAMILIES + L_FAMILIES
 
 
 class CharacterGroup:
@@ -83,11 +94,7 @@ class CharacterGroup:
 
     def conjugate_index(self, index: int) -> int:
         """Index of the complex-conjugate character."""
-        if not self._dims:
-            return 0
-        exps = np.unravel_index(index, self._dims)
-        neg = tuple((-j) % d for j, d in zip(exps, self._dims))
-        return int(np.ravel_multi_index(neg, self._dims))
+        return int(self.conjugation[index])
 
     # -- batch tables ------------------------------------------------------
 
@@ -116,28 +123,30 @@ class CharacterGroup:
 
     @cached_property
     def conductors(self) -> np.ndarray:
-        """Conductor of each character: least f | q with chi trivial on
-        the subgroup {n unit : n = 1 mod f}."""
-        out = np.zeros(self.phi, dtype=np.int64)
-        units = self.structure.units()
-        rows = self.structure.index_of_n[units]  # flat index of each unit
-        m_units = self._m_matrix[rows]           # (phi x r) rows per unit
-        jw = self._jw_matrix.T                   # (r x phi)
-        for f in divisors(self.q):
-            undecided = out == 0
-            if not undecided.any():
-                break
-            if f == 1:
-                # trivial on the whole group <=> the trivial character
-                trivial_on_sub = np.arange(self.phi) == 0
+        """Conductor of each character: the product of its local conductors
+        over the prime powers p^e || q (see the module docstring)."""
+        out = np.ones(self._dims, dtype=np.int64)
+        axis = 0
+        for p, e in factorize(self.q).factors:
+            # chi(g) = exp(2 pi i x / ord g), x != 0, gives p^e / gcd(x, p-part of
+            # ord g): p^{1 + v_p(o)} for odd p, 4 o for g = -3 (o = order of chi(g))
+            if p != 2:
+                j = np.arange(self._dims[axis])
+                local = np.where(j > 0, p ** e // np.gcd(j, p ** (e - 1)), 1)
+            elif e == 1:
+                continue  # (Z/2Z)* is trivial and has no component
+            elif e == 2:
+                local = np.array([1, 4])
             else:
-                sub = m_units[units % f == 1]    # exponent rows of {n = 1 mod f}
-                if sub.size == 0 or sub.shape[1] == 0:
-                    trivial_on_sub = np.ones(self.phi, dtype=bool)
-                else:
-                    trivial_on_sub = ~np.any((sub @ jw) % self._e, axis=0)
-            out[undecided & trivial_on_sub] = f
-        return out
+                d = self._dims[axis + 1]
+                s = np.arange(2)[:, None]  # exponent on -1
+                x = (s * (d // 2) + np.arange(d)) % d  # exponent of chi(-3)
+                local = np.where(x > 0, 2 ** e // np.gcd(x, d), np.where(s == 1, 4, 1))
+            shape = [1] * len(self._dims)
+            shape[axis:axis + local.ndim] = local.shape
+            out = out * local.reshape(shape)
+            axis += local.ndim
+        return out.reshape(-1)
 
     @cached_property
     def primitive_mask(self) -> np.ndarray:
@@ -147,6 +156,28 @@ class CharacterGroup:
     def quadratic_or_trivial_mask(self) -> np.ndarray:
         """chi^2 = trivial character (order 1 or 2)."""
         return self.orders <= 2
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """perm with perm[j] = index of conj(chi_j): exponents j -> -j."""
+        grid = np.arange(self.phi).reshape(self._dims)
+        return grid[np.ix_(*((-np.arange(d)) % d for d in self._dims))].reshape(-1)
+
+    def family_mask(self, name: str) -> np.ndarray:
+        """Boolean mask of the characters in a family, one of FAMILIES:
+
+        even / odd: primitive characters of that parity (the theta families);
+        star: primitive; nonquadratic: chi^2 nontrivial; star-nonquadratic: both.
+        """
+        if name in THETA_FAMILIES:
+            return self.primitive_mask & (self.parity_bits == (name == "odd"))
+        if name == "star":
+            return self.primitive_mask.copy()
+        if name == "nonquadratic":
+            return ~self.quadratic_or_trivial_mask
+        if name == "star-nonquadratic":
+            return self.primitive_mask & ~self.quadratic_or_trivial_mask
+        raise DomainError(f"unknown family {name!r}; expected one of {FAMILIES}")
 
     # -- evaluation and transforms ----------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__  # noqa: F401  (version surfaced via --version)
 from .bounds import bound_profile, cos_sum_check, cutoff_exponent, large_value_bound
-from .characters import build_group
+from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
 from .lfunc import central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
@@ -183,11 +183,10 @@ def _cmd_large_values(args, cfg):
 
 def _cmd_mellin_check(args, cfg):
     group = build_group(args.q)
-    idx = [i for i in range(1, len(group))
-           if group.parity_bits[i] == 0 and group.primitive_mask[i]]
-    if not idx:
+    idx = np.flatnonzero(group.family_mask("even"))
+    if not idx.size:
         raise DomainError(f"q = {args.q} has no even primitive characters")
-    results = mellin_checks(args.q, [group.char(i) for i in idx], args.height, args.step)
+    results = mellin_checks(args.q, [group.char(int(i)) for i in idx], args.height, args.step)
     meta = {"command": "mellin-check", "q": args.q, "height": args.height,
             "step": args.step}
     columns = ("q", "char_index", "series_re", "series_im", "quadrature_re",
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="S_2k(q) over one parity family")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--parity", choices=("even", "odd"), required=True)
+    sp.add_argument("--parity", choices=THETA_FAMILIES, required=True)
     sp.add_argument("--eps", type=float, default=1e-12)
 
     sp = sub.add_parser("theta-scan", parents=[shared],
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime-range", type=_parse_range, required=True,
                     metavar="A:B")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--parity", choices=("even", "odd"), default="even")
+    sp.add_argument("--parity", choices=THETA_FAMILIES, default="even")
     sp.add_argument("--eps", type=float, default=1e-12)
 
     sp = sub.add_parser("l-moment", parents=[shared],
@@ -297,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--shifts", type=_parse_shifts, required=True,
                     metavar="t1,...,t2k")
-    sp.add_argument("--family", choices=("star", "nonquadratic",
-                                         "star-nonquadratic"), default="star")
+    sp.add_argument("--family", choices=L_FAMILIES, default="star")
 
     sp = sub.add_parser("large-values", parents=[shared],
                         help="large-value counts over a V grid")
@@ -308,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vmin", type=float, required=True)
     sp.add_argument("--vmax", type=float, required=True)
     sp.add_argument("--vsteps", type=int, required=True)
-    sp.add_argument("--family", choices=("star", "nonquadratic",
-                                         "star-nonquadratic"),
-                    default="nonquadratic")
+    sp.add_argument("--family", choices=L_FAMILIES, default="nonquadratic")
 
     sp = sub.add_parser("mellin-check", parents=[shared],
                         help="series vs Mellin quadrature, even primitive chi")

@@ -61,20 +61,6 @@ _EPS = np.finfo(float).eps
 MAX_SHIFT = 50.0   # |t| window with quadrature-grade accuracy
 LOG_CLAMP = -50.0  # log|L| substitute when |L| is below its error bound
 
-FAMILIES = ("star", "nonquadratic", "star-nonquadratic")
-
-
-def _family_mask(group: CharacterGroup, family: str) -> np.ndarray:
-    if family == "star":
-        return np.asarray(group.primitive_mask, dtype=bool)
-    if family == "nonquadratic":
-        return ~np.asarray(group.quadratic_or_trivial_mask, dtype=bool)
-    if family == "star-nonquadratic":
-        return (np.asarray(group.primitive_mask, dtype=bool)
-                & ~np.asarray(group.quadratic_or_trivial_mask, dtype=bool))
-    raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def _unit_zeta_weights(group: CharacterGroup, s: complex, tol: float):
     """(w, per_sum_err): w[a] = zeta(s, a/q) at units, 0 elsewhere."""
     q = group.q
@@ -174,7 +160,7 @@ def l_value_grid(q: int, s_points, tol: float = 1e-10,
     if family is None:
         idx = np.arange(len(group))
     else:
-        idx = np.flatnonzero(_family_mask(group, family))
+        idx = np.flatnonzero(group.family_mask(family))
     values = np.stack([c[0][idx] for c in cols], axis=1)
     errs = np.array([c[1] for c in cols])
     return LValueGrid(q=q, s_points=pts, char_indices=idx, values=values, errs=errs)
@@ -182,16 +168,6 @@ def l_value_grid(q: int, s_points, tol: float = 1e-10,
 
 # ---------------------------------------------------------------------------
 # family aggregates
-
-
-def _conjugation_permutation(group: CharacterGroup) -> np.ndarray:
-    """perm with perm[j] = index of conj(chi_j), vectorized over the group."""
-    dims = group.structure.dims
-    if not dims:
-        return np.zeros(1, dtype=np.int64)
-    grid = np.arange(len(group)).reshape(dims)
-    neg = tuple((d - np.arange(d)) % d for d in dims)
-    return grid[np.ix_(*neg)].reshape(-1)
 
 
 def _abs_l_columns(group: CharacterGroup, shifts, tol: float, workers: int = 1):
@@ -206,11 +182,10 @@ def _abs_l_columns(group: CharacterGroup, shifts, tol: float, workers: int = 1):
         lambda tv: l_values_all_chars(group.q, 0.5 + 1j * tv, tol, group=group),
         pos, workers)
     by_abs = {tv: (np.abs(vals), err) for tv, (vals, err) in zip(pos, res)}
-    perm = _conjugation_permutation(group)
     cols, errs = [], []
     for t in shifts:
         absl, err = by_abs[abs(t)]
-        cols.append(absl if t >= 0 else absl[perm])
+        cols.append(absl if t >= 0 else absl[group.conjugation])
         errs.append(err)
     return cols, errs
 
@@ -223,7 +198,7 @@ def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     if k < 0:
         raise DomainError("k must be >= 0")
     group = build_group(q)
-    mask = _family_mask(group, "star")
+    mask = group.family_mask("star")
     size = int(np.sum(mask))
     if k == 0:
         raw = float(size)
@@ -248,7 +223,7 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
     if q < 3:
         raise DomainError("shifted_moment requires q >= 3")
     group = build_group(q)
-    mask = _family_mask(group, family)
+    mask = group.family_mask(family)
     size = int(np.sum(mask))
     cols, _ = _abs_l_columns(group, tuple(t), tol, workers)
     prod = np.ones(size)
@@ -291,7 +266,7 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     if v.ndim != 1 or v.size == 0 or np.any(np.diff(v) < 0):
         raise DomainError("V grid must be one-dimensional and ascending")
     group = build_group(q)
-    mask = _family_mask(group, family)
+    mask = group.family_mask(family)
     size = int(np.sum(mask))
     cols, errs = _abs_l_columns(group, tuple(t), tol, workers)
     total = np.zeros(size)
@@ -303,7 +278,7 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
             lv = np.where(low, LOG_CLAMP, np.log(np.where(low, 1.0, absl)))
         total += lv
         clamped |= low
-    counts = np.sum(total[:, None] >= v[None, :], axis=0).astype(np.int64)
+    counts = size - np.searchsorted(np.sort(total), v, side="left")
     return LargeValueHistogram(
         q=q, shifts=t, family=family,
         excluded_quadratic=family in ("nonquadratic", "star-nonquadratic"),

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .numtheory import PrimeTable, sieve
 from .summation import chunked_sum
-from .theta import truncation_length
+from .theta import _series_terms, truncation_length
 
 __all__ = [
     "SteinhausSample",
@@ -89,12 +89,6 @@ def _draw(n: int, primes: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
     return angles, values
 
 
-def _weights(q: int, eta: int, n: int) -> np.ndarray:
-    m = np.arange(1, n + 1, dtype=float)
-    w = np.exp(-math.pi / q * m ** 2)
-    return w * m if eta else w
-
-
 def model_theta(q: int, s: SteinhausSample, eta: int = 0, eps: float = 1e-12) -> complex:
     """sum_n f(n) n^eta e^{-pi n^2 / q}, truncated per the theta rule."""
     if eta not in (0, 1):
@@ -102,7 +96,7 @@ def model_theta(q: int, s: SteinhausSample, eta: int = 0, eps: float = 1e-12) ->
     n = truncation_length(q, 1.0, eta, eps)
     if s.n < n:
         raise DomainError(f"sample support {s.n} below truncation length {n}")
-    w = _weights(q, eta, n)
+    w = _series_terms(q, 1.0, eta, n)[1]
     return complex(chunked_sum(s.values[1:n + 1] * w))
 
 
@@ -156,7 +150,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     if samples < 100:
         raise DomainError("at least 100 samples required")
     n = truncation_length(q, 1.0, eta, eps)
-    w = _weights(q, eta, n)
+    w = _series_terms(q, 1.0, eta, n)[1]
     # scalar abs and pow: numpy's vector abs and power differ in the last bit
     powers = np.array([abs(z) ** (2 * k)
                        for z in _model_thetas(w, samples, seed).tolist()])

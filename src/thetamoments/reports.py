@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable
 
+from . import __version__
+
 TOOL_NAME = "thetamoments"
-TOOL_VERSION = "0.1.0"
 
 # the documented stable column set for all moment-style reports
 MOMENT_COLUMNS = ("q", "k", "parity", "raw", "normalization", "ratio", "eps", "family_size")
@@ -60,7 +61,7 @@ def fmt(x) -> str:
 
 def csv_text(columns: Iterable[str], rows: Iterable[tuple], meta: dict) -> str:
     """Render a CSV with `# key=value` comment headers (sorted), no timestamp."""
-    lines = [f"# tool={TOOL_NAME} {TOOL_VERSION}"]
+    lines = [f"# tool={TOOL_NAME} {__version__}"]
     for key in sorted(meta):
         lines.append(f"# {key}={fmt(meta[key])}")
     lines.append(",".join(columns))
@@ -107,7 +108,7 @@ class ReportEnvelope:
 def make_envelope(command: list[str], config: dict, payload) -> ReportEnvelope:
     return ReportEnvelope(
         tool=TOOL_NAME,
-        version=TOOL_VERSION,
+        version=__version__,
         command=list(command),
         config=dict(config),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),

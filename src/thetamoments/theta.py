@@ -7,9 +7,10 @@ so every value carries a certified absolute error.
 
 The all-characters path folds the series into per-residue-class weights
 (one real vector per parity) and applies the multiplicative-group transform,
-identical in cost to one FFT per parity; moments S_2k(q) over the
-even-primitive or odd-primitive family normalize by phi(q) q^{k/2}
-(log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
+identical in cost to one FFT per parity; a moment needs only its own parity,
+so it folds and transforms once.  Moments S_2k(q) over the even-primitive or
+odd-primitive family normalize by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp.
+phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
 mellin_checks compares the series against the line integral
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, CharacterGroup, build_group
+from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group
 from .errors import DomainError
 from .lfunc import l_values_all_chars
 from .reports import MomentReport
@@ -101,6 +102,20 @@ def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> Complex
     return ComplexApprox(total, tail + rounding)
 
 
+def _theta_parity(q: int, x: float, eta: int, eps: float,
+                  group: CharacterGroup) -> tuple[np.ndarray, float]:
+    """(values, err): the parity-eta series folded by residue and transformed;
+    values[j] = theta(eta, x, chi_j) within err for chi_j of parity eta."""
+    n = truncation_length(q, x, eta, eps / 2)
+    w = np.zeros(q)
+    if n:
+        res, e = _series_terms(q, x, eta, n)
+        w = np.bincount(res, weights=e, minlength=q)
+    tail = _tail_bound(q, x, eta, n)
+    rounding = _EPS * (math.log2(q) + 8) * float(np.sum(w))
+    return group.transform(w), tail + rounding
+
+
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,
                     group: CharacterGroup | None = None) -> tuple[np.ndarray, float]:
     """theta(eta_chi, x, chi) for every character mod q in group index order.
@@ -114,44 +129,35 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
         raise DomainError("x must be positive")
     if group is None:
         group = build_group(q)
-    parities = np.asarray(group.parity_bits)
     values = np.zeros(len(group), dtype=complex)
     err = 0.0
     for eta in (0, 1):
-        sel = parities == eta
+        sel = group.parity_bits == eta
         if not sel.any():
             continue
-        n = truncation_length(q, x, eta, eps / 2)
-        w = np.zeros(q)
-        if n:
-            res, e = _series_terms(q, x, eta, n)
-            w = np.bincount(res, weights=e, minlength=q)
-        t = group.transform(w)
+        t, e = _theta_parity(q, x, eta, eps, group)
         values[sel] = t[sel]
-        tail = _tail_bound(q, x, eta, n)
-        rounding = _EPS * (math.log2(q) + 8) * float(np.sum(w))
-        err = max(err, tail + rounding)
+        err = max(err, e)
     return values, err
 
 
 def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentReport:
     """S_2k(q) = sum |theta(1, chi)|^{2k} over the even-primitive or
-    odd-primitive family, with the matching normalization."""
+    odd-primitive family, with the matching normalization.  Only the series
+    of that parity is folded and transformed."""
     if q < 3:
         raise DomainError("theta_moment requires q >= 3")
     if k < 1:
         raise DomainError("k must be >= 1")
-    if parity not in ("even", "odd"):
+    if parity not in THETA_FAMILIES:
         raise DomainError(f"parity must be 'even' or 'odd'; got {parity!r}")
     group = build_group(q)
-    want = 0 if parity == "even" else 1
-    mask = (np.asarray(group.primitive_mask)
-            & (np.asarray(group.parity_bits) == want))
+    mask = group.family_mask(parity)
     size = int(np.sum(mask))
     if size == 0:
         raw = 0.0
     else:
-        values, _ = theta_all_chars(q, 1.0, eps, group=group)
+        values, _ = _theta_parity(q, 1.0, 0 if parity == "even" else 1, eps, group)
         raw = float(chunked_sum(np.sort(np.abs(values[mask]) ** (2 * k))))
     half_powers = k if parity == "even" else 3 * k
     norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)

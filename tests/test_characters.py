@@ -1,11 +1,12 @@
 """Character group: multiplicativity, parity, conductors, Gauss sums, transform."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thetamoments.characters import build_group, gauss_sum
+from thetamoments.characters import FAMILIES, build_group, gauss_sum
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import divisors, euler_phi, factorize
 
@@ -87,17 +88,50 @@ def test_parity_matches_value_at_minus_one(q):
         assert int(np.sum(g.parity_bits == 0)) == euler_phi(q) // 2  # half even
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 16, 24, 36, 45])
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 16, 24, 27, 32, 36, 45, 48])
 def test_conductors_against_oracle(q):
     g = build_group(q)
     for chi in g:
         assert chi.conductor == conductor_oracle(chi), (q, chi.exponents)
 
 
-@pytest.mark.parametrize("q", list(range(1, 50)))
+@pytest.mark.parametrize("q", list(range(1, 1200)))
 def test_primitive_count_formula(q):
     g = build_group(q)
     assert int(np.sum(g.primitive_mask)) == primitive_count(q)
+
+
+def test_conductors_linear_memory():
+    g = build_group(30030)  # phi = 5760: a phi x phi table would be 250 MB
+    tracemalloc.start()
+    try:
+        conductors = g.conductors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # chi mod q with conductor f <-> primitive chi mod f, for each f | q
+    for f in divisors(30030):
+        assert int(np.sum(conductors == f)) == primitive_count(f), f
+
+
+@pytest.mark.parametrize("q", [5, 12, 40, 5040])
+def test_family_masks(q):
+    g = build_group(q)
+    prim, quad, par = g.primitive_mask, g.quadratic_or_trivial_mask, g.parity_bits
+    expected = {
+        "even": prim & (par == 0),
+        "odd": prim & (par == 1),
+        "star": prim,
+        "nonquadratic": ~quad,
+        "star-nonquadratic": prim & ~quad,
+    }
+    assert set(expected) == set(FAMILIES)
+    for name, mask in expected.items():
+        got = g.family_mask(name)
+        assert got.dtype == bool and np.array_equal(got, mask), (q, name)
+    with pytest.raises(DomainError, match="star-nonquadratic"):
+        g.family_mask("primitive")
 
 
 def test_q5_even_primitive_census():
@@ -138,6 +172,14 @@ def test_conjugate_character():
             assert np.allclose(g.value_table(j), np.conj(g.value_table(i)), atol=1e-14)
         chi = g.char(min(1, len(g) - 1))
         assert chi.conjugate().conjugate() == chi
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040])
+def test_conjugation_permutation(q):
+    g = build_group(q)
+    neg = [g.char_from_exponents(tuple(-e for e in chi.exponents)).index for chi in g]
+    assert g.conjugation.tolist() == neg
+    assert [g.conjugate_index(i) for i in range(len(g))] == neg
 
 
 def test_char_from_exponents_roundtrip():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import thetamoments
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -154,6 +155,17 @@ def test_rand_model_json_reproducible_payload(capsys, tmp_path):
     p1, p2 = json.loads(out1)["payload"], json.loads(out2)["payload"]
     assert p1 == p2  # envelope timestamps may differ; the payload never does
     assert p1["estimate"] >= 0 and p1["seed"] == 5
+
+
+def test_version_is_one_string(capsys, tmp_path):
+    version = thetamoments.__version__
+    code, out, _ = invoke(capsys, "--version")
+    assert code == 0 and out == f"thetamoments {version}\n"
+    code, out, _ = invoke(capsys, "char-table", "--q", "5", "--out", str(tmp_path))
+    assert code == 0 and out.splitlines()[0] == f"# tool=thetamoments {version}"
+    code, out, _ = invoke(capsys, "char-table", "--q", "5", "--format", "json",
+                          "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["version"] == version
 
 
 def test_json_format_flag_and_workers_visibility(capsys, tmp_path, monkeypatch):

@@ -263,6 +263,21 @@ def test_large_value_counts_cross_check():
         assert c == sum(1 for s in totals if s >= v - 1e-12)
 
 
+@pytest.mark.parametrize("family", ["nonquadratic", "star"])
+def test_large_value_counts_ties_at_grid_points(family):
+    # the family's own totals as grid points: every count sits on a tie
+    q, tol = 29, 1e-10
+    g = build_group(q)
+    vals, err = l_values_all_chars(q, 0.5, tol, group=g)
+    absl = np.abs(vals)[g.family_mask(family)]
+    assert np.all(absl >= err)  # no clamping at this modulus
+    total = np.zeros(absl.size) + np.log(absl) + np.log(absl)
+    grid = np.unique(np.concatenate([total, total + 1e-3, [total.min() - 1, total.max() + 1]]))
+    h = large_value_counts(q, (0.0, 0.0), grid, tol=tol, family=family)
+    old = np.sum(total[:, None] >= grid[None, :], axis=0).astype(np.int64)
+    assert h.counts.dtype == np.int64 and np.array_equal(h.counts, old)
+
+
 def test_large_value_counts_star_family_keeps_quadratic():
     h = large_value_counts(29, (0.0, 0.0), [0.0], family="star")
     assert h.family_size == 27 and not h.excluded_quadratic

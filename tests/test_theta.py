@@ -204,6 +204,24 @@ def test_moment_conjugation_invariance():
     assert m.raw == pytest.approx(conj, rel=1e-12)
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_moment_transforms_one_parity(parity, monkeypatch):
+    # only the summed parity is folded and transformed, with the values the
+    # all-characters path gives for that family
+    q, k = 5040, 2
+    g = build_group(q)
+    vals, _ = theta_all_chars(q, 1.0, group=g)
+    mask = g.family_mask(parity)
+    direct = float(theta.chunked_sum(np.sort(np.abs(vals[mask]) ** (2 * k))))
+    calls = []
+    transform = theta.CharacterGroup.transform
+    monkeypatch.setattr(theta.CharacterGroup, "transform",
+                        lambda self, w: calls.append(w) or transform(self, w))
+    m = theta_moment(q, k, parity)
+    assert len(calls) == 1
+    assert m.raw == direct and m.family_size == int(np.sum(mask)) > 0
+
+
 def test_moment_normalization_exponent():
     # (log q)^{(k-1)^2} factor appears only for k >= 2
     q = 29
