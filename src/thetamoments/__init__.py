@@ -7,8 +7,9 @@ specfun (Hurwitz zeta / log-gamma with certified error bounds), lfunc
 a GRH majorant), theta (theta series, moments, Mellin cross-check), bounds
 (closed-form bound shapes), randmodel (Steinhaus Monte-Carlo model), cli.
 
-Everything numerical is deterministic: fixed-chunk reductions make results
-independent of worker count, and Monte-Carlo runs are seeded per sample.
+Everything numerical is deterministic and runs on the calling thread:
+fixed-chunk reductions fix the summation order, Monte-Carlo runs are seeded
+per sample, and the `workers=` keywords are accepted and ignored.
 """
 
 # set before the submodule imports: reports reads it while the package loads
@@ -21,7 +22,6 @@ from .bounds import (
     bound_profile,
     cos_sum_check,
     cutoff_exponent,
-    growth_shape,
     large_value_bound,
     pair_factor,
     pair_log_weight,
@@ -47,11 +47,9 @@ from .numtheory import (
     Factorization,
     GroupStructure,
     PrimeTable,
-    divisors,
     euler_phi,
     factorize,
     group_structure,
-    index_table,
     primitive_root,
     sieve,
 )
@@ -59,7 +57,6 @@ from .randmodel import ModelMomentEstimate, SteinhausSample, model_moment, model
 from .reports import MomentReport, ReportEnvelope, make_envelope
 from .specfun import (
     ComplexApprox,
-    EulerMaclaurinConfig,
     digamma_vector,
     gamma_fn,
     hurwitz_zeta,
@@ -82,11 +79,11 @@ __all__ = [
     "DomainError", "PoleError", "PrecisionError",
     # numtheory
     "PrimeTable", "Factorization", "GroupStructure", "sieve", "factorize",
-    "euler_phi", "divisors", "primitive_root", "index_table", "group_structure",
+    "euler_phi", "primitive_root", "group_structure",
     # characters
     "FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum",
     # specfun
-    "ComplexApprox", "EulerMaclaurinConfig", "hurwitz_zeta",
+    "ComplexApprox", "hurwitz_zeta",
     "hurwitz_zeta_vector", "digamma_vector", "log_gamma", "gamma_fn",
     # lfunc
     "LValueGrid", "LargeValueHistogram", "LAMBDA0", "lambda_zero", "l_value",
@@ -98,7 +95,7 @@ __all__ = [
     # bounds
     "ShiftTuple", "BoundProfile", "RegimeBound", "pair_log_weight",
     "pair_factor", "variance_parameter", "cutoff_exponent", "large_value_bound",
-    "shifted_moment_bound", "growth_shape", "cos_sum_check", "bound_profile",
+    "shifted_moment_bound", "cos_sum_check", "bound_profile",
     # randmodel
     "SteinhausSample", "ModelMomentEstimate", "sample", "model_theta",
     "model_moment",

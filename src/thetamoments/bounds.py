@@ -10,7 +10,6 @@ Pure formula evaluation, shared by the L-moment drivers and the CLI:
 * a three-regime large-value bound (count of characters whose summed log|L|
   exceeds V) and the matching piecewise cutoff exponent A;
 * the product moment bound phi(q) (log q)^{k/2+eps} prod E;
-* an exp((log q + log+ t)/ loglog q)-type growth shape for max |L|;
 * a prime cosine-sum comparator sum_{p<=z} cos(a log p)/p against its
   Mertens-type main term.
 
@@ -43,7 +42,6 @@ __all__ = [
     "cutoff_exponent",
     "large_value_bound",
     "shifted_moment_bound",
-    "growth_shape",
     "cos_sum_check",
     "bound_profile",
 ]
@@ -195,13 +193,6 @@ def shifted_moment_bound(q, t, eps: float = 0.1) -> float:
     for i, j, _ in t.pairs():
         prod *= pair_factor(t[i], t[j], q)
     return euler_phi(q) * math.log(q) ** (t.k / 2 + eps) * prod
-
-
-def growth_shape(q, t: float, c: float = 1.0) -> float:
-    """exp(c (log q + log+ |t|) / loglog q); ratio target for max |L(1/2+it)|."""
-    _require_q(q, 16, "log log q must be positive")
-    logplus = math.log(abs(t)) if abs(t) > 1 else 0.0
-    return math.exp(c * (math.log(q) + logplus) / math.log(math.log(q)))
 
 
 def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[float, float, float]:

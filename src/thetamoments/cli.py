@@ -8,12 +8,16 @@ lines) < THETAMOMENTS_WORKERS environment variable < flags.  Exit codes:
 0 success, 2 usage/domain error (bad flags, out-of-range parameters),
 1 computation error (unreachable precision, unexpected failure).
 
+The worker count (--workers, THETAMOMENTS_WORKERS, the `workers` config key)
+is accepted and validated by every subcommand and then ignored: every
+computation runs in order on the calling thread.  The JSON envelope still
+echoes the resolved value so existing config files and scripts stay valid.
+
 Reports are written into the output directory as <subcommand>.<ext> and
-echoed to stdout.  CSV output is byte-identical across runs and worker
-counts: no timestamps, repr-formatted floats, sorted `# key=value` header
-comments.  The worker count is deliberately absent from CSV headers -- it
-never affects values.  JSON output wraps the payload in a ReportEnvelope,
-which carries a timestamp by design; its payload alone is reproducible.
+echoed to stdout.  CSV output is byte-identical across runs: no timestamps,
+repr-formatted floats, sorted `# key=value` header comments, and no worker
+count.  JSON output wraps the payload in a ReportEnvelope, which carries a
+timestamp by design; its payload alone is reproducible.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class RunConfig:
     """Shared run settings; per-command parameters stay on the arg namespace."""
 
     tol: float = 1e-10
-    workers: int | None = None  # None -> machine parallelism
+    workers: int | None = None  # ignored; None echoes os.cpu_count()
     output_dir: str = "."
     format: str = "csv"
     seed: int = 1
@@ -160,8 +164,7 @@ def _cmd_l_moment(args, cfg):
 
 
 def _cmd_shifted_moment(args, cfg):
-    rep = shifted_moment(args.q, args.shifts, tol=cfg.tol, family=args.family,
-                         workers=cfg.resolved_workers())
+    rep = shifted_moment(args.q, args.shifts, tol=cfg.tol, family=args.family)
     meta = {"command": "shifted-moment", "q": args.q,
             "shifts": ",".join(fmt(t) for t in args.shifts),
             "family": args.family, "tol": cfg.tol}
@@ -170,8 +173,7 @@ def _cmd_shifted_moment(args, cfg):
 
 def _cmd_large_values(args, cfg):
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
-    hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol,
-                              family=args.family, workers=cfg.resolved_workers())
+    hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
     meta = {"command": "large-values", "q": args.q,
             "shifts": ",".join(fmt(t) for t in hist.shifts),
             "family": args.family, "tol": cfg.tol}
@@ -255,8 +257,8 @@ _JSON_ONLY = ("bound-eval", "rand-model")
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=float, help="precision target for L-values")
-    shared.add_argument("--workers", type=int, help="worker count (flag beats "
-                        f"the {WORKERS_ENV} environment variable)")
+    shared.add_argument("--workers", type=int, help="accepted and ignored; echoed "
+                        f"in JSON (flag beats the {WORKERS_ENV} environment variable)")
     shared.add_argument("--out", help="output directory for report files")
     shared.add_argument("--format", choices=("csv", "json"), help="report format")
     shared.add_argument("--config", help="key=value config file")

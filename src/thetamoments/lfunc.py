@@ -18,7 +18,8 @@ Aggregates over character families:
 Negative shifts reuse the |L| column of the matching positive shift through
 the conjugation permutation chi -> conj(chi), and family sums are sorted
 before the fixed-chunk reduction, so a moment at shifts -t is bit-identical
-to the moment at t and results do not depend on worker count.
+to the moment at t.  Columns are evaluated one after another on the calling
+thread; the `workers` keyword of the public functions is accepted and ignored.
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
 from .characters import Character, CharacterGroup, build_group
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import PrimeTable, sieve
 from .reports import MomentReport
 from .specfun import ComplexApprox, digamma_vector, hurwitz_zeta_vector
@@ -72,7 +73,13 @@ def _unit_zeta_weights(group: CharacterGroup, s: complex, tol: float):
     phi = len(units)
     # split the requested tolerance: the character sum sees phi Hurwitz terms
     hz_tol = tol * q ** s.real / (2 * phi)
-    vals, hz_err = hurwitz_zeta_vector(s, a, tol=hz_tol)
+    try:
+        vals, hz_err = hurwitz_zeta_vector(s, a, tol=hz_tol)
+    except PrecisionError as e:
+        raise PrecisionError(
+            f"L(s, chi) mod {q} at s = {s:g}: requested tol {tol:g} unreachable "
+            f"(per-entry Hurwitz tol {hz_tol:g}, achieved {e.best.abs_error:g})",
+            best=e.best) from e
     w = np.zeros(q, dtype=complex)
     w[units % q] = vals
     # worst-case propagated error of any chi-weighted sum of these values
@@ -153,10 +160,13 @@ class LValueGrid:
 
 def l_value_grid(q: int, s_points, tol: float = 1e-10,
                  family: str | None = None, workers: int = 1) -> LValueGrid:
-    """Build an LValueGrid for all characters (or one family) at many s-points."""
+    """Build an LValueGrid for all characters (or one family) at many s-points.
+
+    `workers` is accepted and ignored.
+    """
     group = build_group(q)
     pts = tuple(complex(s) for s in s_points)
-    cols = parallel_map(lambda s: l_values_all_chars(q, s, tol, group=group), pts, workers)
+    cols = parallel_map(lambda s: l_values_all_chars(q, s, tol, group=group), pts)
     if family is None:
         idx = np.arange(len(group))
     else:
@@ -170,7 +180,7 @@ def l_value_grid(q: int, s_points, tol: float = 1e-10,
 # family aggregates
 
 
-def _abs_l_columns(group: CharacterGroup, shifts, tol: float, workers: int = 1):
+def _abs_l_columns(group: CharacterGroup, shifts, tol: float):
     """|L(1/2 + i t, chi)| columns for every shift value in `shifts`.
 
     Columns for -t are the +t column permuted by conjugation (same floats),
@@ -179,8 +189,7 @@ def _abs_l_columns(group: CharacterGroup, shifts, tol: float, workers: int = 1):
     """
     pos = sorted({abs(t) for t in shifts})
     res = parallel_map(
-        lambda tv: l_values_all_chars(group.q, 0.5 + 1j * tv, tol, group=group),
-        pos, workers)
+        lambda tv: l_values_all_chars(group.q, 0.5 + 1j * tv, tol, group=group), pos)
     by_abs = {tv: (np.abs(vals), err) for tv, (vals, err) in zip(pos, res)}
     cols, errs = [], []
     for t in shifts:
@@ -215,7 +224,8 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
     """sum over the family of prod_i |L(1/2 + i t_i, chi)|.
 
     The report's normalization is the bounds-module product bound (eps knob
-    0.1); NaN when q < 16 where that bound is undefined.
+    0.1); NaN when q < 16 where that bound is undefined.  `workers` is
+    accepted and ignored.
     """
     t = as_shift_tuple(t)
     if max(abs(v) for v in t) > MAX_SHIFT:
@@ -225,7 +235,7 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
     group = build_group(q)
     mask = group.family_mask(family)
     size = int(np.sum(mask))
-    cols, _ = _abs_l_columns(group, tuple(t), tol, workers)
+    cols, _ = _abs_l_columns(group, tuple(t), tol)
     prod = np.ones(size)
     for col in cols:
         prod = prod * col[mask]
@@ -255,7 +265,8 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     """Empirical large-value histogram over an ascending V grid.
 
     log|L| below the evaluation's own error bound is clamped to LOG_CLAMP and
-    the affected characters are counted in `flagged`.
+    the affected characters are counted in `flagged`.  `workers` is accepted
+    and ignored.
     """
     t = as_shift_tuple(t)
     if max(abs(v) for v in t) > MAX_SHIFT:
@@ -268,7 +279,7 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     group = build_group(q)
     mask = group.family_mask(family)
     size = int(np.sum(mask))
-    cols, errs = _abs_l_columns(group, tuple(t), tol, workers)
+    cols, errs = _abs_l_columns(group, tuple(t), tol)
     total = np.zeros(size)
     clamped = np.zeros(size, dtype=bool)
     for col, err in zip(cols, errs):

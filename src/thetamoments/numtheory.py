@@ -26,9 +26,7 @@ __all__ = [
     "sieve",
     "factorize",
     "euler_phi",
-    "divisors",
     "primitive_root",
-    "index_table",
     "group_structure",
 ]
 
@@ -41,16 +39,12 @@ __all__ = [
 class PrimeTable:
     """Primes up to `limit` plus a smallest-prime-factor table.
 
-    `spf[n]` is the smallest prime factor of n (spf[0] = spf[1] = 0), which
-    gives O(log n) factorization and a von Mangoldt test without re-sieving.
+    `spf[n]` is the smallest prime factor of n (spf[0] = spf[1] = 0).
     """
 
     limit: int
     primes: np.ndarray  # ascending, dtype int64
     spf: np.ndarray     # length limit+1, dtype int64
-
-    def is_prime(self, n: int) -> bool:
-        return 2 <= n <= self.limit and self.spf[n] == n
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
         """Primes p with lo <= p <= hi (inclusive both ends)."""
@@ -59,22 +53,6 @@ class PrimeTable:
         i = np.searchsorted(self.primes, lo, side="left")
         j = np.searchsorted(self.primes, hi, side="right")
         return self.primes[i:j]
-
-    def prime_power(self, n: int) -> tuple[int, int] | None:
-        """(p, k) if n = p^k with k >= 1, else None."""
-        if n < 2 or n > self.limit:
-            return None
-        p = int(self.spf[n])
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
-
-    def mangoldt(self, n: int) -> float:
-        """von Mangoldt Lambda(n): log p if n = p^k, else 0."""
-        pk = self.prime_power(n)
-        return math.log(pk[0]) if pk else 0.0
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -140,14 +118,6 @@ def euler_phi(n: int) -> int:
     return factorize(n).phi()
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p ** j for d in out for j in range(e + 1)]
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # unit group structure
 
@@ -172,23 +142,6 @@ def primitive_root(q: int) -> int:
         if math.gcd(g, q) == 1 and _order_is_phi(g, q, phi, phi_primes):
             return g
     raise AssertionError("no primitive root found for cyclic modulus")  # unreachable
-
-
-def index_table(q: int) -> np.ndarray:
-    """Discrete-log table for prime q: table[g^m mod q] = m, table[0] = -1.
-
-    Base is the smallest primitive root.  Composite moduli are rejected --
-    their unit group needs the multi-generator `group_structure` description.
-    """
-    if q < 2 or factorize(q).factors != ((q, 1),):
-        raise DomainError(f"index_table needs a prime modulus; got {q} (use group_structure)")
-    g = primitive_root(q)
-    table = np.full(q, -1, dtype=np.int64)
-    n = 1
-    for m in range(q - 1):
-        table[n] = m
-        n = n * g % q
-    return table
 
 
 @dataclass(frozen=True)
@@ -262,11 +215,14 @@ def group_structure(q: int) -> GroupStructure:
     # enumerate n(m) with the last component fastest (C order)
     n_flat = np.array([1 % q], dtype=np.int64)
     for g, d in comps:
+        # doubling fill: g^{m+k} = g^m g^k, so each pass doubles the table
         pows = np.empty(d, dtype=np.int64)
-        x = 1
-        for m in range(d):
-            pows[m] = x
-            x = x * g % q
+        pows[0] = 1
+        m = 1
+        while m < d:
+            k = min(m, d - m)
+            pows[m:m + k] = pows[:k] * pow(g, m, q) % q
+            m += k
         n_flat = (n_flat[:, None] * pows[None, :] % q).reshape(-1)
     index_of_n = np.full(max(q, 1), -1, dtype=np.int64)
     index_of_n[n_flat] = np.arange(n_flat.size)

@@ -36,7 +36,6 @@ from .errors import DomainError, PoleError, PrecisionError
 
 __all__ = [
     "ComplexApprox",
-    "EulerMaclaurinConfig",
     "hurwitz_zeta",
     "hurwitz_zeta_vector",
     "digamma_vector",
@@ -97,24 +96,6 @@ def _as_approx(x) -> ComplexApprox:
     return ComplexApprox(complex(x), 0.0)
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinConfig:
-    """Manual override of the Euler-Maclaurin truncation parameters.
-
-    n_terms is the cut N of the direct sum, bernoulli_terms the number M of
-    B_{2j} correction terms (at most 15, the precomputed table).
-    """
-
-    n_terms: int
-    bernoulli_terms: int = 10
-
-    def __post_init__(self):
-        if self.n_terms < 1:
-            raise DomainError("n_terms must be >= 1")
-        if not 1 <= self.bernoulli_terms <= _MAX_M:
-            raise DomainError(f"bernoulli_terms must be in 1..{_MAX_M}")
-
-
 def _em_tail_bound(s: complex, na: float, m: int) -> float:
     """Remainder bound after M = m correction terms, cut at N + a = na."""
     sigma = s.real
@@ -144,12 +125,7 @@ def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int]:
     return n, m
 
 
-def hurwitz_zeta_vector(
-    s: complex,
-    a: np.ndarray,
-    tol: float = 1e-12,
-    config: EulerMaclaurinConfig | None = None,
-) -> tuple[np.ndarray, float]:
+def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """zeta(s, a) for an array of a in (0, 1]; returns (values, error bound).
 
     The error bound is a single worst-case figure valid for every entry (it is
@@ -170,10 +146,7 @@ def hurwitz_zeta_vector(
         raise DomainError("tol must be positive")
 
     a_min = float(a.min())
-    if config is not None:
-        n, m = config.n_terms, config.bernoulli_terms
-    else:
-        n, m = _em_choose(s, a_min, tol)
+    n, m = _em_choose(s, a_min, tol)
 
     sigma = s.real
     tabs = abs(s.imag)
@@ -226,14 +199,9 @@ def hurwitz_zeta_vector(
     return acc, err
 
 
-def hurwitz_zeta(
-    s: complex,
-    a: float,
-    tol: float = 1e-12,
-    config: EulerMaclaurinConfig | None = None,
-) -> ComplexApprox:
+def hurwitz_zeta(s: complex, a: float, tol: float = 1e-12) -> ComplexApprox:
     """Hurwitz zeta(s, a) on Re s > 0, s != 1, 0 < a <= 1."""
-    vals, err = hurwitz_zeta_vector(s, np.array([a], dtype=float), tol=tol, config=config)
+    vals, err = hurwitz_zeta_vector(s, np.array([a], dtype=float), tol=tol)
     return ComplexApprox(complex(vals[0]), err)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic summation and simple parallel-map helpers.
+"""Deterministic summation helpers.
 
 Two concerns are handled here once so every module behaves the same way:
 
@@ -7,13 +7,11 @@ Two concerns are handled here once so every module behaves the same way:
   algorithm and then combined left-to-right.
 
 * determinism: the chunk boundaries and the combine order depend only on the
-  input length, never on how many workers computed the chunks, so results are
-  bit-identical for any worker count.
+  input length, so results are bit-identical from run to run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -59,8 +57,8 @@ def _neumaier_rows(partials: list[np.ndarray]) -> np.ndarray:
 def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
     """Sum an array in fixed-size chunks, combining partials in index order.
 
-    The chunking grid depends only on len(values), so the result is invariant
-    under any parallel split of the chunk work.  A 2-D array is summed along
+    The chunking grid depends only on len(values), so the result does not
+    depend on how the input was produced.  A 2-D array is summed along
     its rows: entry i of the result equals chunked_sum(values[i]) bit for bit.
     """
     a = np.asarray(values)
@@ -80,12 +78,10 @@ def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int = 1) -> list[U]:
-    """Map preserving input order; thread pool when workers > 1.
+    """[fn(x) for x in items], in input order on the calling thread.
 
-    Used for embarrassingly parallel batches (per-prime scans, per-sample
-    draws).  Output order is the input order regardless of scheduling.
+    `workers` is accepted and ignored: running items in parallel would hold
+    every item's full result at once, raising peak memory and CPU time for no
+    wall-time gain.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

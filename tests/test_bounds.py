@@ -12,7 +12,6 @@ from thetamoments.bounds import (
     bound_profile,
     cos_sum_check,
     cutoff_exponent,
-    growth_shape,
     large_value_bound,
     pair_factor,
     pair_log_weight,
@@ -186,16 +185,6 @@ def test_shifted_moment_bound_closed_form():
     assert shifted_moment_bound(q, (0.0, 3.0), eps=0.25) == pytest.approx(expect)
     with pytest.raises(DomainError):
         shifted_moment_bound(15, (0.0, 0.0))
-
-
-def test_growth_shape():
-    q = 101
-    llq = math.log(math.log(q))
-    assert growth_shape(q, 0.5) == pytest.approx(math.exp(math.log(q) / llq))
-    expect = math.exp(2.0 * (math.log(q) + math.log(7.0)) / llq)
-    assert growth_shape(q, -7.0, c=2.0) == pytest.approx(expect)
-    with pytest.raises(DomainError):
-        growth_shape(15, 0.0)
 
 
 def test_bound_profile_consistency():

@@ -8,7 +8,12 @@ import pytest
 
 from thetamoments.characters import FAMILIES, build_group, gauss_sum
 from thetamoments.errors import DomainError
-from thetamoments.numtheory import divisors, euler_phi, factorize
+from thetamoments.numtheory import euler_phi, factorize
+
+
+def divisors(n):
+    """Positive divisors of n, ascending, by trial division."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def mobius(n):

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, config precedence, deterministic reports."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,15 @@ def test_unreachable_tol_exits_one(capsys, tmp_path):
                           "--tol", "1e-30", "--out", str(tmp_path))
     assert code == 1
     assert "precision" in err
+
+
+def test_precision_refusal_names_the_requested_tol(capsys, tmp_path):
+    # the default tol is 1e-10; the per-entry Hurwitz tol derived from it is smaller
+    code, _, err = invoke(capsys, "l-moment", "--q", "100003", "--k", "1",
+                          "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("thetamoments: precision:")
+    assert "1e-10" in err and "100003" in err
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +243,35 @@ def test_config_file_overridden_by_flag(capsys, tmp_path):
                           "--config", str(path), "--tol", "1e-8",
                           "--out", str(tmp_path))
     assert code == 0 and "# tol=1e-08" in out
+
+
+# ---------------------------------------------------------------------------
+# memory grows at most linearly in phi(q)
+
+_MEMORY_ARGS = {
+    "char-table": (),
+    "theta-moment": ("--k", "1", "--parity", "even"),
+    "l-moment": ("--k", "1"),
+    "shifted-moment": ("--shifts", "0,2"),
+    "large-values": ("--shifts", "0,0", "--vmin", "-5", "--vmax", "5", "--vsteps", "11"),
+}
+
+
+def _traced_peak(capsys, tmp_path, command, q):
+    """tracemalloc peak of one CLI request, whether it succeeds or is refused."""
+    tracemalloc.start()
+    try:
+        code, _, err = invoke(capsys, command, "--q", str(q), *_MEMORY_ARGS[command],
+                              "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 or err.startswith("thetamoments: precision:"), err
+    return peak
+
+
+@pytest.mark.parametrize("command", sorted(_MEMORY_ARGS))
+def test_peak_memory_linear_in_phi(capsys, tmp_path, command):
+    small = _traced_peak(capsys, tmp_path, command, 2003)
+    large = _traced_peak(capsys, tmp_path, command, 8009)  # phi ratio 4.0
+    assert large <= 5 * small, (small, large)

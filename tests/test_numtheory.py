@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import (
     Factorization,
-    divisors,
     euler_phi,
     factorize,
     group_structure,
-    index_table,
     primitive_root,
     sieve,
 )
@@ -40,32 +38,11 @@ def test_prime_counts():
     assert len(t.primes) == 78498  # pi(10^6)
 
 
-def test_is_prime_edges():
-    t = sieve(100)
-    assert not t.is_prime(0) and not t.is_prime(1)
-    assert t.is_prime(2) and t.is_prime(97)
-    assert not t.is_prime(91)  # 7 * 13
-
-
 def test_primes_in_range():
     t = sieve(200)
     assert t.primes_in(100, 120).tolist() == [101, 103, 107, 109, 113]
     with pytest.raises(DomainError):
         t.primes_in(1, 500)
-
-
-def test_prime_power_and_mangoldt():
-    t = sieve(600)
-    assert t.prime_power(8) == (2, 3)
-    assert t.prime_power(125) == (5, 3)
-    assert t.prime_power(12) is None
-    assert t.mangoldt(7) == math.log(7)
-    assert t.mangoldt(49) == pytest.approx(math.log(7), rel=1e-15)
-    assert t.mangoldt(6) == 0.0
-    # sum_{d | n} Lambda(d) = log n
-    for n in range(2, 400):
-        s = sum(t.mangoldt(d) for d in divisors(n))
-        assert s == pytest.approx(math.log(n), rel=1e-12)
 
 
 def test_factorize_known():
@@ -96,11 +73,6 @@ def test_euler_phi_against_gcd_count():
         assert euler_phi(n) == direct
 
 
-def test_divisors_against_bruteforce():
-    for n in range(1, 150):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-
-
 def multiplicative_order(g, q):
     k, x = 1, g % q
     while x != 1:
@@ -129,21 +101,6 @@ def test_primitive_root_known_values():
 def test_primitive_root_rejects_noncyclic(q):
     with pytest.raises(DomainError):
         primitive_root(q)
-
-
-def test_index_table_prime():
-    t = index_table(5)  # base g = 2
-    assert t[1] == 0 and t[2] == 1 and t[4] == 2 and t[3] == 3
-    assert t[0] == -1
-    for q in [3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
-        t = index_table(q)
-        assert sorted(t[1:].tolist()) == list(range(q - 1))  # bijection onto 0..q-2
-
-
-def test_index_table_rejects_composite():
-    for q in [1, 4, 15, 100]:
-        with pytest.raises(DomainError):
-            index_table(q)
 
 
 @pytest.mark.parametrize("q", list(range(1, 61)) + [97, 100, 128, 360])
@@ -178,6 +135,31 @@ def test_group_structure_powers_of_two():
     assert group_structure(4).dims == (2,)
     assert group_structure(2).dims == ()
     assert group_structure(1).phi == 1
+
+
+def _loop_tables(q, components):
+    """n_of_index / index_of_n by one multiplication per power, component by component."""
+    n_flat = [1 % q]
+    for g, d in components:
+        pows, x = [], 1
+        for _ in range(d):
+            pows.append(x)
+            x = x * g % q
+        n_flat = [n * p % q for n in n_flat for p in pows]
+    index_of_n = [-1] * max(q, 1)
+    for i, n in enumerate(n_flat):
+        index_of_n[n] = i
+    return n_flat, index_of_n
+
+
+@pytest.mark.parametrize("qs", [range(1, 2000), [2 ** 12, 3 ** 7, 5040, 30030, 100003]],
+                         ids=["q<2000", "large"])
+def test_group_tables_match_loop_reference(qs):
+    for q in qs:
+        g = group_structure(q)
+        n_flat, index_of_n = _loop_tables(q, g.components)
+        assert g.n_of_index.tolist() == n_flat, q
+        assert g.index_of_n.tolist() == index_of_n, q
 
 
 def test_group_structure_rejects_zero():

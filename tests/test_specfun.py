@@ -10,7 +10,6 @@ import pytest
 from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.specfun import (
     ComplexApprox,
-    EulerMaclaurinConfig,
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_vector,
@@ -137,17 +136,6 @@ def test_unreachable_tol_raises_with_best_effort():
     best = exc.value.best
     assert best is not None
     assert abs(best.value - math.pi ** 2 / 6) < 1e-12
-
-
-def test_config_override():
-    cfg = EulerMaclaurinConfig(n_terms=60, bernoulli_terms=12)
-    z = hurwitz_zeta(2.0, 0.7, config=cfg)
-    auto = hurwitz_zeta(2.0, 0.7)
-    assert abs(z.value - auto.value) < 1e-13
-    with pytest.raises(DomainError):
-        EulerMaclaurinConfig(n_terms=0)
-    with pytest.raises(DomainError):
-        EulerMaclaurinConfig(n_terms=10, bernoulli_terms=16)
 
 
 # ---------------------------------------------------------------------------
