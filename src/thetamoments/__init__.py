@@ -32,11 +32,9 @@ from .characters import FAMILIES, Character, CharacterGroup, build_group, gauss_
 from .errors import DomainError, PoleError, PrecisionError
 from .lfunc import (
     LAMBDA0,
-    LValueGrid,
     LargeValueHistogram,
     central_moment,
     l_value,
-    l_value_grid,
     l_values_all_chars,
     lambda_zero,
     large_value_counts,
@@ -86,8 +84,8 @@ __all__ = [
     "ComplexApprox", "hurwitz_zeta",
     "hurwitz_zeta_vector", "digamma_vector", "log_gamma", "gamma_fn",
     # lfunc
-    "LValueGrid", "LargeValueHistogram", "LAMBDA0", "lambda_zero", "l_value",
-    "l_values_all_chars", "l_value_grid", "central_moment", "shifted_moment",
+    "LargeValueHistogram", "LAMBDA0", "lambda_zero", "l_value",
+    "l_values_all_chars", "central_moment", "shifted_moment",
     "large_value_counts", "log_l_majorant",
     # theta
     "MellinCheckResult", "truncation_length", "theta_value", "theta_all_chars",

@@ -39,18 +39,16 @@ from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import PrimeTable, sieve
 from .reports import MomentReport
 from .specfun import ComplexApprox, digamma_vector, hurwitz_zeta_vector
-from .summation import chunked_sum, parallel_map
+from .summation import chunked_sum, parallel_map, rounding_bound
 
 __all__ = [
     "ShiftTuple",
-    "LValueGrid",
     "LargeValueHistogram",
     "LOG_CLAMP",
     "LAMBDA0",
     "lambda_zero",
     "l_value",
     "l_values_all_chars",
-    "l_value_grid",
     "central_moment",
     "shifted_moment",
     "large_value_counts",
@@ -83,7 +81,7 @@ def _unit_zeta_weights(group: CharacterGroup, s: complex, tol: float):
     w = np.zeros(q, dtype=complex)
     w[units % q] = vals
     # worst-case propagated error of any chi-weighted sum of these values
-    sum_err = phi * hz_err + _EPS * (math.log2(phi) + 8) * float(np.sum(np.abs(vals)))
+    sum_err = phi * hz_err + rounding_bound(phi, float(np.sum(np.abs(vals))))
     return w, sum_err
 
 
@@ -114,7 +112,7 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
         a = np.array([1.0]) if q == 1 else units.astype(float) / q
         psi, psi_err = digamma_vector(a)
         total = chunked_sum(chivals * (-psi))
-        err = (len(units) * psi_err + _EPS * 8 * float(np.sum(np.abs(psi)))) / q
+        err = (group.phi * psi_err + rounding_bound(group.phi, float(np.sum(np.abs(psi))))) / q
         return ComplexApprox(total / q, err)
     w, sum_err = _unit_zeta_weights(group, s, tol)
     total = chunked_sum(chivals * w[units % q])
@@ -142,38 +140,6 @@ def l_values_all_chars(q: int, s: complex, tol: float = 1e-10,
     values = qs * t
     err = abs(qs) * sum_err + float(np.max(np.abs(values))) * qs_rel
     return values, err
-
-
-@dataclass(frozen=True)
-class LValueGrid:
-    """L-values on a grid: rows = selected characters, columns = s-points."""
-
-    q: int
-    s_points: tuple[complex, ...]
-    char_indices: np.ndarray
-    values: np.ndarray  # (n_chars, n_points) complex
-    errs: np.ndarray    # (n_points,) worst-case per column
-
-    def approx(self, row: int, col: int) -> ComplexApprox:
-        return ComplexApprox(complex(self.values[row, col]), float(self.errs[col]))
-
-
-def l_value_grid(q: int, s_points, tol: float = 1e-10,
-                 family: str | None = None, workers: int = 1) -> LValueGrid:
-    """Build an LValueGrid for all characters (or one family) at many s-points.
-
-    `workers` is accepted and ignored.
-    """
-    group = build_group(q)
-    pts = tuple(complex(s) for s in s_points)
-    cols = parallel_map(lambda s: l_values_all_chars(q, s, tol, group=group), pts)
-    if family is None:
-        idx = np.arange(len(group))
-    else:
-        idx = np.flatnonzero(group.family_mask(family))
-    values = np.stack([c[0][idx] for c in cols], axis=1)
-    errs = np.array([c[1] for c in cols])
-    return LValueGrid(q=q, s_points=pts, char_indices=idx, values=values, errs=errs)
 
 
 # ---------------------------------------------------------------------------

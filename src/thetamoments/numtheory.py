@@ -37,14 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to `limit` plus a smallest-prime-factor table.
-
-    `spf[n]` is the smallest prime factor of n (spf[0] = spf[1] = 0).
-    """
+    """The primes up to `limit`."""
 
     limit: int
     primes: np.ndarray  # ascending, dtype int64
-    spf: np.ndarray     # length limit+1, dtype int64
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
         """Primes p with lo <= p <= hi (inclusive both ends)."""
@@ -56,20 +52,16 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Smallest-prime-factor sieve up to `limit` (inclusive)."""
+    """Sieve of Eratosthenes up to `limit` (inclusive)."""
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[2::2] = 2
-    for p in range(3, int(limit ** 0.5) + 1, 2):
-        if spf[p] == 0:
-            spf[p * p::2 * p] = np.where(spf[p * p::2 * p] == 0, p, spf[p * p::2 * p])
-    odd = np.arange(3, limit + 1, 2)
-    unset = odd[spf[3::2] == 0]
-    spf[unset] = unset  # remaining odds are prime
-    primes = np.flatnonzero(spf == np.arange(limit + 1))
-    primes = primes[primes >= 2]
-    return PrimeTable(limit=limit, primes=primes.astype(np.int64), spf=spf)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    is_prime[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if is_prime[p]:
+            is_prime[p * p::2 * p] = False
+    return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).astype(np.int64))
 
 
 @dataclass(frozen=True)

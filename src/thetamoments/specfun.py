@@ -61,40 +61,6 @@ class ComplexApprox:
     value: complex
     abs_error: float
 
-    def __add__(self, other: "ComplexApprox | complex") -> "ComplexApprox":
-        o = _as_approx(other)
-        return ComplexApprox(self.value + o.value, self.abs_error + o.abs_error)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ComplexApprox | complex") -> "ComplexApprox":
-        o = _as_approx(other)
-        return ComplexApprox(self.value - o.value, self.abs_error + o.abs_error)
-
-    def __mul__(self, other: "ComplexApprox | complex") -> "ComplexApprox":
-        o = _as_approx(other)
-        err = (abs(self.value) * o.abs_error + abs(o.value) * self.abs_error
-               + self.abs_error * o.abs_error)
-        return ComplexApprox(self.value * o.value, err)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexApprox":
-        return ComplexApprox(-self.value, self.abs_error)
-
-    def conjugate(self) -> "ComplexApprox":
-        return ComplexApprox(self.value.conjugate(), self.abs_error)
-
-    def abs_value(self) -> tuple[float, float]:
-        """(|value|, error bound on |value|)."""
-        return abs(self.value), self.abs_error
-
-
-def _as_approx(x) -> ComplexApprox:
-    if isinstance(x, ComplexApprox):
-        return x
-    return ComplexApprox(complex(x), 0.0)
-
 
 def _em_tail_bound(s: complex, na: float, m: int) -> float:
     """Remainder bound after M = m correction terms, cut at N + a = na."""

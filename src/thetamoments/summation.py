@@ -1,6 +1,6 @@
 """Deterministic summation helpers.
 
-Two concerns are handled here once so every module behaves the same way:
+Three concerns are handled here once so every module behaves the same way:
 
 * accuracy: long scalar accumulations use Neumaier's compensated summation;
   vector reductions go through fixed-size chunks summed with numpy's pairwise
@@ -8,10 +8,15 @@ Two concerns are handled here once so every module behaves the same way:
 
 * determinism: the chunk boundaries and the combine order depend only on the
   input length, so results are bit-identical from run to run.
+
+* the rounding term: every character sum (a direct chunked sum or a group
+  transform over n points) charges rounding_bound(n, mass), where mass is
+  the sum of the magnitudes of its terms.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -20,6 +25,7 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 CHUNK = 1024
+_EPS = np.finfo(float).eps
 
 
 def neumaier_sum(values: Iterable[complex]) -> complex:
@@ -75,6 +81,12 @@ def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
         return 0.0 if not np.iscomplexobj(a) else 0j
     partials = [np.sum(a[i:i + chunk]) for i in range(0, a.size, chunk)]
     return neumaier_sum(partials) if np.iscomplexobj(a) else neumaier_sum(partials).real
+
+
+def rounding_bound(n: int, mass: float) -> float:
+    """Float64 rounding of a length-n character sum whose terms have total
+    magnitude `mass`: eps * (log2 n + 8) * mass."""
+    return _EPS * (math.log2(n) + 8) * mass
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int = 1) -> list[U]:

@@ -38,7 +38,7 @@ from .errors import DomainError
 from .lfunc import l_values_all_chars
 from .reports import MomentReport
 from .specfun import ComplexApprox, gamma_fn
-from .summation import chunked_sum
+from .summation import chunked_sum, rounding_bound
 
 __all__ = [
     "MellinCheckResult",
@@ -49,8 +49,6 @@ __all__ = [
     "mellin_check",
     "mellin_checks",
 ]
-
-_EPS = np.finfo(float).eps
 
 
 def _tail_bound(q: int, x: float, eta: int, n: int) -> float:
@@ -98,8 +96,7 @@ def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> Complex
     terms = chi.value_table()[res] * e
     total = chunked_sum(terms)
     tail = _tail_bound(q, x, eta, n)
-    rounding = _EPS * (math.log2(n) + 8) * float(np.sum(e))
-    return ComplexApprox(total, tail + rounding)
+    return ComplexApprox(total, tail + rounding_bound(n, float(np.sum(e))))
 
 
 def _theta_parity(q: int, x: float, eta: int, eps: float,
@@ -112,8 +109,7 @@ def _theta_parity(q: int, x: float, eta: int, eps: float,
         res, e = _series_terms(q, x, eta, n)
         w = np.bincount(res, weights=e, minlength=q)
     tail = _tail_bound(q, x, eta, n)
-    rounding = _EPS * (math.log2(q) + 8) * float(np.sum(w))
-    return group.transform(w), tail + rounding
+    return group.transform(w), tail + rounding_bound(group.phi, float(np.sum(w)))
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,

@@ -38,6 +38,13 @@ def test_prime_counts():
     assert len(t.primes) == 78498  # pi(10^6)
 
 
+def test_sieve_table_retains_only_the_primes():
+    # the sieve's working array is dropped once the primes are read off
+    t = sieve(10 ** 6)
+    held = sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
+    assert held < 10 ** 6
+
+
 def test_primes_in_range():
     t = sieve(200)
     assert t.primes_in(100, 120).tolist() == [101, 103, 107, 109, 113]

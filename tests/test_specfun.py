@@ -9,7 +9,6 @@ import pytest
 
 from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.specfun import (
-    ComplexApprox,
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_vector,
@@ -17,26 +16,6 @@ from thetamoments.specfun import (
 )
 
 mp.mp.dps = 30
-
-
-# ---------------------------------------------------------------------------
-# ComplexApprox arithmetic
-
-
-def test_complex_approx_propagation():
-    a = ComplexApprox(3 + 4j, 1e-10)
-    b = ComplexApprox(2 - 1j, 2e-10)
-    assert (a + b).value == 5 + 3j
-    assert (a + b).abs_error == pytest.approx(3e-10)
-    assert (a - b).abs_error == pytest.approx(3e-10)
-    prod = a * b
-    assert prod.value == (3 + 4j) * (2 - 1j)
-    # |a| * eb + |b| * ea (+ cross term)
-    assert prod.abs_error >= 5 * 2e-10 + abs(2 - 1j) * 1e-10
-    assert (2 * a).value == 6 + 8j
-    assert a.conjugate().value == 3 - 4j
-    mag, err = a.abs_value()
-    assert mag == 5 and err == 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,26 @@ def test_batch_matches_naive(q):
         assert abs(vals[i] - single.value) < 1e-10
 
 
+@pytest.mark.parametrize("q", [5040, 10007])
+def test_batch_against_mpmath_series(q):
+    """theta_all_chars at CLI sizes against a 30-digit series with exact roots
+    of unity, for a handful of characters of both parities."""
+    mp = pytest.importorskip("mpmath")
+    g = build_group(q)
+    vals, err = theta_all_chars(q, 1.0, group=g)
+    e = g.structure.exponent
+    terms = math.isqrt(20 * q) + 1  # n^eta e^{-pi n^2 / q} < 1e-24 beyond
+    idx = (1, 2, 3, len(g) // 3, len(g) // 2, len(g) - 1)
+    assert {g.char(i).parity for i in idx} == {"even", "odd"}
+    with mp.workdps(30):
+        for i in idx:
+            chi = g.char(i)
+            eta = 0 if chi.is_even else 1
+            ref = mp.fsum(mp.expjpi(mp.mpf(2 * t) / e) * n ** eta * mp.exp(-mp.pi * n * n / q)
+                          for n in range(1, terms) if (t := chi.root_exponent(n)) is not None)
+            assert abs(vals[i] - complex(ref)) <= err
+
+
 def test_batch_parity_split():
     for q in (5, 12, 29):
         g = build_group(q)
