@@ -14,6 +14,15 @@ moment sums over (`family_mask`), and the fast weighted-sum transform
 
 computed for all phi(q) characters at once as a multidimensional inverse FFT
 over the cyclic components (a single length-(q-1) transform when q is prime).
+`transform(w, parity)` returns one parity's characters only.  On a cyclic
+group of order d = 2h (q prime, p^e, 2 p^e or 4), -1 = g^h and chi_j has
+parity j mod 2, so with u_m = w[g^m] the even values are the length-h
+inverse DFT of u_m + u_{m+h} and the odd ones the odd bins of the length-d
+inverse DFT of u_m - u_{m+h}: half the work of the full transform.  Real w
+goes through rfft, and the values past its half are the conjugates of
+earlier ones (chi_{d-j} = conj chi_j).  Other groups select the parity from
+the full transform.  Tables are built by broadcasting per-component
+exponent ranges, never as a phi x r matrix.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -24,13 +33,12 @@ o > 1, else 4 or 1 by parity.  Every table is O(phi(q)) memory.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import GroupStructure, factorize, group_structure
+from .numtheory import GroupStructure, group_structure
 from .specfun import ComplexApprox
 
 __all__ = ["FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum"]
@@ -52,16 +60,6 @@ class CharacterGroup:
         self.structure: GroupStructure = group_structure(q)
         self._dims = self.structure.dims
         self._e = self.structure.exponent
-        # per-component weight e/d_l turns exponent tuples into a single
-        # exponent mod e: chi_j(n) = root[(m(n) . (j * w)) mod e]
-        self._weights = np.array([self._e // d for d in self._dims], dtype=np.int64)
-        if self._dims:
-            self._m_matrix = np.stack(
-                np.unravel_index(np.arange(self.phi), self._dims), axis=1
-            ).astype(np.int64)
-        else:
-            self._m_matrix = np.zeros((self.phi, 0), dtype=np.int64)
-        self._roots = np.exp(2j * np.pi * np.arange(self._e) / self._e)
 
     # -- basic shape -------------------------------------------------------
 
@@ -79,11 +77,7 @@ class CharacterGroup:
     def char(self, index: int) -> "Character":
         if not 0 <= index < self.phi:
             raise DomainError(f"character index {index} out of range 0..{self.phi - 1}")
-        if self._dims:
-            exps = tuple(int(x) for x in np.unravel_index(index, self._dims))
-        else:
-            exps = ()
-        return Character(self, index, exps)
+        return Character(self, index, tuple(int(x) for x in np.unravel_index(index, self._dims)))
 
     def char_from_exponents(self, exponents: tuple[int, ...]) -> "Character":
         if len(exponents) != len(self._dims):
@@ -99,53 +93,51 @@ class CharacterGroup:
     # -- batch tables ------------------------------------------------------
 
     @cached_property
-    def _jw_matrix(self) -> np.ndarray:
-        """(phi x r) matrix of j_l * (e/d_l), one row per character."""
-        return self._m_matrix * self._weights[None, :]
+    def _roots(self) -> np.ndarray:
+        """exp(2 pi i t / e) for t = 0..e-1."""
+        return np.exp(2j * np.pi * np.arange(self._e) / self._e)
+
+    @cached_property
+    def _ranges(self) -> tuple[np.ndarray, ...]:
+        """arange(d_l) per component, shaped to broadcast over the exponent grid."""
+        return np.ix_(*(np.arange(d) for d in self._dims))
 
     @cached_property
     def parity_bits(self) -> np.ndarray:
         """0 for even characters (chi(-1) = 1), 1 for odd, all characters."""
-        if self.q <= 2:
-            return np.zeros(self.phi, dtype=np.int64)
-        m_neg = np.array(self.structure.exponents_of(self.q - 1), dtype=np.int64)
-        t = (self._jw_matrix @ m_neg) % self._e
-        return (t != 0).astype(np.int64)
+        out = np.zeros(self._dims, dtype=np.int64)
+        # chi(-1) = prod_l exp(2 pi i j_l m_l / d_l), every factor +-1
+        for j, d, m in zip(self._ranges, self._dims, self.structure.exponents_of(-1)):
+            out = out ^ (j * m % d != 0)
+        return out.reshape(-1)
 
     @cached_property
     def orders(self) -> np.ndarray:
         """Multiplicative order of each character."""
-        out = np.ones(self.phi, dtype=np.int64)
-        for l, d in enumerate(self._dims):
-            j = self._m_matrix[:, l]
+        out = np.ones(self._dims, dtype=np.int64)
+        for j, d in zip(self._ranges, self._dims):
             out = np.lcm(out, d // np.gcd(j, d))
-        return out
+        return out.reshape(-1)
 
     @cached_property
     def conductors(self) -> np.ndarray:
         """Conductor of each character: the product of its local conductors
         over the prime powers p^e || q (see the module docstring)."""
         out = np.ones(self._dims, dtype=np.int64)
-        axis = 0
-        for p, e in factorize(self.q).factors:
+        ranges = iter(self._ranges)
+        for p, e in self.structure.factorization.factors:
             # chi(g) = exp(2 pi i x / ord g), x != 0, gives p^e / gcd(x, p-part of
             # ord g): p^{1 + v_p(o)} for odd p, 4 o for g = -3 (o = order of chi(g))
             if p != 2:
-                j = np.arange(self._dims[axis])
-                local = np.where(j > 0, p ** e // np.gcd(j, p ** (e - 1)), 1)
-            elif e == 1:
-                continue  # (Z/2Z)* is trivial and has no component
+                j = next(ranges)
+                out = out * np.where(j > 0, p ** e // np.gcd(j, p ** (e - 1)), 1)
             elif e == 2:
-                local = np.array([1, 4])
-            else:
-                d = self._dims[axis + 1]
-                s = np.arange(2)[:, None]  # exponent on -1
-                x = (s * (d // 2) + np.arange(d)) % d  # exponent of chi(-3)
-                local = np.where(x > 0, 2 ** e // np.gcd(x, d), np.where(s == 1, 4, 1))
-            shape = [1] * len(self._dims)
-            shape[axis:axis + local.ndim] = local.shape
-            out = out * local.reshape(shape)
-            axis += local.ndim
+                out = out * np.where(next(ranges) > 0, 4, 1)
+            elif e > 2:  # (Z/2Z)* (e = 1) is trivial and has no component
+                s, j = next(ranges), next(ranges)  # exponents on -1 and on 3
+                d = 2 ** (e - 2)
+                x = (s * (d // 2) + j) % d  # exponent of chi(-3)
+                out = out * np.where(x > 0, 2 ** e // np.gcd(x, d), np.where(s == 1, 4, 1))
         return out.reshape(-1)
 
     @cached_property
@@ -183,28 +175,39 @@ class CharacterGroup:
 
     def value_table(self, index: int) -> np.ndarray:
         """chi(a) for a = 0..q-1 (0 at non-units)."""
-        if self.q == 1:
-            return np.ones(1, dtype=complex)
+        # chi_j(prod g_l^{m_l}) = root[sum_l m_l j_l (e/d_l) mod e]
+        t = np.zeros(self._dims, dtype=np.int64)
+        for m, d, j in zip(self._ranges, self._dims, self.char(index).exponents):
+            t = t + m * (j * (self._e // d)) % self._e
         table = np.zeros(self.q, dtype=complex)
-        jw = self._jw_matrix[index]
-        t = (self._m_matrix @ jw) % self._e
-        table[self.structure.n_of_index] = self._roots[t]
+        table[self.structure.n_of_index] = self._roots[t.reshape(-1) % self._e]
         return table
 
-    def transform(self, w: np.ndarray) -> np.ndarray:
-        """sum_a chi_j(a) w[a] for every character j, in index order.
+    def transform(self, w: np.ndarray, parity: int | None = None) -> np.ndarray:
+        """sum_a chi_j(a) w[a] for every character j, in index order; with
+        parity = eta, for the characters of parity eta only, in index order.
 
         w has length q (entries at non-unit residues are ignored).  The sum is
-        an inverse multidimensional DFT of w regrouped by exponent tuple.
+        an inverse multidimensional DFT of w regrouped by exponent tuple; the
+        parity fold is described in the module docstring.
         """
         w = np.asarray(w)
         if w.shape != (self.q,):
             raise DomainError(f"weight vector must have length q = {self.q}")
+        if parity not in (None, 0, 1):
+            raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
         z = w[self.structure.n_of_index]
-        if not self._dims:
-            return z.astype(complex).reshape(1)
-        z = z.reshape(self._dims)
-        return (np.fft.ifftn(z) * self.phi).reshape(-1)
+        if parity is not None and len(self._dims) == 1:
+            h = self.phi // 2
+            f = z[:h] - z[h:] if parity else z[:h] + z[h:]
+            n = 2 * h if parity else h
+            if np.iscomplexobj(f):
+                return (np.fft.ifft(f, n) * n)[parity::1 + parity]
+            r = np.fft.rfft(f, n)[parity::1 + parity]
+            return np.concatenate([r.conj(), r[1 - parity:h + 1 - parity - r.size][::-1]])
+        full = ((np.fft.ifftn(z.reshape(self._dims)) * self.phi).reshape(-1) if self._dims
+                else z.astype(complex))
+        return full if parity is None else full[self.parity_bits == parity]
 
 
 def build_group(q: int) -> CharacterGroup:
@@ -253,13 +256,11 @@ class Character:
     def root_exponent(self, n: int) -> int | None:
         """t with chi(n) = exp(2 pi i t / e), or None when gcd(n, q) > 1."""
         g = self.group
-        if g.q == 1:
-            return 0
         i = int(g.structure.index_of_n[n % g.q])
         if i < 0:
             return None
-        jw = g._jw_matrix[self.index]
-        return int((g._m_matrix[i] @ jw) % g._e)
+        m = np.unravel_index(i, g._dims)
+        return sum(int(ml) * j * (g._e // d) for ml, j, d in zip(m, self.exponents, g._dims)) % g._e
 
     def value(self, n: int) -> complex:
         t = self.root_exponent(n)

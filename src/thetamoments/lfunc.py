@@ -64,10 +64,7 @@ def _unit_zeta_weights(group: CharacterGroup, s: complex, tol: float):
     """(w, per_sum_err): w[a] = zeta(s, a/q) at units, 0 elsewhere."""
     q = group.q
     units = group.structure.units()
-    if q == 1:
-        a = np.array([1.0])
-    else:
-        a = units.astype(float) / q
+    a = np.array([1.0]) if q == 1 else units.astype(float) / q
     phi = len(units)
     # split the requested tolerance: the character sum sees phi Hurwitz terms
     hz_tol = tol * q ** s.real / (2 * phi)

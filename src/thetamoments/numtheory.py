@@ -118,17 +118,18 @@ def _order_is_phi(g: int, q: int, phi: int, phi_primes: list[int]) -> bool:
     return all(pow(g, phi // ell, q) != 1 for ell in phi_primes)
 
 
-def primitive_root(q: int) -> int:
-    """Smallest primitive root mod q; DomainError if (Z/qZ)* is not cyclic."""
+def primitive_root(q: int, fac: Factorization | None = None) -> int:
+    """Smallest primitive root mod q; DomainError if (Z/qZ)* is not cyclic.
+    `fac`, the factorization of q if known, is not computed again."""
     if q in (1, 2):
         return 1
-    fac = factorize(q).factors
-    odd = [(p, e) for p, e in fac if p != 2]
-    two = next((e for p, e in fac if p == 2), 0)
+    fac = fac or factorize(q)
+    odd = [(p, e) for p, e in fac.factors if p != 2]
+    two = next((e for p, e in fac.factors if p == 2), 0)
     cyclic = (len(odd) == 1 and two <= 1) or (len(odd) == 0 and two == 2)
     if not cyclic:
         raise DomainError(f"(Z/{q}Z)* is not cyclic; use group_structure({q})")
-    phi = euler_phi(q)
+    phi = fac.phi()
     phi_primes = [p for p, _ in factorize(phi).factors]
     for g in range(2, q):
         if math.gcd(g, q) == 1 and _order_is_phi(g, q, phi, phi_primes):
@@ -146,6 +147,7 @@ class GroupStructure:
       position of (m_1, ..., m_r) is prod g_l^{m_l} mod q.
     index_of_n: length-q inverse lookup (-1 at non-units).
     exponent: lcm of the d_l (every character value is an exponent-th root of 1).
+    factorization: the factorization of q the components were built from.
     """
 
     q: int
@@ -153,6 +155,7 @@ class GroupStructure:
     n_of_index: np.ndarray = field(repr=False)
     index_of_n: np.ndarray = field(repr=False)
     exponent: int
+    factorization: Factorization = field(repr=False)
 
     @property
     def phi(self) -> int:
@@ -164,11 +167,9 @@ class GroupStructure:
 
     def exponents_of(self, n: int) -> tuple[int, ...]:
         """Exponent tuple of the unit n; DomainError for non-units."""
-        i = int(self.index_of_n[n % self.q]) if self.q > 1 else 0
-        if self.q > 1 and i < 0:
+        i = int(self.index_of_n[n % self.q])
+        if i < 0:
             raise DomainError(f"{n} is not a unit mod {self.q}")
-        if not self.components:
-            return ()
         return tuple(int(x) for x in np.unravel_index(i, self.dims))
 
     def units(self) -> np.ndarray:
@@ -180,11 +181,8 @@ def _crt_lift(g: int, pk: int, q: int) -> int:
     """Lift g to G mod q with G = g (mod pk), G = 1 (mod q//pk)."""
     m = q // pk
     # G = g * m * (m^-1 mod pk) + 1 * pk * (pk^-1 mod m), standard CRT
-    if m == 1:
-        return g % q
-    inv_m = pow(m, -1, pk)
-    inv_pk = pow(pk, -1, m)
-    return (g * m * inv_m + pk * inv_pk) % q
+    # (pk^-1 mod 1 is 0, so m = 1 gives g mod q)
+    return (g * m * pow(m, -1, pk) + pk * pow(pk, -1, m)) % q
 
 
 def group_structure(q: int) -> GroupStructure:
@@ -192,8 +190,9 @@ def group_structure(q: int) -> GroupStructure:
     if q < 1:
         raise DomainError("modulus must be >= 1")
     comps: list[tuple[int, int]] = []
+    fac = factorize(q)
     if q > 1:
-        for p, e in factorize(q).factors:
+        for p, e in fac.factors:
             pk = p ** e
             if p == 2:
                 if e == 2:
@@ -203,7 +202,8 @@ def group_structure(q: int) -> GroupStructure:
                     comps.append((_crt_lift(3, pk, q), pk // 4))
                 # e == 1 contributes nothing (phi = 1)
             else:
-                comps.append((_crt_lift(primitive_root(pk), pk, q), (p - 1) * p ** (e - 1)))
+                g = primitive_root(pk, Factorization(pk, ((p, e),)))
+                comps.append((_crt_lift(g, pk, q), pk - pk // p))
     # enumerate n(m) with the last component fastest (C order)
     n_flat = np.array([1 % q], dtype=np.int64)
     for g, d in comps:
@@ -227,4 +227,5 @@ def group_structure(q: int) -> GroupStructure:
         n_of_index=n_flat,
         index_of_n=index_of_n,
         exponent=exponent,
+        factorization=fac,
     )

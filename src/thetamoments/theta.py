@@ -3,12 +3,16 @@
 theta(eta, x, chi) = sum_{n >= 1} chi(n) n^eta e^{-pi n^2 x / q}, with
 eta = 0 for even characters and 1 for odd ones; theta(1, chi) means x = 1
 with eta = eta_chi.  Truncation is by an explicit geometric-ratio tail bound,
-so every value carries a certified absolute error.
+so every value carries a certified absolute error; the minimal N is found by
+stepping up from the closed-form start ceil(sqrt(q ln(1/eps) / (pi x))) - 2,
+below which no n can meet the bound.
 
 The all-characters path folds the series into per-residue-class weights
-(one real vector per parity) and applies the multiplicative-group transform,
-identical in cost to one FFT per parity; a moment needs only its own parity,
-so it folds and transforms once.  Moments S_2k(q) over the even-primitive or
+(one real vector per parity) and applies the multiplicative-group transform
+for that parity only: on a cyclic group (q prime, p^e, 2 p^e) this is a
+real FFT of half the group order, elsewhere the full transform with the
+parity selected.  A moment needs only its own parity, so it folds and
+transforms once.  Moments S_2k(q) over the even-primitive or
 odd-primitive family normalize by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp.
 phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
@@ -69,7 +73,10 @@ def truncation_length(q: int, x: float, eta: int, eps: float) -> int:
         raise DomainError("eps must be positive")
     if eta not in (0, 1):
         raise DomainError("eta must be 0 or 1")
-    n = 0
+    # The bound at n is at least e^{-pi x (n+1)^2 / q}, which exceeds eps for every
+    # n + 1 < sqrt(q ln(1/eps) / (pi x)); start below that root, a unit of margin
+    # for its rounding, and step up to the N a walk up from 0 would reach.
+    n = max(math.ceil(math.sqrt(q * max(-math.log(eps), 0.0) / (math.pi * x))) - 2, 0)
     while _tail_bound(q, x, eta, n) > eps:
         n += 1
     return n
@@ -93,23 +100,23 @@ def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> Complex
     if n == 0:
         return ComplexApprox(0j, _tail_bound(q, x, eta, 0))
     res, e = _series_terms(q, x, eta, n)
-    terms = chi.value_table()[res] * e
-    total = chunked_sum(terms)
+    total = chunked_sum(chi.value_table()[res] * e)
     tail = _tail_bound(q, x, eta, n)
     return ComplexApprox(total, tail + rounding_bound(n, float(np.sum(e))))
 
 
 def _theta_parity(q: int, x: float, eta: int, eps: float,
                   group: CharacterGroup) -> tuple[np.ndarray, float]:
-    """(values, err): the parity-eta series folded by residue and transformed;
-    values[j] = theta(eta, x, chi_j) within err for chi_j of parity eta."""
+    """(values, err): theta(eta, x, chi) within err for the parity-eta
+    characters, in index order; the series folded by residue, then transformed."""
     n = truncation_length(q, x, eta, eps / 2)
-    w = np.zeros(q)
-    if n:
-        res, e = _series_terms(q, x, eta, n)
-        w = np.bincount(res, weights=e, minlength=q)
+    res, e = _series_terms(q, x, eta, n)
+    w = np.bincount(res, weights=e, minlength=q)
     tail = _tail_bound(q, x, eta, n)
-    return group.transform(w), tail + rounding_bound(group.phi, float(np.sum(w)))
+    # the transform reads only the units; its parity fold adds one rounding per
+    # entry, covered since log2 phi = log2(phi / 2) + 1
+    mass = float(np.sum(w[group.structure.n_of_index]))
+    return group.transform(w, eta), tail + rounding_bound(group.phi, mass)
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,
@@ -128,11 +135,7 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     values = np.zeros(len(group), dtype=complex)
     err = 0.0
     for eta in (0, 1):
-        sel = group.parity_bits == eta
-        if not sel.any():
-            continue
-        t, e = _theta_parity(q, x, eta, eps, group)
-        values[sel] = t[sel]
+        values[group.parity_bits == eta], e = _theta_parity(q, x, eta, eps, group)
         err = max(err, e)
     return values, err
 
@@ -147,14 +150,12 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
         raise DomainError("k must be >= 1")
     if parity not in THETA_FAMILIES:
         raise DomainError(f"parity must be 'even' or 'odd'; got {parity!r}")
+    eta = THETA_FAMILIES.index(parity)
     group = build_group(q)
     mask = group.family_mask(parity)
     size = int(np.sum(mask))
-    if size == 0:
-        raw = 0.0
-    else:
-        values, _ = _theta_parity(q, 1.0, 0 if parity == "even" else 1, eps, group)
-        raw = float(chunked_sum(np.sort(np.abs(values[mask]) ** (2 * k))))
+    values, _ = _theta_parity(q, 1.0, eta, eps, group)
+    raw = float(chunked_sum(np.sort(np.abs(values[mask[group.parity_bits == eta]]) ** (2 * k))))
     half_powers = k if parity == "even" else 3 * k
     norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)
     return MomentReport(q=q, k=k, family=parity, raw=raw, normalization=norm,

@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thetamoments import numtheory
 from thetamoments.characters import FAMILIES, build_group, gauss_sum
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import euler_phi, factorize
+from thetamoments.summation import rounding_bound
+from thetamoments.theta import theta_moment
 
 
 def divisors(n):
@@ -251,6 +254,84 @@ def test_transform_rejects_bad_shape():
     g = build_group(7)
     with pytest.raises(DomainError):
         g.transform(np.ones(6))
+    with pytest.raises(DomainError):
+        g.transform(np.ones(7), parity=2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 1009, 3 ** 7, 2 * 3 ** 7, 2 * 1009, 5040])
+def test_transform_parity_matches_full_selection(q):
+    # cyclic groups take the half-length fold, 5040 the full transform
+    g = build_group(q)
+    rng = np.random.default_rng(q)
+    units = g.structure.n_of_index
+    for w in (rng.random(q), rng.normal(size=q) + 1j * rng.normal(size=q)):
+        full = g.transform(w)
+        bound = rounding_bound(g.phi, float(np.sum(np.abs(w[units]))))
+        for eta in (0, 1):
+            got = g.transform(w, eta)
+            want = full[g.parity_bits == eta]
+            assert got.shape == want.shape == (g.phi // 2,)
+            assert np.max(np.abs(got - want)) <= bound, (eta, w.dtype)
+
+
+@pytest.mark.parametrize("q", [1009, 2 * 3 ** 7])
+def test_transform_odd_fold_against_direct_sums(q):
+    """Odd characters through the fold, both halves of the rfft mirror, against
+    direct sums; a fold through the antisymmetric extension [f, -f] doubles them."""
+    g = build_group(q)
+    w = np.random.default_rng(7).random(q)
+    odd = np.flatnonzero(g.parity_bits == 1)
+    got = g.transform(w, 1)
+    for pos in (0, 1, len(odd) // 2 - 1, len(odd) // 2 + 1, len(odd) - 1):
+        assert abs(got[pos] - np.dot(g.value_table(int(odd[pos])), w)) < 1e-10
+
+
+def _exponent_matrix(g):
+    """(m, jw): the phi x r matrix of unit exponent tuples m_l, and the rows
+    j_l e / d_l per character, from which the tables were once computed."""
+    dims = g.structure.dims
+    m = np.zeros((g.phi, 0), dtype=np.int64)
+    if dims:
+        m = np.stack(np.unravel_index(np.arange(g.phi), dims), axis=1).astype(np.int64)
+    return m, m * np.array([g.structure.exponent // d for d in dims], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040, 3 ** 7])
+def test_tables_match_exponent_matrix(q):
+    g = build_group(q)
+    m, jw = _exponent_matrix(g)
+    e = g.structure.exponent
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    neg = np.array(g.structure.exponents_of(-1), dtype=np.int64)
+    assert np.array_equal(g.parity_bits, ((jw @ neg) % e != 0).astype(np.int64))
+    orders = np.ones(g.phi, dtype=np.int64)
+    for l, d in enumerate(g.structure.dims):
+        orders = np.lcm(orders, d // np.gcd(m[:, l], d))
+    assert np.array_equal(g.orders, orders)
+    for i in sorted({0, g.phi // 3, g.phi // 2, g.phi - 1}):
+        t = (m @ jw[i]) % e
+        table = np.zeros(q, dtype=complex)
+        table[g.structure.n_of_index] = roots[t]
+        assert np.array_equal(g.value_table(i), table)
+        chi = g.char(i)
+        for n in range(min(q, 300)):
+            k = g.structure.index_of_n[n]
+            assert chi.root_exponent(n) == (None if k < 0 else int(t[k])), (i, n)
+
+
+@pytest.mark.parametrize("q,expect", [(1009, [1009, 1008]), (5040, [5040, 6, 4, 6]),
+                                      (3 ** 7, [3 ** 7, 2 * 3 ** 6])])
+def test_group_tables_factorize_q_once(q, expect, monkeypatch):
+    """One factorize(q) per group build, plus one of phi(p^e) per odd p^e || q
+    for its primitive root; the conductors reuse the group's factorization."""
+    calls = []
+    real = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or real(n))
+    g = build_group(q)
+    assert g.conductors.size == g.phi and calls == expect
+    calls.clear()
+    theta_moment(q, 1, "even")
+    assert calls == expect
 
 
 def test_orthogonality_small():

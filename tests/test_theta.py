@@ -1,7 +1,9 @@
 """Theta series: truncation bound, goldens, batch path, moments, Mellin check."""
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from thetamoments.characters import build_group
 from thetamoments.errors import DomainError
 from thetamoments.lfunc import l_value
 from thetamoments.specfun import gamma_fn
+from thetamoments.summation import rounding_bound
 from thetamoments.theta import (
     mellin_check,
     mellin_checks,
@@ -65,6 +68,24 @@ def test_truncation_doubling_is_noise():
     direct = sum(table[m % q] * m ** eta * math.exp(-math.pi * m * m / q)
                  for m in range(1, 2 * n + 1))
     assert abs(v.value - direct) < eps
+
+
+def _walk_from_zero(q, x, eta, eps):
+    """The first search for N: walk up from 0 until the tail bound is <= eps."""
+    n = 0
+    while theta._tail_bound(q, x, eta, n) > eps:
+        n += 1
+    return n
+
+
+def test_truncation_matches_walk_from_zero():
+    # eps = 3 covers a start clamped at 0 (ln(1/eps) < 0)
+    for q in (3, 5, 7, 100, 1009, 100003, 999983):
+        for eps in (3.0, 1e-3, 1e-8, 5e-13, 1e-15, 1e-300):
+            for x in (0.01, 1.0, 37.0):
+                for eta in (0, 1):
+                    assert (truncation_length(q, x, eta, eps)
+                            == _walk_from_zero(q, x, eta, eps)), (q, eps, x, eta)
 
 
 def test_truncation_domain():
@@ -131,7 +152,7 @@ def test_batch_matches_naive(q):
         assert abs(vals[i] - single.value) < 1e-10
 
 
-@pytest.mark.parametrize("q", [5040, 10007])
+@pytest.mark.parametrize("q", [5040, 10007, 30030])
 def test_batch_against_mpmath_series(q):
     """theta_all_chars at CLI sizes against a 30-digit series with exact roots
     of unity, for a handful of characters of both parities."""
@@ -149,6 +170,27 @@ def test_batch_against_mpmath_series(q):
             ref = mp.fsum(mp.expjpi(mp.mpf(2 * t) / e) * n ** eta * mp.exp(-mp.pi * n * n / q)
                           for n in range(1, terms) if (t := chi.root_exponent(n)) is not None)
             assert abs(vals[i] - complex(ref)) <= err
+
+
+def _folded_series(q, eta, eps=1e-12):
+    """The x = 1 series of parity eta, folded by residue class mod q."""
+    n = truncation_length(q, 1.0, eta, eps / 2)
+    res, e = theta._series_terms(q, 1.0, eta, n)
+    return np.bincount(res, weights=e, minlength=q)
+
+
+def test_rounding_mass_counts_only_units():
+    """The transform reads only the unit residues, so only their weights are
+    charged: at q = 30030 the mass over all residues is about 4.9x theirs."""
+    q = 30030
+    g = build_group(q)
+    _, err = theta_all_chars(q, 1.0, group=g)
+    units = g.structure.n_of_index
+    masses = [(float(np.sum(w[units])), float(np.sum(w)))
+              for w in (_folded_series(q, eta) for eta in (0, 1))]
+    assert all(full > 4 * unit for unit, full in masses)
+    assert err <= 1e-12 / 2 + max(rounding_bound(g.phi, unit) for unit, _ in masses)
+    assert err < max(rounding_bound(g.phi, full) for _, full in masses)
 
 
 def test_batch_parity_split():
@@ -236,10 +278,36 @@ def test_moment_transforms_one_parity(parity, monkeypatch):
     calls = []
     transform = theta.CharacterGroup.transform
     monkeypatch.setattr(theta.CharacterGroup, "transform",
-                        lambda self, w: calls.append(w) or transform(self, w))
+                        lambda self, w, eta=None: calls.append(eta) or transform(self, w, eta))
     m = theta_moment(q, k, parity)
-    assert len(calls) == 1
+    assert calls == [("even", "odd").index(parity)]
     assert m.raw == direct and m.family_size == int(np.sum(mask)) > 0
+
+
+@pytest.fixture(scope="module")
+def moment_tol():
+    """bench/checks.py's tolerance for two computations of one moment."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_checks", bench / "checks.py")
+    mod = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(bench))  # checks imports its sibling workloads
+        spec.loader.exec_module(mod)
+    return mod.moment_tol
+
+
+@pytest.mark.parametrize("q", [1009, 6007, 100003, 25, 27, 49, 50, 54, 2187])
+def test_moment_matches_full_transform_path(q, moment_tol):
+    """theta_moment (one parity through the folded transform) against the
+    full-length transform with the family selected afterwards."""
+    g = build_group(q)
+    for eta, parity in enumerate(("even", "odd")):
+        family = g.transform(_folded_series(q, eta))[g.family_mask(parity)]
+        for k in (1, 2, 3):
+            ref = float(theta.chunked_sum(np.sort(np.abs(family) ** (2 * k))))
+            m = theta_moment(q, k, parity)
+            assert m.family_size == family.size
+            assert abs(m.raw - ref) <= moment_tol(ref, m.family_size, k, m.eps), (parity, k)
 
 
 def test_moment_normalization_exponent():
