@@ -130,7 +130,7 @@ class CharacterGroup:
             # ord g): p^{1 + v_p(o)} for odd p, 4 o for g = -3 (o = order of chi(g))
             if p != 2:
                 j = next(ranges)
-                out = out * np.where(j > 0, p ** e // np.gcd(j, p ** (e - 1)), 1)
+                out = out * np.where(j > 0, p if e == 1 else p ** e // np.gcd(j, p ** (e - 1)), 1)
             elif e == 2:
                 out = out * np.where(next(ranges) > 0, 4, 1)
             elif e > 2:  # (Z/2Z)* (e = 1) is trivial and has no component
@@ -187,27 +187,29 @@ class CharacterGroup:
         """sum_a chi_j(a) w[a] for every character j, in index order; with
         parity = eta, for the characters of parity eta only, in index order.
 
-        w has length q (entries at non-unit residues are ignored).  The sum is
-        an inverse multidimensional DFT of w regrouped by exponent tuple; the
-        parity fold is described in the module docstring.
+        w has length q along its last axis, leading axes being a batch (entries
+        at non-unit residues are ignored).  The sum is an inverse multidimensional
+        DFT of w regrouped by exponent tuple; the parity fold is in the module docstring.
         """
         w = np.asarray(w)
-        if w.shape != (self.q,):
+        if w.shape[-1:] != (self.q,):
             raise DomainError(f"weight vector must have length q = {self.q}")
         if parity not in (None, 0, 1):
             raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
-        z = w[self.structure.n_of_index]
+        z = w[..., self.structure.n_of_index]
         if parity is not None and len(self._dims) == 1:
             h = self.phi // 2
-            f = z[:h] - z[h:] if parity else z[:h] + z[h:]
+            f = z[..., :h] - z[..., h:] if parity else z[..., :h] + z[..., h:]
             n = 2 * h if parity else h
             if np.iscomplexobj(f):
-                return (np.fft.ifft(f, n) * n)[parity::1 + parity]
-            r = np.fft.rfft(f, n)[parity::1 + parity]
-            return np.concatenate([r.conj(), r[1 - parity:h + 1 - parity - r.size][::-1]])
-        full = ((np.fft.ifftn(z.reshape(self._dims)) * self.phi).reshape(-1) if self._dims
-                else z.astype(complex))
-        return full if parity is None else full[self.parity_bits == parity]
+                return (np.fft.ifft(f, n) * n)[..., parity::1 + parity]
+            r = np.fft.rfft(f, n)[..., parity::1 + parity]
+            return np.concatenate(
+                [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
+        batch, r = z.shape[:-1], len(self._dims)
+        full = ((np.fft.ifftn(z.reshape(batch + self._dims), axes=range(-r, 0)) * self.phi)
+                .reshape(batch + (-1,)) if self._dims else z.astype(complex))
+        return full if parity is None else full[..., self.parity_bits == parity]
 
 
 def build_group(q: int) -> CharacterGroup:

@@ -24,10 +24,11 @@ class PoleError(DomainError):
 class PrecisionError(ArithmeticError):
     """Requested tolerance unreachable at working precision.
 
-    ``best`` holds the best-effort value (usually a ComplexApprox) so the
-    caller can still inspect what was achieved.
+    ``best`` holds the best-effort value (usually a ComplexApprox) and ``s``
+    the evaluation point that missed its tolerance, where there is one.
     """
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, s=None):
         super().__init__(message)
         self.best = best
+        self.s = s

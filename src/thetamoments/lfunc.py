@@ -1,10 +1,11 @@
 """Dirichlet L-values on the critical line and their family aggregates.
 
 Evaluation route: L(s, chi) = q^{-s} sum_{a} chi(a) zeta(s, a/q).  The
-Hurwitz vector zeta(s, a/q) over units a is computed once per s-point and
-shared by every character; the all-character values then come from one fast
-multiplicative-group transform.  (No approximate functional equation: error
-control is simpler and the shared vector makes moment scans cheap.)
+Hurwitz vector zeta(s, a/q) over units a is shared by every character; the
+all-character values then come from one fast multiplicative-group transform.
+An array of s-points is one call, its Hurwitz vectors evaluated in blocks of
+at most specfun.HZ_BLOCK term entries.  (No approximate functional equation:
+error control is simpler and the shared vector makes moment scans cheap.)
 
 Aggregates over character families:
 
@@ -18,8 +19,8 @@ Aggregates over character families:
 Negative shifts reuse the |L| column of the matching positive shift through
 the conjugation permutation chi -> conj(chi), and family sums are sorted
 before the fixed-chunk reduction, so a moment at shifts -t is bit-identical
-to the moment at t.  Columns are evaluated one after another on the calling
-thread; the `workers` keyword of the public functions is accepted and ignored.
+to the moment at t.  The distinct |t| are the rows of one call; the `workers`
+keyword of the public functions is accepted and ignored.
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -39,7 +40,7 @@ from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import PrimeTable, sieve
 from .reports import MomentReport
 from .specfun import ComplexApprox, digamma_vector, hurwitz_zeta_vector
-from .summation import chunked_sum, parallel_map, rounding_bound
+from .summation import chunked_sum, rounding_bound
 
 __all__ = [
     "ShiftTuple",
@@ -60,33 +61,35 @@ _EPS = np.finfo(float).eps
 MAX_SHIFT = 50.0   # |t| window with quadrature-grade accuracy
 LOG_CLAMP = -50.0  # log|L| substitute when |L| is below its error bound
 
-def _unit_zeta_weights(group: CharacterGroup, s: complex, tol: float):
-    """(w, per_sum_err): w[a] = zeta(s, a/q) at units, 0 elsewhere."""
+def _unit_zeta_weights(group: CharacterGroup, s, tol: float):
+    """(w, sum_err): w[..., a] = zeta(s, a/q) at units, 0 elsewhere, and the
+    error of any chi-weighted sum of w; one row per s-point of an array s."""
     q = group.q
     units = group.structure.units()
     a = np.array([1.0]) if q == 1 else units.astype(float) / q
     phi = len(units)
+    pts = np.ravel(np.asarray(s, dtype=complex)).tolist()
     # split the requested tolerance: the character sum sees phi Hurwitz terms
-    hz_tol = tol * q ** s.real / (2 * phi)
+    hz_tol = [tol * q ** z.real / (2 * phi) for z in pts]
     try:
         vals, hz_err = hurwitz_zeta_vector(s, a, tol=hz_tol)
     except PrecisionError as e:
         raise PrecisionError(
-            f"L(s, chi) mod {q} at s = {s:g}: requested tol {tol:g} unreachable "
-            f"(per-entry Hurwitz tol {hz_tol:g}, achieved {e.best.abs_error:g})",
-            best=e.best) from e
-    w = np.zeros(q, dtype=complex)
-    w[units % q] = vals
+            f"L(s, chi) mod {q} at s = {e.s:g}: requested tol {tol:g} unreachable "
+            f"(per-entry Hurwitz tol {hz_tol[pts.index(e.s)]:g}, "
+            f"achieved {e.best.abs_error:g})", best=e.best, s=e.s) from e
+    w = np.zeros(vals.shape[:-1] + (q,), dtype=complex)
+    w[..., units % q] = vals
     # worst-case propagated error of any chi-weighted sum of these values
-    sum_err = phi * hz_err + rounding_bound(phi, float(np.sum(np.abs(vals))))
+    sum_err = phi * hz_err + rounding_bound(phi, np.sum(np.abs(vals), axis=-1))
     return w, sum_err
 
 
-def _qpow_factor(q: int, s: complex) -> tuple[complex, float]:
-    """q^{-s} and the relative rounding of computing it."""
+def _qpow_factor(q: int, s: complex) -> tuple[complex, float, float]:
+    """q^{-s}, its modulus and the relative rounding of computing it."""
     v = complex(q) ** (-s)
     rel = (abs(s) * math.log(q) + 4) * _EPS
-    return v, rel
+    return v, abs(v), rel
 
 
 def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexApprox:
@@ -113,30 +116,31 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
         return ComplexApprox(total / q, err)
     w, sum_err = _unit_zeta_weights(group, s, tol)
     total = chunked_sum(chivals * w[units % q])
-    qs, qs_rel = _qpow_factor(q, s)
+    qs, qs_abs, qs_rel = _qpow_factor(q, s)
     value = qs * total
-    err = abs(qs) * sum_err + abs(value) * qs_rel
+    err = qs_abs * sum_err + abs(value) * qs_rel
     return ComplexApprox(value, err)
 
 
-def l_values_all_chars(q: int, s: complex, tol: float = 1e-10,
-                       group: CharacterGroup | None = None) -> tuple[np.ndarray, float]:
+def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | None = None
+                       ) -> tuple[np.ndarray, float | np.ndarray]:
     """L(s, chi) for every character mod q in group index order.
 
     Returns (values, err): one shared Hurwitz vector, one fast transform, and
-    a single worst-case error bound valid for each entry.
+    a single worst-case error bound valid for each entry.  For a 1-D array of
+    S points, ((S, phi) values, (S,) errs), row i equal to the call at s[i].
     """
     if q < 3:
         raise DomainError("l_values_all_chars requires q >= 3")
     if group is None:
         group = build_group(q)
-    s = complex(s)
     w, sum_err = _unit_zeta_weights(group, s, tol)
     t = group.transform(w)
-    qs, qs_rel = _qpow_factor(q, s)
+    qs, qs_abs, qs_rel = (np.reshape(v, np.shape(s) + (1,)) for v in zip(*(
+        _qpow_factor(q, z) for z in np.ravel(np.asarray(s, dtype=complex)).tolist())))
     values = qs * t
-    err = abs(qs) * sum_err + float(np.max(np.abs(values))) * qs_rel
-    return values, err
+    err = qs_abs[..., 0] * sum_err + np.max(np.abs(values), axis=-1) * qs_rel[..., 0]
+    return values, (err if np.ndim(s) else float(err))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +155,11 @@ def _abs_l_columns(group: CharacterGroup, shifts, tol: float):
     position in `shifts`.
     """
     pos = sorted({abs(t) for t in shifts})
-    res = parallel_map(
-        lambda tv: l_values_all_chars(group.q, 0.5 + 1j * tv, tol, group=group), pos)
-    by_abs = {tv: (np.abs(vals), err) for tv, (vals, err) in zip(pos, res)}
-    cols, errs = [], []
-    for t in shifts:
-        absl, err = by_abs[abs(t)]
-        cols.append(absl if t >= 0 else absl[group.conjugation])
-        errs.append(err)
-    return cols, errs
+    vals, errs = l_values_all_chars(group.q, 0.5 + 1j * np.array(pos), tol, group=group)
+    absl = np.abs(vals)
+    rows = [pos.index(abs(t)) for t in shifts]
+    return ([absl[i] if t >= 0 else absl[i][group.conjugation] for i, t in zip(rows, shifts)],
+            [float(errs[i]) for i in rows])
 
 
 def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:

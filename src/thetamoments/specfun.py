@@ -17,16 +17,18 @@ zeta(s, a) uses Euler-Maclaurin directly: sum_{n<N} (n+a)^{-s}
 with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
 escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
-grown further.
+grown further.  An array of s-points is evaluated in input-order blocks of at
+most HZ_BLOCK term entries; each point keeps its own (N, M), and the rows and
+terms past them enter as exact zeros, so every row equals the one-point call.
 
-log Gamma shifts the argument up by the recurrence until Re z >= 10 and then
-applies Stirling with 9 Bernoulli terms; on Re z > 0 this is the principal
-branch (the same convention as scipy.special.loggamma / mpmath.loggamma).
+log Gamma (elementwise on arrays) shifts the argument up by the recurrence
+until Re z >= 10 and then applies Stirling with 9 Bernoulli terms; on
+Re z > 0 this is the principal branch (the same convention as
+scipy.special.loggamma / mpmath.loggamma).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,6 +54,7 @@ _B2J = [
     -23749461029 / 870, 8615841276005 / 14322,
 ]
 _MAX_M = len(_B2J)  # 15
+HZ_BLOCK = 2 ** 16  # term entries (s-points x rows x a-values) evaluated at once
 
 
 @dataclass(frozen=True)
@@ -76,93 +79,109 @@ def _em_tail_bound(s: complex, na: float, m: int) -> float:
     return (b / fact) * poch * na ** (-sigma - 2 * m - 1) * abs(s + 2 * m + 1) / (sigma + 2 * m + 1)
 
 
-def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int]:
-    """Pick (N, M) so the analytic remainder clears tol with headroom."""
+def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
+    """(N, M, remainder bound) with the analytic remainder clearing tol with headroom."""
     n = max(int(math.ceil(abs(s))), 12)
     m = 10
     target = tol / 4
     for _ in range(60):
-        if _em_tail_bound(s, n + a_min, m) <= target:
-            return n, m
+        bound = _em_tail_bound(s, n + a_min, m)
+        if bound <= target:
+            return n, m, bound
         if m < _MAX_M - 1:
             m = _MAX_M - 1  # M = 14 keeps the B_30 first-omitted-term bound rigorous
         else:
             n = n + max(4, n // 3)
-    return n, m
+    return n, m, _em_tail_bound(s, n + a_min, m)
 
 
-def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """zeta(s, a) for an array of a in (0, 1]; returns (values, error bound).
-
-    The error bound is a single worst-case figure valid for every entry (it is
-    evaluated at the smallest a, where the expansion is weakest).  Raises
-    PrecisionError if the bound cannot be brought under tol.
-    """
-    s = complex(s)
-    a = np.asarray(a, dtype=float)
-    if s == 1:
-        raise PoleError("zeta(s, a) has its pole at s = 1")
-    if s.real <= 0:
-        raise DomainError("hurwitz_zeta requires Re s > 0")
-    if a.size == 0:
-        return np.empty(0, dtype=complex), 0.0
-    if np.any(a <= 0) or np.any(a > 1):
-        raise DomainError("hurwitz_zeta requires 0 < a <= 1")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-
-    a_min = float(a.min())
-    n, m = _em_choose(s, a_min, tol)
-
-    sigma = s.real
-    tabs = abs(s.imag)
-    # main sum in fixed row blocks, each block reduced pairwise by np.sum;
-    # alongside it accumulate |term| and |log(n+a)| |term| for the error model
-    block = 256
-    parts, parts_abs, parts_wabs = [], [], []
-    for i0 in range(0, n, block):
-        idx = np.arange(i0, min(i0 + block, n), dtype=float)[:, None]
+def _em_block(pts: list[complex], nmb: list[tuple[int, int, float]], a: np.ndarray):
+    """(values, errs, sums of |term|) at s-points pts, each with its own (N, M):
+    rows n >= N_i and Bernoulli terms j > M_i enter as exact zeros."""
+    s = np.array(pts)[:, None]
+    ns, tabs = np.array([n for n, _, _ in nmb]), np.abs(s.imag)
+    # main sum in fixed row blocks, each reduced by np.sum; alongside it the
+    # sums of |term| and |log(n+a)| |term| for the error model
+    block, parts = 256, []
+    for i0 in range(0, ns.max(), block):
+        idx = np.arange(i0, min(i0 + block, ns.max()), dtype=float)[:, None]
         lg = np.log(idx + a[None, :])
-        mag = np.exp(-sigma * lg)
-        parts.append(np.sum(np.exp(-s * lg), axis=0))
-        parts_abs.append(np.sum(mag, axis=0))
-        parts_wabs.append(np.sum(np.abs(lg) * mag, axis=0))
-    acc = np.sum(parts, axis=0)
-    acc_abs = np.sum(parts_abs, axis=0)
-    acc_wabs = np.sum(parts_wabs, axis=0)
-    n_blocks = len(parts)
+        drop = idx[:, 0] >= ns[:, None]  # rows n >= N of points that stop here
+        # exp in place, one (points, rows, len(a)) array alive at a time
+        term = -s[..., None] * lg
+        np.exp(term, out=term)
+        term[drop] = 0
+        part = np.sum(term, axis=1)
+        del term
+        mag = -s.real[..., None] * lg
+        np.exp(mag, out=mag)
+        mag[drop] = 0
+        parts.append((part, np.sum(mag, axis=1), np.sum(np.abs(lg) * mag, axis=1)))
+    acc, acc_abs, acc_wabs = (np.sum(p, axis=0) for p in zip(*parts))
 
-    na = n + a
-    lg = np.log(na)
+    lg = np.log(ns[:, None] + a)
     pole = np.exp((1 - s) * lg) / (s - 1)
     half = 0.5 * np.exp(-s * lg)
     acc = acc + pole + half
 
-    # Bernoulli corrections: B_2j/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1}
-    poch = 1.0 + 0j  # rising factorial, updated incrementally
-    corr_abs = np.zeros(a.shape)
-    for j in range(1, m + 1):
-        for i in range(2 * j - 3 if j > 1 else 0, 2 * j - 1):
-            poch *= s + i
-        term = (_B2J[j - 1] / math.factorial(2 * j)) * poch * np.exp((-s - 2 * j + 1) * lg)
+    # Bernoulli corrections B_2j/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1}, the rising
+    # factorial updated incrementally per point
+    coef = np.zeros((len(pts), max(m for _, m, _ in nmb)), dtype=complex)
+    for row, si, (_, m, _) in zip(coef, pts, nmb):
+        poch = 1.0 + 0j
+        for j in range(1, m + 1):
+            for i in range(2 * j - 3 if j > 1 else 0, 2 * j - 1):
+                poch *= si + i
+            row[j - 1] = (_B2J[j - 1] / math.factorial(2 * j)) * poch
+    corr_abs = np.zeros(lg.shape)
+    for j in range(1, coef.shape[1] + 1):
+        term = coef[:, j - 1:j] * np.exp((-s - 2 * j + 1) * lg)
         acc = acc + term
         corr_abs += np.abs(term)
 
-    analytic = _em_tail_bound(s, n + a_min, m)
     # float model: pairwise-summation depth times accumulated magnitude, plus
     # the exp-argument (angle) error ~ |Im s| |log(n+a)| eps per term
-    depth = math.log2(min(n, block) + 1) + n_blocks + 8
+    depth = np.array([[math.log2(min(n, block) + 1) + -(-n // block) + 8] for n in ns])
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
     per_entry = (depth * acc_abs + 2 * tabs * acc_wabs
                  + (2 * tabs * np.abs(lg) + 10) * tail_mag)
-    rounding = _EPS * float(per_entry.max())
-    err = analytic + rounding
-    if err > tol:
-        i = int(np.argmax(acc_abs))
-        best = ComplexApprox(complex(acc[i]), err)
-        raise PrecisionError(
-            f"requested tol {tol:g} unreachable (achieved {err:g})", best=best)
-    return acc, err
+    return acc, np.array([b for _, _, b in nmb]) + _EPS * per_entry.max(axis=1), acc_abs
+
+
+def hurwitz_zeta_vector(s, a: np.ndarray, tol=1e-12) -> tuple[np.ndarray, float | np.ndarray]:
+    """zeta(s, a) for an array of a in (0, 1]; returns (values, error bound).
+
+    The error bound is a single worst-case figure valid for every entry (it is
+    evaluated at the smallest a, where the expansion is weakest).  An array of
+    S points s (tol: a scalar or one per point) gives ((S, len(a)) values,
+    (S,) errs), row i bit-identical to the call at s[i].  Raises
+    PrecisionError naming the first s whose bound cannot be brought under tol.
+    """
+    scalar, s = np.ndim(s) == 0, np.atleast_1d(np.asarray(s, dtype=complex))
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), s.shape)
+    a = np.asarray(a, dtype=float)
+    if np.any(s == 1):
+        raise PoleError("zeta(s, a) has its pole at s = 1")
+    if np.any(s.real <= 0):
+        raise DomainError("hurwitz_zeta requires Re s > 0")
+    if a.size and (np.any(a <= 0) or np.any(a > 1)):
+        raise DomainError("hurwitz_zeta requires 0 < a <= 1")
+    if a.size and not np.all(tols > 0):
+        raise DomainError("tol must be positive")
+    pts, a_min = s.tolist(), float(a.min(initial=1.0))
+    nmb = [_em_choose(z, a_min, t) for z, t in zip(pts, tols.tolist())] if a.size else []
+    vals, errs, i = np.empty((s.size, a.size), dtype=complex), np.zeros(s.size), 0
+    while i < len(nmb):
+        # the longest run of points whose zero-padded term array fits HZ_BLOCK
+        n_run = np.maximum.accumulate([n for n, _, _ in nmb[i:]])
+        j = i + max(1, int(np.sum(np.arange(1, len(n_run) + 1) * n_run * a.size <= HZ_BLOCK)))
+        vals[i:j], errs[i:j], acc_abs = _em_block(pts[i:j], nmb[i:j], a)
+        for k in np.flatnonzero(errs[i:j] > tols[i:j]) + i:
+            best = ComplexApprox(complex(vals[k, np.argmax(acc_abs[k - i])]), float(errs[k]))
+            raise PrecisionError(f"zeta(s, a) at s = {pts[k]:g}: requested tol {tols[k]:g} "
+                                 f"unreachable (achieved {errs[k]:g})", best=best, s=pts[k])
+        i = j
+    return (vals[0], float(errs[0])) if scalar else (vals, errs)
 
 
 def hurwitz_zeta(s: complex, a: float, tol: float = 1e-12) -> ComplexApprox:
@@ -206,44 +225,40 @@ _STIRLING_SHIFT = 10.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2 * math.pi)
 
 
-def log_gamma(s: complex) -> ComplexApprox:
-    """Principal-branch log Gamma(s) for Re s > 0, with error bound.
+def log_gamma(s) -> ComplexApprox:
+    """Principal-branch log Gamma(s) for Re s > 0, with error bound (arrays for an array s).
 
     Recurrence-shift to Re z >= 10, then Stirling with 9 Bernoulli terms.  The
     analytic remainder uses the classical bound
     |B_{2K+2}| / ((2K+2)(2K+1) |z|^{2K+1}) * sec(arg(z)/2)^{2K+2}.
     """
-    s = complex(s)
-    if s.real <= 0:
+    z = np.asarray(s, dtype=complex)
+    if np.any(z.real <= 0):
         raise DomainError("log_gamma requires Re s > 0")
-    shift = 0j
-    z = s
-    while z.real < _STIRLING_SHIFT:
-        shift += cmath.log(z)
-        z += 1
-    zr = 1.0 / z
-    zr2 = zr * zr
-    series = 0j
-    series_abs = 0.0
-    p = zr
+    shift = series = series_abs = 0
+    while np.any(low := z.real < _STIRLING_SHIFT):
+        shift = shift + np.where(low, np.log(z), 0)
+        z = z + low
+    p = 1.0 / z
+    zr2 = p * p
     for j in range(1, _STIRLING_K + 1):
         term = _B2J[j - 1] / (2 * j * (2 * j - 1)) * p
-        series += term
-        series_abs += abs(term)
-        p *= zr2
-    val = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI + series - shift
+        series = series + term
+        series_abs = series_abs + np.abs(term)
+        p = p * zr2
+    val = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + series - shift
 
-    sec = 1.0 / math.cos(0.5 * abs(cmath.phase(z)))
+    sec = 1.0 / np.cos(0.5 * np.abs(np.angle(z)))
     k = _STIRLING_K
-    analytic = (abs(_B2J[k]) / ((2 * k + 2) * (2 * k + 1) * abs(z) ** (2 * k + 1))
+    analytic = (abs(_B2J[k]) / ((2 * k + 2) * (2 * k + 1) * np.abs(z) ** (2 * k + 1))
                 * sec ** (2 * k + 2))
-    rounding = 4 * _EPS * (abs(val) + abs(shift) + series_abs + abs(z) + 1)
-    return ComplexApprox(val, analytic + rounding)
+    err = analytic + 4 * _EPS * (np.abs(val) + np.abs(shift) + series_abs + np.abs(z) + 1)
+    return ComplexApprox(val, err) if z.ndim else ComplexApprox(complex(val), float(err))
 
 
-def gamma_fn(s: complex) -> ComplexApprox:
+def gamma_fn(s) -> ComplexApprox:
     """Gamma(s) = exp(log_gamma(s)), with the error bound carried through."""
     lg = log_gamma(s)
-    v = cmath.exp(lg.value)
-    err = abs(v) * (math.expm1(lg.abs_error) + 2 * _EPS)
-    return ComplexApprox(v, err)
+    v = np.exp(lg.value)
+    err = np.abs(v) * (np.expm1(lg.abs_error) + 2 * _EPS)
+    return ComplexApprox(v, err) if np.ndim(v) else ComplexApprox(complex(v), float(err))

@@ -353,3 +353,19 @@ def test_char_index_bounds():
         g.char(-1)
     with pytest.raises(DomainError):
         build_group(0)
+
+
+@pytest.mark.parametrize("q", [29, 5040, 3 ** 7])
+def test_transform_batch_equals_rows(q):
+    """A (rows, q) batch is transformed row by row, bit for bit, for every
+    parity argument and for real and complex weights."""
+    g = build_group(q)
+    rng = np.random.default_rng(q + 1)
+    for w in (rng.random((5, q)), rng.normal(size=(5, q)) + 1j * rng.normal(size=(5, q))):
+        for parity in (None, 0, 1):
+            got = g.transform(w, parity)
+            assert got.shape == (5, g.phi if parity is None else g.phi // 2)
+            for row, wr in zip(got, w):
+                assert np.array_equal(row, g.transform(wr, parity)), (parity, w.dtype)
+    with pytest.raises(DomainError):
+        g.transform(np.ones((2, q + 1)))

@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from thetamoments import lfunc
 from thetamoments.characters import build_group
-from thetamoments.errors import DomainError, PoleError
+from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.lfunc import (
     LAMBDA0,
     LOG_CLAMP,
@@ -144,6 +145,44 @@ def test_all_chars_matches_single():
         for i in (0, 1, 5, 11):
             single = l_value(q, g.char(i), s)
             assert abs(vals[i] - single.value) <= err + single.abs_error
+
+
+@pytest.mark.parametrize("q", [29, 5040, 3 ** 7])
+def test_all_chars_batch_equals_rows(q):
+    g = build_group(q)
+    s = np.array([0.5 + 2j, 0.5 - 7.25j, 0.5, 0.75 + 31j, 0.5 + 49.5j])
+    vals, errs = l_values_all_chars(q, s, 1e-8, group=g)
+    assert vals.shape == (len(s), len(g)) and errs.shape == (len(s),)
+    for z, row, err in zip(s.tolist(), vals, errs):
+        one, one_err = l_values_all_chars(q, z, 1e-8, group=g)
+        assert np.array_equal(row, one) and err == one_err, z
+        assert type(one_err) is float
+
+
+def test_all_chars_batch_refusal_names_the_point():
+    q = 1009
+    s = np.array([0.5 + 1j, 0.5 + 2j, 0.5 + 40j, 0.5 + 45j])
+    with pytest.raises(PrecisionError) as batch:
+        l_values_all_chars(q, s)
+    with pytest.raises(PrecisionError) as one:
+        l_values_all_chars(q, s[2])
+    assert batch.value.s == s[2]
+    assert str(batch.value) == str(one.value)
+    assert f"at s = {s[2]:g}: requested tol 1e-10" in str(batch.value)
+
+
+def test_shift_columns_are_one_call(monkeypatch):
+    """Every distinct |t| of a request is a row of one l_values_all_chars call."""
+    calls = []
+    evaluate = lfunc.l_values_all_chars
+
+    def recording(q, s, *args, **kwargs):
+        calls.append(np.shape(s))
+        return evaluate(q, s, *args, **kwargs)
+
+    monkeypatch.setattr(lfunc, "l_values_all_chars", recording)
+    shifted_moment(19, (0.1, 0.9, -0.1, 0.0))
+    assert calls == [(3,)]
 
 
 def test_conjugation_symmetry():

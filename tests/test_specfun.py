@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from thetamoments import specfun
 from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.specfun import (
     gamma_fn,
@@ -96,6 +97,73 @@ def test_vector_error_bound_honest():
         assert abs(vals[i] - ref) <= err
 
 
+def _mixed_points():
+    """s-points with mixed sigma and sign of t, whose (N, M) differ."""
+    return np.array([0.5 + 3j, 0.5 - 3j, 1.3 + 40j, 0.25 - 61.5j, 2.0 + 0j, 0.8 + 0.1j,
+                     0.5 + 17j, 1.1 - 25j, 0.5 + 75j])
+
+
+@pytest.mark.parametrize("q", [5, 29, 1009])
+def test_vector_of_s_equals_scalar_calls_bit_for_bit(q):
+    a = np.array([n for n in range(1, q + 1) if math.gcd(n, q) == 1], dtype=float) / q
+    s = _mixed_points()
+    tol = 1e-6
+    assert len({specfun._em_choose(z, float(a.min()), tol)[:2] for z in s.tolist()}) >= 3
+    vals, errs = hurwitz_zeta_vector(s, a, tol)
+    assert vals.shape == (len(s), len(a)) and errs.shape == (len(s),)
+    for z, row, err in zip(s.tolist(), vals, errs):
+        one, one_err = hurwitz_zeta_vector(z, a, tol)
+        assert np.array_equal(row, one) and err == one_err, z
+    # one tol per point, each row as its own scalar call
+    tols = np.geomspace(1e-4, 1e-8, len(s))
+    vals, errs = hurwitz_zeta_vector(s, a, tols)
+    for z, t, row, err in zip(s.tolist(), tols.tolist(), vals, errs):
+        one, one_err = hurwitz_zeta_vector(z, a, t)
+        assert np.array_equal(row, one) and err == one_err, z
+
+
+def test_vector_of_s_refuses_at_the_first_infeasible_point(monkeypatch):
+    a = np.arange(1, 29, dtype=float) / 29
+    s = _mixed_points()
+    tols = np.full(len(s), 1e-8)
+    tols[2] = 1e-40
+    tols[5] = 1e-40
+    with pytest.raises(PrecisionError) as exc:
+        hurwitz_zeta_vector(s, a, tols)
+    assert exc.value.s == s[2] and f"{s[2]:g}" in str(exc.value)
+    with pytest.raises(PrecisionError) as one:
+        hurwitz_zeta_vector(s[2], a, 1e-40)
+    assert exc.value.best == one.value.best
+    # one point per block: the refusal comes before any later block is evaluated
+    blocks = []
+    evaluate = specfun._em_block
+
+    def recording(pts, nmb, a):
+        blocks.append(pts)
+        return evaluate(pts, nmb, a)
+
+    monkeypatch.setattr(specfun, "HZ_BLOCK", 1)
+    monkeypatch.setattr(specfun, "_em_block", recording)
+    with pytest.raises(PrecisionError):
+        hurwitz_zeta_vector(s, a, tols)
+    assert blocks == [[z] for z in s[:3].tolist()]
+
+
+def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
+    a = np.arange(1, 29, dtype=float) / 29
+    s = 0.5 + 1j * np.linspace(-16, 16, 201)
+    sizes = []
+    evaluate = specfun._em_block
+
+    def recording(pts, nmb, a):
+        sizes.append(len(pts) * max(n for n, _, _ in nmb) * len(a))
+        return evaluate(pts, nmb, a)
+
+    monkeypatch.setattr(specfun, "_em_block", recording)
+    hurwitz_zeta_vector(s, a, 1e-12)
+    assert len(sizes) > 1 and max(sizes) <= specfun.HZ_BLOCK
+
+
 def test_pole_and_domain_errors():
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 0.5)
@@ -162,6 +230,22 @@ def test_log_gamma_error_bound_honest():
         assert abs(lg.value - ref) <= lg.abs_error, s
 
 
+def test_log_gamma_array_against_mpmath():
+    """Re s in {0.25, 3, 12} with |Im s| <= 80: the shift branch runs for some
+    entries and not others."""
+    t = np.linspace(-80, 80, 33)
+    s = (np.array([0.25, 3.0, 12.0])[:, None] + 1j * t).ravel()
+    lg = log_gamma(s)
+    assert lg.value.shape == lg.abs_error.shape == s.shape
+    for z, v, err in zip(s.tolist(), lg.value.tolist(), lg.abs_error.tolist()):
+        assert abs(v - complex(mp.loggamma(mp.mpc(z.real, z.imag)))) <= err, z
+        one = log_gamma(z)
+        assert type(one.value) is complex and type(one.abs_error) is float
+        assert abs(one.value - v) <= one.abs_error
+    g = gamma_fn(s[:5])
+    assert g.value.shape == (5,) and type(gamma_fn(0.25).value) is complex
+
+
 def test_log_gamma_domain():
     with pytest.raises(DomainError):
         log_gamma(-1.0)
@@ -169,3 +253,5 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(DomainError):
         log_gamma(-0.5 + 2j)
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.0, -0.5 + 2j]))

@@ -88,6 +88,27 @@ def test_truncation_matches_walk_from_zero():
                             == _walk_from_zero(q, x, eta, eps)), (q, eps, x, eta)
 
 
+@pytest.mark.parametrize("q", [1009, 100003])
+def test_odd_tail_bound_covers_mpmath_tail(q):
+    """For eta = 1 the terms m e^{-pi m^2 x / q} shrink by less than
+    e^{-pi x (2m+1)/q} per step; a ratio without (m+1)/m fell below the true
+    tail (2.6943e-13 against 2.7024e-13 at q = 1009)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    n = truncation_length(q, 1.0, 1, 5e-13)
+    tail = mp.nsum(lambda m: m * mp.exp(-mp.pi * m * m / q), [n + 1, mp.inf])
+    bound = theta._tail_bound(q, 1.0, 1, n)
+    assert float(tail) <= bound <= 5e-13
+    assert bound < 1.02 * float(tail)
+
+
+def test_tail_bound_infinite_while_terms_grow():
+    # rho = 2 e^{-3 pi / q} > 1 at n = 0: m e^{-pi m^2 / q} still grows
+    assert theta._tail_bound(100003, 1.0, 1, 0) == math.inf
+    assert math.isfinite(theta._tail_bound(100003, 1.0, 0, 0))
+    assert truncation_length(100003, 1.0, 1, 1e-300) == _walk_from_zero(100003, 1.0, 1, 1e-300)
+
+
 def test_truncation_domain():
     with pytest.raises(DomainError):
         truncation_length(5, 0.0, 0, 1e-6)
@@ -426,6 +447,24 @@ def test_mellin_checks_rejects_mixed_sets(monkeypatch):
         with pytest.raises(DomainError):
             mellin_checks(13, good + [bad], 4.0, 1 / 16)
     assert mellin_checks(13, [], 4.0, 1 / 16) == []
+
+
+def test_mellin_checks_memory_stays_near_per_point_route():
+    """The batched grid holds at most HZ_BLOCK Hurwitz terms at once: the
+    tracemalloc peak of the 13-character check mod 29 stays within 2 MB of the
+    0.77 MB the one-point-at-a-time route took (numpy 2.4)."""
+    import tracemalloc
+
+    chars = _even_primitive(29)
+    assert len(chars) == 13
+    mellin_checks(29, chars)
+    tracemalloc.start()
+    try:
+        mellin_checks(29, chars)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.77 + 2.0, peak
 
 
 def test_gamma_tail_mass_against_mpmath():
