@@ -23,6 +23,7 @@ timestamp by design; its payload alone is reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -254,6 +255,7 @@ _HANDLERS = {
 _JSON_ONLY = ("bound-eval", "rand-model")
 
 
+@functools.cache  # built on the first run, reused by later runs in the process
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=float, help="precision target for L-values")

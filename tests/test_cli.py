@@ -1,6 +1,9 @@
 """CLI: subcommands, exit codes, config precedence, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -176,6 +179,36 @@ def test_version_is_one_string(capsys, tmp_path):
     code, out, _ = invoke(capsys, "char-table", "--q", "5", "--format", "json",
                           "--out", str(tmp_path))
     assert code == 0 and json.loads(out)["version"] == version
+
+
+def _without_timestamp(out):
+    return {k: v for k, v in json.loads(out).items() if k != "timestamp"}
+
+
+def test_one_process_many_requests_match_fresh_processes(capsys, tmp_path):
+    """The parser is built once per process; every later request parses as if alone."""
+    requests = [
+        ("l-moment", "--q", "13", "--k", "1"),
+        ("shifted-moment", "--q", "13", "--shifts", "0,0.5"),
+        ("l-moment", "--q", "13", "--k"),
+        ("--version",),
+        ("rand-model", "--q", "11", "--k", "1", "--samples", "100"),
+        ("l-moment", "--q", "13", "--k", "2"),
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetamoments.__file__))}
+    codes = []
+    for argv in requests:
+        argv = [*argv, "--out", str(tmp_path)] if argv[0] != "--version" else list(argv)
+        code, out, err = invoke(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "thetamoments.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert code == alone.returncode and err == alone.stderr, argv
+        if argv[0] == "rand-model":
+            assert _without_timestamp(out) == _without_timestamp(alone.stdout)
+        else:
+            assert out == alone.stdout, argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0, 0]
 
 
 def test_json_format_flag_and_workers_visibility(capsys, tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 """L-values and family aggregates: goldens, honesty, symmetries, majorant."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from thetamoments import lfunc
+from thetamoments import lfunc, specfun
 from thetamoments.characters import build_group
 from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.lfunc import (
@@ -169,6 +170,28 @@ def test_all_chars_batch_refusal_names_the_point():
     assert batch.value.s == s[2]
     assert str(batch.value) == str(one.value)
     assert f"at s = {s[2]:g}: requested tol 1e-10" in str(batch.value)
+
+
+def test_refusal_is_decided_before_the_phi_wide_evaluation(monkeypatch):
+    """A refused q = 100003 call allocates O(phi), not the (rows x phi) term arrays."""
+    g = build_group(100003)
+    widths = []
+    evaluate = specfun._em_block
+
+    def recording(pts, nmb, a):
+        widths.append(len(a))
+        return evaluate(pts, nmb, a)
+
+    monkeypatch.setattr(specfun, "_em_block", recording)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionError, match="requested tol 1e-10"):
+            l_values_all_chars(100003, 0.5, group=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [1]
+    assert peak <= 8 * 2 ** 20, peak
 
 
 def test_shift_columns_are_one_call(monkeypatch):

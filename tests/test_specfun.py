@@ -134,19 +134,21 @@ def test_vector_of_s_refuses_at_the_first_infeasible_point(monkeypatch):
     with pytest.raises(PrecisionError) as one:
         hurwitz_zeta_vector(s[2], a, 1e-40)
     assert exc.value.best == one.value.best
-    # one point per block: the refusal comes before any later block is evaluated
+    # one point per block: the single-column pre-flight over every point refuses
+    # s[2], so only the blocks before it are evaluated at full width
     blocks = []
     evaluate = specfun._em_block
 
     def recording(pts, nmb, a):
-        blocks.append(pts)
+        blocks.append((pts, a.tolist()))
         return evaluate(pts, nmb, a)
 
     monkeypatch.setattr(specfun, "HZ_BLOCK", 1)
     monkeypatch.setattr(specfun, "_em_block", recording)
     with pytest.raises(PrecisionError):
         hurwitz_zeta_vector(s, a, tols)
-    assert blocks == [[z] for z in s[:3].tolist()]
+    assert blocks[0] == (s.tolist(), [a.min()])
+    assert blocks[1:] == [([z], a.tolist()) for z in s[:2].tolist()]
 
 
 def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
@@ -162,6 +164,39 @@ def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
     monkeypatch.setattr(specfun, "_em_block", recording)
     hurwitz_zeta_vector(s, a, 1e-12)
     assert len(sizes) > 1 and max(sizes) <= specfun.HZ_BLOCK
+
+
+def _full_err(z, a, tol):
+    """The error the full-width evaluation reports for the one point z at tol."""
+    nmb = specfun._em_choose(z, float(a.min()), tol)
+    return float(specfun._em_block([z], [nmb], a)[1][0])
+
+
+@pytest.mark.parametrize("q", [29, 1009, 2187, 5040, 10007])
+def test_pre_flight_refuses_exactly_what_the_full_evaluation_refuses(q):
+    a = np.array([n for n in range(1, q + 1) if math.gcd(n, q) == 1], dtype=float) / q
+    rng = np.random.default_rng(q)
+    # relative offsets from each point's frontier, inside and beyond the pre-flight margin;
+    # at 1.0 the single-column figure can exceed the full one by an ulp
+    factors = [0.5, 1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 2.0]
+    for sigma in (0.5, 0.75, 1.3):
+        s = sigma + 1j * np.array([-50, -3, 0, 17, 50])
+        # near each point's tolerance frontier: the error it achieves at a loose tol
+        frontier = np.array([_full_err(z, a, 1e-6) for z in s.tolist()])
+        for f in [np.full(len(s), 2.0), np.ones(len(s)),
+                  *rng.choice(factors, size=(4, len(s)))]:
+            tols = frontier * f
+            first = next((i for i, (z, t) in enumerate(zip(s.tolist(), tols.tolist()))
+                          if _full_err(z, a, t) > t), None)
+            if first is not None:
+                with pytest.raises(PrecisionError) as exc:
+                    hurwitz_zeta_vector(s, a, tols)
+                assert exc.value.s == s[first]
+                continue
+            vals, errs = hurwitz_zeta_vector(s, a, tols)
+            for row, err, z, t in zip(vals, errs, s.tolist(), tols.tolist()):
+                one, one_err = hurwitz_zeta_vector(z, a, t)
+                assert np.array_equal(row, one) and err == one_err
 
 
 def test_pole_and_domain_errors():
