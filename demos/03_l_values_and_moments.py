@@ -19,8 +19,9 @@ chi4 = g4.char(1)
 print(f"L(1, chi mod 4) = {l_value(4, chi4, 1.0).value.real:.15f}   pi/4 = {math.pi / 4:.15f}")
 print(f"L(1/2, chi mod 4) = {l_value(4, chi4, 0.5).value.real:.15f}")
 
-# Whole-family evaluation mod 13 at the central point: one shared Hurwitz
-# vector plus one group transform, instead of phi(q) separate sums.
+# Whole-family evaluation mod 13 at the central point: one shared weight
+# vector a^{-s} + q^{-s} zeta(s, 1 + a/q) plus one group transform, instead of
+# phi(q) separate sums.
 q = 13
 g = build_group(q)
 vals, err = l_values_all_chars(q, 0.5, group=g)

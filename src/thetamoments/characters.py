@@ -13,7 +13,9 @@ moment sums over (`family_mask`), and the fast weighted-sum transform
     transform(w)[j] = sum_a chi_j(a) w[a],
 
 computed for all phi(q) characters at once as a multidimensional inverse FFT
-over the cyclic components (a single length-(q-1) transform when q is prime).
+over the cyclic components, each split into its prime-power factors by
+Good-Thomas (so q = 100003 transforms a (2, 3, 7, 2381) array, never one
+length-100002 Bluestein FFT), in place in one phi-wide buffer.
 `transform(w, parity)` returns one parity's characters only.  On a cyclic
 group of order d = 2h (q prime, p^e, 2 p^e or 4), -1 = g^h and chi_j has
 parity j mod 2, so with u_m = w[g^m] the even values are the length-h
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import GroupStructure, group_structure
+from .numtheory import GroupStructure, factorize, group_structure
 from .specfun import ComplexApprox
 
 __all__ = ["FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum"]
@@ -152,8 +154,12 @@ class CharacterGroup:
     @cached_property
     def conjugation(self) -> np.ndarray:
         """perm with perm[j] = index of conj(chi_j): exponents j -> -j."""
-        grid = np.arange(self.phi).reshape(self._dims)
-        return grid[np.ix_(*((-np.arange(d)) % d for d in self._dims))].reshape(-1)
+        out = np.zeros((), dtype=np.int64)
+        for j, d in zip(self._ranges, self._dims):
+            neg = d - j
+            neg %= d
+            out = neg if out.ndim == 0 else out * d + neg
+        return np.broadcast_to(out, self._dims).reshape(-1)
 
     def family_mask(self, name: str) -> np.ndarray:
         """Boolean mask of the characters in a family, one of FAMILIES:
@@ -189,27 +195,65 @@ class CharacterGroup:
 
         w has length q along its last axis, leading axes being a batch (entries
         at non-unit residues are ignored).  The sum is an inverse multidimensional
-        DFT of w regrouped by exponent tuple; the parity fold is in the module docstring.
+        DFT of w regrouped by exponent tuple, over the prime-power split of
+        _prime_power_split.  With a parity the cyclic fold of the module
+        docstring applies; other groups select it from the unsplit transform.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.q,):
             raise DomainError(f"weight vector must have length q = {self.q}")
         if parity not in (None, 0, 1):
             raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
-        z = w[..., self.structure.n_of_index]
-        if parity is not None and len(self._dims) == 1:
-            h = self.phi // 2
-            f = z[..., :h] - z[..., h:] if parity else z[..., :h] + z[..., h:]
-            n = 2 * h if parity else h
-            if np.iscomplexobj(f):
-                return (np.fft.ifft(f, n) * n)[..., parity::1 + parity]
-            r = np.fft.rfft(f, n)[..., parity::1 + parity]
-            return np.concatenate(
-                [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
-        batch, r = z.shape[:-1], len(self._dims)
-        full = ((np.fft.ifftn(z.reshape(batch + self._dims), axes=range(-r, 0)) * self.phi)
-                .reshape(batch + (-1,)) if self._dims else z.astype(complex))
-        return full if parity is None else full[..., self.parity_bits == parity]
+        batch = w.shape[:-1]
+        if parity is not None:
+            z = w[..., self.structure.n_of_index]
+            if len(self._dims) == 1:
+                h = self.phi // 2
+                f = z[..., :h] - z[..., h:] if parity else z[..., :h] + z[..., h:]
+                n = 2 * h if parity else h
+                if np.iscomplexobj(f):
+                    return (np.fft.ifft(f, n) * n)[..., parity::1 + parity]
+                r = np.fft.rfft(f, n)[..., parity::1 + parity]
+                return np.concatenate(
+                    [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
+            # unsplit, not the Good-Thomas path below, which moves theta's last bits
+            full = ((np.fft.ifftn(z.reshape(batch + self._dims), axes=range(-len(self._dims), 0))
+                     * self.phi).reshape(batch + (-1,)) if self._dims else z.astype(complex))
+            return full[..., self.parity_bits == parity]
+        units, dims, out = self._prime_power_split
+        z = w[..., units].astype(complex, copy=False).reshape(batch + dims)
+        del w  # a caller's temporary w is freed before the transform's own buffers
+        if dims:  # in place, one phi-wide buffer (out= needs numpy >= 2.0)
+            np.fft.ifftn(z, axes=range(-len(dims), 0), norm="forward", out=z)
+        return z.reshape(batch + (-1,)) if out is None else z.reshape(batch + (-1,))[..., out]
+
+    @cached_property
+    def _prime_power_split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+        """(units, dims, out): the Good-Thomas split of every cyclic component
+        into its prime-power factors P (d = prod P).
+
+        On the input side component l's exponent is m = sum_P (d/P) m_P mod d,
+        so units[flat (m_P)] = prod_l g_l^{m_l}; then exp(2 pi i j m / d) =
+        prod_P exp(2 pi i (j mod P) m_P / P), and character j's value sits at
+        the flat position of (j_l mod P) over every factor: out[j].  out is
+        None when no component splits.
+        """
+        comps = [[p ** e for p, e in factorize(d).factors] for d in self._dims]
+        dims = tuple(P for ps in comps for P in ps)
+        if dims == self._dims:
+            return self.structure.n_of_index, dims, None
+        # int32 maps built from broadcast int32 ranges: phi < q < 2^31
+        split = iter(np.ix_(*(np.arange(P, dtype=np.int32) for P in dims)))
+        flat = 0
+        for d, ps in zip(self._dims, comps):
+            flat = flat * d + sum(d // P * next(split) for P in ps) % d
+        units = self.structure.n_of_index[flat.reshape(-1)].astype(np.int32)
+        del flat
+        out = 0
+        for j, ps in zip(np.ix_(*(np.arange(d, dtype=np.int32) for d in self._dims)), comps):
+            for P in ps:
+                out = out * P + j % P
+        return units, dims, out.reshape(-1)
 
 
 def build_group(q: int) -> CharacterGroup:

@@ -25,10 +25,20 @@ class PrecisionError(ArithmeticError):
     """Requested tolerance unreachable at working precision.
 
     ``best`` holds the best-effort value (usually a ComplexApprox) and ``s``
-    the evaluation point that missed its tolerance, where there is one.
+    the evaluation point that missed its tolerance, where there is one.  The
+    L path also sets ``stage`` (the largest part of the error: "Hurwitz part",
+    "Dirichlet polynomial" or "transform rounding"), ``q``, ``tol`` (the
+    caller's tolerance) and ``internal_tol`` (the analytic target per Hurwitz
+    entry derived from it); its ``best`` is the refused result with the bound
+    that missed: the L-value, or for all characters the row of values.
     """
 
-    def __init__(self, message: str, best=None, s=None):
+    def __init__(self, message: str, best=None, s=None, stage=None, q=None, tol=None,
+                 internal_tol=None):
         super().__init__(message)
         self.best = best
         self.s = s
+        self.stage = stage
+        self.q = q
+        self.tol = tol
+        self.internal_tol = internal_tol

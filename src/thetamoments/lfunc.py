@@ -1,11 +1,24 @@
 """Dirichlet L-values on the critical line and their family aggregates.
 
-Evaluation route: L(s, chi) = q^{-s} sum_{a} chi(a) zeta(s, a/q).  The
-Hurwitz vector zeta(s, a/q) over units a is shared by every character; the
-all-character values then come from one fast multiplicative-group transform.
-An array of s-points is one call, its Hurwitz vectors evaluated in blocks of
-at most specfun.HZ_BLOCK term entries.  (No approximate functional equation:
-error control is simpler and the shared vector makes moment scans cheap.)
+Evaluation route: L(s, chi) = q^{-s} sum_a chi(a) zeta(s, a/q) over units a,
+with the n = 0 term of each Hurwitz value split off:
+
+    q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q).
+
+The weights w_a (the right-hand side) are shared by every character, and one
+fast multiplicative-group transform per s-point turns them into all
+L(s, chi).  The Dirichlet polynomial a^{-s} takes its phase t log a mod 2 pi
+in longdouble; zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs, with an
+error e_a per entry (Taylor in a from longdouble centres at large phi, direct
+Euler-Maclaurin at small phi).  The error of any character sum of the weights
+is then
+
+    |q^{-s}| sum_a e_a  +  Dirichlet-polynomial rounding  +  transform rounding,
+
+each part reported when a request is refused.  Without the split the n = 0
+term of the a = 1 entry (size q^sigma) set the float model for all phi
+entries.  (No approximate functional equation: error control is
+simpler and the shared weights make moment scans cheap.)
 
 Aggregates over character families:
 
@@ -17,10 +30,12 @@ Aggregates over character families:
 * an explicit-formula style majorant for log|L(1/2+it, chi)| under GRH.
 
 Negative shifts reuse the |L| column of the matching positive shift through
-the conjugation permutation chi -> conj(chi), and family sums are sorted
-before the fixed-chunk reduction, so a moment at shifts -t is bit-identical
-to the moment at t.  The distinct |t| are the rows of one call; the `workers`
-keyword of the public functions is accepted and ignored.
+the conjugation permutation chi -> conj(chi), the t = 0 column is averaged
+with its own conjugation permutation (|L(1/2, conj chi)| = |L(1/2, chi)|),
+and family sums are sorted before the fixed-chunk reduction, so a moment at
+shifts -t is bit-identical to the moment at t.  The distinct |t| are the rows
+of one call; the `workers` keyword of the public functions is accepted and
+ignored.
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -39,7 +54,7 @@ from .characters import Character, CharacterGroup, build_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import PrimeTable, sieve
 from .reports import MomentReport
-from .specfun import ComplexApprox, digamma_vector, hurwitz_zeta_vector
+from .specfun import HZ_BLOCK, ComplexApprox, digamma_vector, hurwitz_grid_runs
 from .summation import chunked_sum, rounding_bound
 
 __all__ = [
@@ -57,46 +72,102 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_EPS_LD = float(np.finfo(np.longdouble).eps)
 
 MAX_SHIFT = 50.0   # |t| window with quadrature-grade accuracy
 LOG_CLAMP = -50.0  # log|L| substitute when |L| is below its error bound
 
-def _unit_zeta_weights(group: CharacterGroup, s, tol: float):
-    """(w, sum_err): w[..., a] = zeta(s, a/q) at units, 0 elsewhere, and the
-    error of any chi-weighted sum of w; one row per s-point of an array s."""
+# a-values per elementwise chunk of the weights: about 100 bytes of
+# temporaries each, so a chunk stays under a megabyte
+_CHUNK = HZ_BLOCK // 8
+_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def _powers(s: np.ndarray, n: np.ndarray):
+    """(n^{-s}, |n^{-s}|) for integers n > 0 and a column of s-points, from
+    log n in longdouble: the phase t log n is reduced mod 2 pi there, then it
+    and -sigma log n are rounded to float64 for cos, sin and exp."""
+    ln = np.log(n.astype(np.longdouble))
+    mag = np.exp((-s.real * ln).astype(float))
+    ang = s.imag * ln
+    ang -= _TWO_PI * np.rint(ang / _TWO_PI)
+    ang = ang.astype(float)
+    return mag * (np.cos(ang) - 1j * np.sin(ang)), mag
+
+
+def _powers_rel(s: np.ndarray, n: int) -> np.ndarray:
+    """Relative error of _powers at every n' <= n: the float64 exponent
+    (sigma log n / 2 eps), angle, cos/sin, exp and products (5 eps), and the
+    longdouble phase before its reduction (4 eps_ld |t| log n)."""
+    ln = math.log(n)
+    return (s.real * ln / 2 + 5) * _EPS + 4 * _EPS_LD * np.abs(s.imag) * ln
+
+
+def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray) -> np.ndarray:
+    """w[., a] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q) at units a
+    (0 elsewhere), one row per s-point of the column s_col, built in chunks of
+    _CHUNK units; adds each row's three error sums to sums (see _l_rows)."""
     q = group.q
-    units = group.structure.units()
-    a = np.array([1.0]) if q == 1 else units.astype(float) / q
-    phi = len(units)
+    a_all = np.array([1]) if q == 1 else group.structure.n_of_index
+    qs, qs_abs = _powers(s_col, np.array([q]))
+    # q^{-s} and its product with zeta(s, 1 + a/q) round within rel + eps
+    qs_abs, qs_rel = qs_abs[:, 0], _powers_rel(s_col[:, 0], q) + _EPS
+    w = np.zeros((len(s_col), q), dtype=complex)
+    for c in range(0, len(a_all), _CHUNK):
+        a = a_all[c:c + _CHUNK]
+        h, e = hurwitz(a)
+        sums[0] += qs_abs * (np.sum(e, axis=1) + qs_rel * np.sum(np.abs(h), axis=1))
+        d, mag = _powers(s_col, a)
+        sums[1] += np.sum(mag, axis=1)
+        h *= qs
+        h += d
+        w[:, a % q] = h
+        sums[2] += np.sum(np.abs(h), axis=1)
+    return w
+
+
+def _l_rows(group: CharacterGroup, s, tol: float, reduce):
+    """Yield (i, j, reduce(w), err) over runs of the s-points (a 1-D array) in
+    order, w the _weights rows of points i..j-1 and err the error of any
+    chi-weighted sum of a row, the rounding of its group transform included:
+      |q^{-s}| (sum_a e_a + rel sum_a |zeta|)   (Hurwitz part, e_a per entry)
+      + rel sum_a |a^{-s}|                      (Dirichlet polynomial)
+      + eps (log2 phi + 9) sum_a |w_a|          (weight and transform roundings),
+    rel the _powers_rel bound.  Raises PrecisionError at the first point, in
+    input order, whose err > tol, with best = ComplexApprox(its reduce(w) row, err).
+    """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    q, phi = group.q, group.phi
     pts = np.ravel(np.asarray(s, dtype=complex)).tolist()
-    # split the requested tolerance: the character sum sees phi Hurwitz terms
-    hz_tol = [tol * q ** z.real / (2 * phi) for z in pts]
-    try:
-        vals, hz_err = hurwitz_zeta_vector(s, a, tol=hz_tol)
-    except PrecisionError as e:
-        raise PrecisionError(
-            f"L(s, chi) mod {q} at s = {e.s:g}: requested tol {tol:g} unreachable "
-            f"(per-entry Hurwitz tol {hz_tol[pts.index(e.s)]:g}, "
-            f"achieved {e.best.abs_error:g})", best=e.best, s=e.s) from e
-    w = np.zeros(vals.shape[:-1] + (q,), dtype=complex)
-    w[..., units % q] = vals
-    # worst-case propagated error of any chi-weighted sum of these values
-    sum_err = phi * hz_err + rounding_bound(phi, np.sum(np.abs(vals), axis=-1))
-    return w, sum_err
-
-
-def _qpow_factor(q: int, s: complex) -> tuple[complex, float, float]:
-    """q^{-s}, its modulus and the relative rounding of computing it."""
-    v = complex(q) ** (-s)
-    rel = (abs(s) * math.log(q) + 4) * _EPS
-    return v, abs(v), rel
+    # analytic budget per Hurwitz entry: the Hurwitz part's remainders stay <= tol / 8
+    entry_tol = [tol * q ** z.real / (4 * phi) for z in pts]
+    for i, j, hurwitz in hurwitz_grid_runs(pts, q, phi, entry_tol):
+        s_col = np.array(pts[i:j])[:, None]
+        sums = np.zeros((3, j - i))
+        # w is reduce's only reference, so a transform can free it once read
+        out = reduce(_weights(group, s_col, hurwitz, sums))
+        parts = {"Hurwitz part": sums[0],
+                 "Dirichlet polynomial": _powers_rel(s_col[:, 0], q) * sums[1],
+                 "transform rounding": _EPS * sums[2] + rounding_bound(phi, sums[2])}
+        err = sum(parts.values())
+        for k in np.flatnonzero(err > tol)[:1]:
+            stage = max(parts, key=lambda name: parts[name][k])
+            split = ", ".join(f"{name} {v[k]:.3g}" for name, v in parts.items())
+            raise PrecisionError(
+                f"L(s, chi) mod {q} at s = {pts[i + k]:g}: requested tol {tol:g} unreachable "
+                f"(achieved {err[k]:.3g}: {split}; largest: {stage})",
+                best=ComplexApprox(out[k], float(err[k])), s=pts[i + k], stage=stage, q=q,
+                tol=tol, internal_tol=entry_tol[i + k])
+        yield i, j, out, err
+        del out  # not alive during the next run's transform
 
 
 def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexApprox:
     """L(s, chi) by the Hurwitz route; s = 1 handled via the digamma finite part.
 
-    Error bound = q^{-Re s} (phi * per-term Hurwitz error + summation model),
-    reported in the result.
+    The error bound is that of _l_rows, whose transform rounding term also
+    covers this direct chunked sum.
     """
     if chi.q != q:
         raise DomainError(f"character modulus {chi.q} does not match q = {q}")
@@ -114,33 +185,32 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
         total = chunked_sum(chivals * (-psi))
         err = (group.phi * psi_err + rounding_bound(group.phi, float(np.sum(np.abs(psi))))) / q
         return ComplexApprox(total / q, err)
-    w, sum_err = _unit_zeta_weights(group, s, tol)
-    total = chunked_sum(chivals * w[units % q])
-    qs, qs_abs, qs_rel = _qpow_factor(q, s)
-    value = qs * total
-    err = qs_abs * sum_err + abs(value) * qs_rel
-    return ComplexApprox(value, err)
+    ((_, _, (total,), err),) = _l_rows(group, s, tol,
+                                       lambda w: [chunked_sum(chivals * w[0, units % q])])
+    return ComplexApprox(total, float(err[0]))
 
 
 def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | None = None
                        ) -> tuple[np.ndarray, float | np.ndarray]:
     """L(s, chi) for every character mod q in group index order.
 
-    Returns (values, err): one shared Hurwitz vector, one fast transform, and
-    a single worst-case error bound valid for each entry.  For a 1-D array of
-    S points, ((S, phi) values, (S,) errs), row i equal to the call at s[i].
+    Returns (values, err): one shared weight vector per s-point, one fast
+    transform, and a single worst-case error bound valid for each entry.  For a
+    1-D array of S points, ((S, phi) values, (S,) errs), row i equal to the
+    call at s[i].
     """
     if q < 3:
         raise DomainError("l_values_all_chars requires q >= 3")
     if group is None:
         group = build_group(q)
-    w, sum_err = _unit_zeta_weights(group, s, tol)
-    t = group.transform(w)
-    qs, qs_abs, qs_rel = (np.reshape(v, np.shape(s) + (1,)) for v in zip(*(
-        _qpow_factor(q, z) for z in np.ravel(np.asarray(s, dtype=complex)).tolist())))
-    values = qs * t
-    err = qs_abs[..., 0] * sum_err + np.max(np.abs(values), axis=-1) * qs_rel[..., 0]
-    return values, (err if np.ndim(s) else float(err))
+    values = np.empty((np.size(s), group.phi), dtype=complex)
+    errs = np.empty(np.size(s))
+    for i, j, v, err in _l_rows(group, s, tol, group.transform):
+        values[i:j], errs[i:j] = v, err
+        del v  # not alive during the next run's transform
+    if np.ndim(s):
+        return values, errs
+    return values[0], float(errs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +227,10 @@ def _abs_l_columns(group: CharacterGroup, shifts, tol: float):
     pos = sorted({abs(t) for t in shifts})
     vals, errs = l_values_all_chars(group.q, 0.5 + 1j * np.array(pos), tol, group=group)
     absl = np.abs(vals)
+    del vals
+    if pos[0] == 0:  # |L(1/2, conj chi)| = |L(1/2, chi)|: the t = 0 column is made exactly so
+        absl[0] += absl[0][group.conjugation]
+        absl[0] /= 2
     rows = [pos.index(abs(t)) for t in shifts]
     return ([absl[i] if t >= 0 else absl[i][group.conjugation] for i, t in zip(rows, shifts)],
             [float(errs[i]) for i in rows])
@@ -175,8 +249,10 @@ def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     if k == 0:
         raw = float(size)
     else:
-        vals, _ = l_values_all_chars(q, 0.5, tol, group=group)
-        raw = float(chunked_sum(np.sort(np.abs(vals[mask]) ** (2 * k))))
+        absl = np.abs(l_values_all_chars(q, 0.5, tol, group=group)[0])[mask]
+        absl **= 2 * k
+        absl.sort()
+        raw = float(chunked_sum(absl))
     norm = q * math.log(q) ** (k * k)
     return MomentReport(q=q, k=k, family="star", raw=raw, normalization=norm,
                         ratio=raw / norm, eps=tol, family_size=size)
@@ -246,10 +322,11 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     total = np.zeros(size)
     clamped = np.zeros(size, dtype=bool)
     for col, err in zip(cols, errs):
-        absl = col[mask]
-        low = absl < err
-        with np.errstate(divide="ignore"):
-            lv = np.where(low, LOG_CLAMP, np.log(np.where(low, 1.0, absl)))
+        lv = col[mask]
+        low = lv < err
+        lv[low] = 1.0
+        np.log(lv, out=lv)
+        lv[low] = LOG_CLAMP
         total += lv
         clamped |= low
     counts = size - np.searchsorted(np.sort(total), v, side="left")

@@ -20,9 +20,24 @@ escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
 grown further.  An array of s-points is evaluated in input-order blocks of at
 most HZ_BLOCK term entries; each point keeps its own (N, M), and the rows and
 terms past them enter as exact zeros, so every row equals the one-point call.
-A pre-flight on the one column a = a_min (a lower bound on every error, so it
-refuses only past tol * (1 + 1e-9)) names the first point in input order that
-misses before an a-wide block is built for it or for a later point.
+The same block code runs in float64 or, with eps_ld in its float model, in
+longdouble.
+
+The L path needs zeta(s, 1 + a/q) at every unit a mod q, with an error per
+entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
+
+* Taylor in a (DLMF 25.11): zeta(s, c + d) = sum_k (-1)^k (s)_k/k!
+  zeta(s+k, c) d^k about J = 64 centres c_j = 1 + (j + 1/2)/J, so |d| <= 1/128.
+  The J K centre values come from the block code in clongdouble; each entry is
+  then a K-term float64 Horner sum in d = (2Ja - (2j+1)q)/(2Jq), an integer
+  ratio rounded once, with bound sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps
+  |C_k|) |d|^k plus the truncation bound of _taylor_terms;
+* direct Euler-Maclaurin at the float64 argument 1 + a/q, its rounding
+  included in the bound.
+
+By term count Taylor costs J K N + phi K against phi N for direct (N the
+Euler-Maclaurin rows), so small groups (the Mellin check's phi = 28) stay
+direct and large ones go through the centres.
 
 log Gamma (elementwise on arrays) shifts the argument up by the recurrence
 until Re z >= 10 and then applies Stirling with 9 Bernoulli terms; on
@@ -50,13 +65,17 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# B_2, B_4, ..., B_30 as exact ratios rounded to float
-_B2J = [
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6,
-    -23749461029 / 870, 8615841276005 / 14322,
+# B_2, B_4, ..., B_30 as exact ratios, and rounded to float
+_B2J_EXACT = [
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322),
 ]
-_B2J_FACT = np.array([b / math.factorial(2 * j) for j, b in enumerate(_B2J, 1)])  # B_2j/(2j)!
+_B2J = [n / d for n, d in _B2J_EXACT]
+# B_2j/(2j)! in float64, and in longdouble from the exact ratios
+_B2J_FACT = {np.float64: np.array([b / math.factorial(2 * j) for j, b in enumerate(_B2J, 1)]),
+             np.longdouble: np.array([np.longdouble(n) / np.longdouble(d * math.factorial(2 * j))
+                                      for j, (n, d) in enumerate(_B2J_EXACT, 1)])}
 _MAX_M = len(_B2J)  # 15
 HZ_BLOCK = 2 ** 16  # term entries (s-points x rows x a-values) evaluated at once
 
@@ -99,16 +118,20 @@ def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
     return n, m, _em_tail_bound(s, n + a_min, m)
 
 
-def _em_block(pts: list[complex], nmb: list[tuple[int, int, float]], a: np.ndarray):
-    """(values, errs, sums of |term|) at s-points pts, each with its own (N, M):
-    rows n >= N_i and Bernoulli terms j > M_i enter as exact zeros."""
-    s = np.array(pts)[:, None]
+def _em_block(pts, nmb: list[tuple[int, int, float]], a: np.ndarray):
+    """(values, errs, per-entry errs, sums of |term|) at s-points pts, each
+    with its own (N, M): rows n >= N_i and Bernoulli terms j > M_i enter as
+    exact zeros.  The
+    arithmetic, and the eps of the float model, follow a's dtype (float64 or
+    longdouble)."""
+    s = np.asarray(pts, dtype=np.result_type(a, complex))[:, None]
+    eps, bern = np.finfo(a.dtype).eps, _B2J_FACT[a.dtype.type]
     ns, tabs = np.array([n for n, _, _ in nmb]), np.abs(s.imag)
     # main sum in fixed row blocks, each reduced by np.sum; alongside it the
     # sums of |term| and |log(n+a)| |term| for the error model
     block, parts = 256, []
     for i0 in range(0, ns.max(), block):
-        idx = np.arange(i0, min(i0 + block, ns.max()), dtype=float)[:, None]
+        idx = np.arange(i0, min(i0 + block, ns.max()), dtype=a.dtype)[:, None]
         lg = np.log(idx + a[None, :])
         drop = idx[:, 0] >= ns[:, None]  # rows n >= N of points that stop here
         # exp in place, one (points, rows, len(a)) array alive at a time
@@ -132,8 +155,8 @@ def _em_block(pts: list[complex], nmb: list[tuple[int, int, float]], a: np.ndarr
     # factorials are one running product, terms j > M_i are zero
     ms = np.array([m for _, m, _ in nmb])[:, None]
     poch = np.cumprod(s + np.arange(2 * ms.max() - 1), axis=1)[:, ::2]
-    coef = np.where(np.arange(1, ms.max() + 1) <= ms, _B2J_FACT[:ms.max()] * poch, 0)
-    corr_abs = np.zeros(lg.shape)
+    coef = np.where(np.arange(1, ms.max() + 1) <= ms, bern[:ms.max()] * poch, 0)
+    corr_abs = np.zeros(lg.shape, dtype=a.dtype)
     for j in range(1, coef.shape[1] + 1):
         term = coef[:, j - 1:j] * np.exp((-s - 2 * j + 1) * lg)
         acc = acc + term
@@ -145,7 +168,27 @@ def _em_block(pts: list[complex], nmb: list[tuple[int, int, float]], a: np.ndarr
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
     per_entry = (depth * acc_abs + 2 * tabs * acc_wabs
                  + (2 * tabs * np.abs(lg) + 10) * tail_mag)
-    return acc, np.array([b for _, _, b in nmb]) + _EPS * per_entry.max(axis=1), acc_abs
+    analytic = np.array([b for _, _, b in nmb])
+    return (acc, analytic + float(eps) * per_entry.max(axis=1).astype(float),
+            analytic[:, None] + float(eps) * per_entry.astype(float), acc_abs)
+
+
+def _em_runs(pts, nmb, a: np.ndarray):
+    """_em_block over consecutive runs of points whose zero-padded term arrays
+    fit HZ_BLOCK entries, in input order: yields (i, j, block result)."""
+    i = 0
+    while i < len(pts):
+        n_run = np.maximum.accumulate([n for n, _, _ in nmb[i:]])
+        j = i + max(1, int(np.sum(np.arange(1, len(n_run) + 1) * n_run * a.size <= HZ_BLOCK)))
+        yield i, j, _em_block(pts[i:j], nmb[i:j], a)
+        i = j
+
+
+def _check_s(s: np.ndarray) -> None:
+    if np.any(s == 1):
+        raise PoleError("zeta(s, a) has its pole at s = 1")
+    if np.any(s.real <= 0):
+        raise DomainError("hurwitz_zeta requires Re s > 0")
 
 
 def hurwitz_zeta_vector(s, a: np.ndarray, tol=1e-12) -> tuple[np.ndarray, float | np.ndarray]:
@@ -155,41 +198,149 @@ def hurwitz_zeta_vector(s, a: np.ndarray, tol=1e-12) -> tuple[np.ndarray, float 
     the smallest a plus the float model maximised over a.  An array of S points
     s (tol: a scalar or one per point) gives ((S, len(a)) values, (S,) errs),
     row i bit-identical to the call at s[i].  Raises PrecisionError naming the
-    first s whose bound misses tol, decided where possible by the pre-flight at
-    a_min alone (a lower bound), past a margin tol * 1e-9 for its summation order.
+    first s whose bound misses tol; later points are not evaluated.
     """
     scalar, s = np.ndim(s) == 0, np.atleast_1d(np.asarray(s, dtype=complex))
     tols = np.broadcast_to(np.asarray(tol, dtype=float), s.shape)
     a = np.asarray(a, dtype=float)
-    if np.any(s == 1):
-        raise PoleError("zeta(s, a) has its pole at s = 1")
-    if np.any(s.real <= 0):
-        raise DomainError("hurwitz_zeta requires Re s > 0")
+    _check_s(s)
     if a.size and (np.any(a <= 0) or np.any(a > 1)):
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if a.size and not np.all(tols > 0):
         raise DomainError("tol must be positive")
     pts, a_min = s.tolist(), float(a.min(initial=1.0))
     nmb = [_em_choose(z, a_min, t) for z, t in zip(pts, tols.tolist())] if a.size else []
-    k = best = None
-    if nmb:
-        # a lower bound on the full error; the margin covers its other row-sum order's ulps
-        pre, pre_errs, _ = _em_block(pts, nmb, np.array([a_min]))
-        for k in np.flatnonzero(pre_errs > tols * (1 + 1e-9))[:1]:
-            best = ComplexApprox(complex(pre[k, 0]), float(pre_errs[k]))
-    vals, errs, i = np.empty((s.size, a.size), dtype=complex), np.zeros(s.size), 0
-    while i < (len(nmb) if k is None else k):
-        # the longest run of points whose zero-padded term array fits HZ_BLOCK
-        n_run = np.maximum.accumulate([n for n, _, _ in nmb[i:k]])
-        j = i + max(1, int(np.sum(np.arange(1, len(n_run) + 1) * n_run * a.size <= HZ_BLOCK)))
-        vals[i:j], errs[i:j], acc_abs = _em_block(pts[i:j], nmb[i:j], a)
-        for k in np.flatnonzero(errs[i:j] > tols[i:j])[:1] + i:
+    vals, errs = np.empty((s.size, a.size), dtype=complex), np.zeros(s.size)
+    for i, j, (v, e, _, acc_abs) in _em_runs(pts, nmb, a):
+        vals[i:j], errs[i:j] = v, e
+        for k in np.flatnonzero(e > tols[i:j])[:1] + i:
             best = ComplexApprox(complex(vals[k, np.argmax(acc_abs[k - i])]), float(errs[k]))
-        i = j
-    if best is not None:
-        raise PrecisionError(f"zeta(s, a) at s = {pts[k]:g}: requested tol {tols[k]:g} "
-                             f"unreachable (achieved {best.abs_error:g})", best=best, s=pts[k])
+            raise PrecisionError(f"zeta(s, a) at s = {pts[k]:g}: requested tol {tols[k]:g} "
+                                 f"unreachable (achieved {best.abs_error:g})",
+                                 best=best, s=pts[k], tol=float(tols[k]))
     return (vals[0], float(errs[0])) if scalar else (vals, errs)
+
+
+# ---------------------------------------------------------------------------
+# zeta(s, 1 + a/q) on the uniform grid, for the L path
+
+TAYLOR_J = 64  # Taylor centres c_j = 1 + (j + 1/2)/J, so every offset |d| <= 1/(2J)
+_TAYLOR_MAX_K = 40
+
+
+def _taylor_terms(s: complex, tol: float, k_max: int) -> tuple[int, float] | None:
+    """(K, bound) for the fewest Taylor terms K <= k_max whose truncation bound
+    at every offset |d| <= delta = 1/(2J) is <= tol / 4, or None.
+
+    For k >= K, |(s)_{k+1}/(k+1)!| / |(s)_k/k!| = |s+k|/(k+1) <= rho =
+    max(|s+K|/(K+1), 1); zeta(sigma+k+1, c) <= zeta(sigma+k, c) for c >= 1;
+    and zeta(sigma+K, c) <= 1 + 1/(sigma+K-1).  So the omitted terms sum to at
+    most |(s)_K/K!| (1 + 1/(sigma+K-1)) delta^K / (1 - rho delta).
+    """
+    if k_max < 2:
+        return None
+    delta, r = 0.5 / TAYLOR_J, 1.0
+    for k in range(k_max + 1):
+        rho = max(abs(s + k) / (k + 1), 1.0)
+        if k >= 2 and rho * delta < 1:
+            bound = r * (1 + 1 / (s.real + k - 1)) * delta ** k / (1 - rho * delta)
+            if bound <= tol / 4:
+                return k, bound
+        r *= abs(s + k) / (k + 1)
+    return None
+
+
+def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
+    """Evaluator a -> (values, errs) of the K-term Taylor sum of zeta(s, c_j + d)
+    = sum_k (-1)^k (s)_k/k! zeta(s+k, c_j) d^k (DLMF 25.11) at the integers a.
+
+    The J*K centre values come from _em_block in clongdouble.  Each entry's
+    bound is sum_k B[k, j] |d|^k + the truncation bound, with B[k, j] the
+    centre error weighted by |(s)_k/k!| plus 2K + 5 eps per |C_k|: the float64
+    Horner sum, the rounding of C_k to complex128 and of d.
+    """
+    centres = 1 + (np.arange(TAYLOR_J, dtype=np.longdouble) + 0.5) / TAYLOR_J
+    ks = np.arange(k_terms)
+    pts = np.clongdouble(s) + ks  # exact in longdouble
+    nmb = [_em_choose(complex(z), 1 + 0.5 / TAYLOR_J, tol) for z in pts.tolist()]
+    zeta = np.empty((k_terms, TAYLOR_J), dtype=np.clongdouble)
+    zerr = np.empty((k_terms, TAYLOR_J))
+    for i, j, (v, _, e, _) in _em_runs(pts, nmb, centres):
+        zeta[i:j], zerr[i:j] = v, e
+    # (-1)^k (s)_k / k! as one running product
+    r = np.cumprod(np.concatenate([[1], -pts[:-1] / ks[1:]]))[:, None]
+    coef = r * zeta
+    c64 = coef.astype(complex)
+    bound = ((np.abs(r).astype(float) * zerr + (2 * k_terms + 5) * _EPS * np.abs(coef).astype(float))
+             * (1 + 4 * k_terms * _EPS))
+
+    def evaluate(a: np.ndarray):
+        j = a * TAYLOR_J // q
+        d = (2 * TAYLOR_J * a - (2 * j + 1) * q) / (2 * TAYLOR_J * q)  # one rounding
+        ad = np.abs(d)
+        val, err = c64[-1][j], bound[-1][j]
+        for k in range(k_terms - 2, -1, -1):
+            val *= d
+            val += c64[k][j]
+            err *= ad
+            err += bound[k][j]
+        return val[None], err[None] + tail
+
+    return evaluate
+
+
+def _direct(pts: list[complex], nmb, q: int):
+    """Evaluator a -> (values, errs) of Euler-Maclaurin at the float64 x = 1 + a/q.
+
+    x is within 2 eps of 1 + a/q (two roundings), which moves zeta by at most
+    |s| zeta(sigma + 1, 1) 2 eps <= |s| (1 + 1/sigma) 2 eps; that is added to
+    each entry's bound.
+    """
+    shift = np.array([2 * _EPS * abs(z) * (1 + 1 / z.real) for z in pts])[:, None]
+    # a-values per block, so that even one point's row block fits HZ_BLOCK
+    width = max(1, HZ_BLOCK // min(256, max(n for n, _, _ in nmb)))
+
+    def evaluate(a: np.ndarray):
+        x = 1 + a / q
+        vals = np.empty((len(pts), a.size), dtype=complex)
+        errs = np.empty((len(pts), a.size))
+        for c in range(0, a.size, width):
+            for i, j, (v, _, e, _) in _em_runs(pts, nmb, x[c:c + width]):
+                vals[i:j, c:c + width], errs[i:j, c:c + width] = v, e
+        return vals, errs + shift
+
+    return evaluate
+
+
+def hurwitz_grid_runs(s, q: int, count: int, tols):
+    """zeta(s, 1 + a/q) at integers 1 <= a <= q, with a bound per entry.
+
+    s is a 1-D array of points and tols the per-entry analytic targets, one
+    per point; count is the number of a-values the caller evaluates.  Each
+    point takes the cheaper of two routes, by term count: the K-term Taylor
+    expansion about J centres (J K N + count K) or direct Euler-Maclaurin
+    (count N), N the Euler-Maclaurin rows.  Yields (i, j, evaluate) in input
+    order: points i..j-1 share the evaluator, a -> ((j-i, len(a)) values,
+    per-entry errors).  Consecutive direct points run together, at most
+    HZ_BLOCK / 16 entries' worth; a Taylor point runs alone.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    _check_s(s)
+    pts = s.tolist()
+    nmb = [_em_choose(z, 1 + 1 / q, t) for z, t in zip(pts, tols)]
+    # Taylor wins while J K N + count K < count N
+    terms = [_taylor_terms(z, t, min(_TAYLOR_MAX_K, -(-count * n // (TAYLOR_J * n + count)) - 1))
+             for z, t, (n, _, _) in zip(pts, tols, nmb)]
+    i = 0
+    while i < len(pts):
+        if terms[i] is not None:
+            yield i, i + 1, _taylor(pts[i], *terms[i], tols[i], q)
+            i += 1
+            continue
+        j = next((j for j in range(i, len(pts)) if terms[j] is not None), len(pts))
+        j = min(j, i + max(1, HZ_BLOCK // (16 * count)))
+        yield i, j, _direct(pts[i:j], nmb[i:j], q)
+        i = j
 
 
 def hurwitz_zeta(s: complex, a: float, tol: float = 1e-12) -> ComplexApprox:

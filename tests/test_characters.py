@@ -240,6 +240,23 @@ def test_transform_matches_naive(q):
         assert abs(fast[i] - naive) < 1e-11, (q, i)
 
 
+@pytest.mark.parametrize("q", [29, 1009, 10007, 5040, 2 * 3 ** 7])
+def test_prime_power_split_transform_against_direct_sums(q):
+    """The full transform runs every cyclic component over its prime-power
+    factors (Good-Thomas); sampled characters, in index order, match their
+    direct sums sum_a chi(a) w[a]."""
+    g = build_group(q)
+    dims = g._prime_power_split[1]
+    assert all(len(factorize(P).factors) == 1 for P in dims)
+    assert len(dims) > len(g.structure.dims)  # every modulus here splits
+    rng = np.random.default_rng(q)
+    w = rng.normal(size=q) + 1j * rng.normal(size=q)
+    fast = g.transform(w)
+    for i in {0, 1, len(g) // 3, len(g) // 2, len(g) - 1}:
+        naive = np.dot(g.value_table(i), w)
+        assert abs(fast[i] - naive) <= rounding_bound(len(g), float(np.sum(np.abs(w)))), (q, i)
+
+
 def test_transform_complex_weights():
     q = 13
     g = build_group(q)

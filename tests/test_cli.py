@@ -64,12 +64,13 @@ def test_unreachable_tol_exits_one(capsys, tmp_path):
 
 
 def test_precision_refusal_names_the_requested_tol(capsys, tmp_path):
-    # the default tol is 1e-10; the per-entry Hurwitz tol derived from it is smaller
+    # 1e-14 is below what float64 certifies at q = 100003; the per-entry
+    # Hurwitz target derived from it is smaller still
     code, _, err = invoke(capsys, "l-moment", "--q", "100003", "--k", "1",
-                          "--out", str(tmp_path))
+                          "--tol", "1e-14", "--out", str(tmp_path))
     assert code == 1
     assert err.startswith("thetamoments: precision:")
-    assert "1e-10" in err and "100003" in err
+    assert "1e-14" in err and "100003" in err
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +302,46 @@ def _traced_peak(capsys, tmp_path, command, q):
         tracemalloc.stop()
     assert code == 0 or err.startswith("thetamoments: precision:"), err
     return peak
+
+
+_RSS_CHILD = """
+import sys, tempfile
+import numpy as np
+from thetamoments.characters import build_group
+from thetamoments.cli import run
+kind, q, rows, args = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+if kind == "request":
+    assert run(args + ["--q", str(q), "--out", tempfile.mkdtemp()]) == 0
+else:  # what the request holds however it evaluates L
+    g = build_group(q)
+    tables = g.family_mask("star"), g.conjugation
+    values = np.ones((rows, g.phi), dtype=complex)
+print(next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM")))
+"""
+
+
+def _child_peak_mb(*argv):
+    """Peak resident set of a fresh child in MB: VmHWM, not ru_maxrss, which
+    after a vfork-style spawn also counts the spawning process's own peak."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetamoments.__file__))}
+    done = subprocess.run([sys.executable, "-c", _RSS_CHILD, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return int(done.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("args,rows", [(("l-moment", "--k", "1"), 1),
+                                       (("shifted-moment", "--shifts", "0,35"), 2)])
+def test_certified_l_request_peak_rss(args, rows):
+    """The peak RSS of a certified q = 100003 request, in a child process,
+    stays within 6.5 MB of a child that builds the group, the family tables
+    and the request's complex output rows (16 phi bytes each).  tracemalloc
+    does not see pocketfft's buffers: a single length-100002 transform would
+    add about 15 MB here."""
+    q = 100003
+    base = _child_peak_mb("base", q, rows)
+    peak = _child_peak_mb("request", q, rows, *args)
+    assert peak <= base + 6.5, (base, peak)
 
 
 @pytest.mark.parametrize("command", sorted(_MEMORY_ARGS))

@@ -1,5 +1,6 @@
 """L-values and family aggregates: goldens, honesty, symmetries, majorant."""
 
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from thetamoments import lfunc, specfun
+from thetamoments import lfunc
 from thetamoments.characters import build_group
 from thetamoments.errors import DomainError, PoleError, PrecisionError
 from thetamoments.lfunc import (
@@ -39,6 +40,50 @@ def mp_l_values(q, chars, s):
     qs = mp.power(q, -mp.mpc(s))
     return [complex(qs * mp.fsum(mp_chi(chi, a) * z for a, z in zip(units, zetas)))
             for chi in chars]
+
+
+def _ld(x):
+    """An mpmath real as a longdouble, through its decimal string."""
+    return np.longdouble(mp.nstr(x, 25))
+
+
+@functools.lru_cache
+def _taylor_coefficients(s, centres, terms):
+    """(-1)^k (s)_k/k! zeta(s + k, c_j) as a (terms, centres) longdouble array."""
+    sm = mp.mpc(s)
+    coef = [[(-1) ** k * mp.rf(sm, k) / mp.factorial(k)
+             * mp.zeta(sm + k, 1 + (j + mp.mpf(0.5)) / centres) for j in range(centres)]
+            for k in range(terms)]
+    return np.array([[_ld(c.real) + 1j * _ld(c.imag) for c in row] for row in coef])
+
+
+def mp_l_values_taylor(q, chars, s, centres=32, terms=12):
+    """Oracle for larger q, with the structure of mp_l_values (one weight
+    vector over the units, shared by every chi in `chars`) but cheaper entries:
+    zeta(s, a/q) = (a/q)^{-s} + zeta(s, 1 + a/q), the second part a Taylor sum
+    about the nearest of `centres` points c_j = 1 + (j + 1/2)/J with mpmath's
+    zeta(s + k, c_j).  At |d| <= 1/64 and |s| < 3 the omitted terms are below
+    1e-20; the weights, character values and sums are formed in longdouble."""
+    sm = mp.mpc(s)
+    coef = _taylor_coefficients(s, centres, terms)
+    units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+    j = units * centres // q
+    d = (2 * centres * units - (2 * j + 1) * q).astype(np.longdouble) / (2 * centres * q)
+    hz = coef[-1][j]
+    for row in coef[-2::-1]:
+        hz = hz * d + row[j]
+    ln = np.log(units.astype(np.longdouble))
+    qs = _ld(mp.re(mp.power(q, -sm))) + 1j * _ld(mp.im(mp.power(q, -sm)))
+    w = np.exp(-(_ld(mp.re(sm)) + 1j * _ld(mp.im(sm))) * ln) + qs * hz
+    group = chars[0].group
+    e, dims = group.structure.exponent, group.structure.dims
+    m = np.unravel_index(group.structure.index_of_n[units], dims)
+    out = []
+    for chi in chars:
+        t = sum(ml * jl * (e // dl) for ml, jl, dl in zip(m, chi.exponents, dims)) % e
+        chi_a = np.exp(1j * (2 * _ld(mp.pi) / e) * t.astype(np.longdouble))
+        out.append(complex(np.sum(chi_a * w)))
+    return out
 
 
 def quadratic_char(q):
@@ -121,6 +166,35 @@ def test_l_value_domain_checks():
         l_values_all_chars(2, 0.5)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_all_chars_and_aggregates_reject_a_nonpositive_tol(tol):
+    """The shared L path checks tol before any Hurwitz entry is chosen."""
+    with pytest.raises(DomainError, match="tol must be positive"):
+        l_values_all_chars(13, 0.5, tol=tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        central_moment(13, 1, tol=tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        shifted_moment(13, (0.0, 3.0), tol=tol)
+
+
+def test_refusal_carries_the_best_effort_value():
+    """A refused L request keeps its result and the bound that missed."""
+    g = build_group(13)
+    chi = g.char(1)
+    ok = l_value(13, chi, 0.5 + 3j)
+    with pytest.raises(PrecisionError) as exc:
+        l_value(13, chi, 0.5 + 3j, tol=1e-18)
+    best = exc.value.best
+    assert best.abs_error > 1e-18
+    assert abs(best.value - ok.value) <= best.abs_error + ok.abs_error
+    vals, err = l_values_all_chars(13, 0.5 + 3j, group=g)
+    with pytest.raises(PrecisionError) as exc:
+        l_values_all_chars(13, 0.5 + 3j, tol=1e-18, group=g)
+    best = exc.value.best
+    assert best.value.shape == (len(g),) and best.abs_error > 1e-18
+    assert np.max(np.abs(best.value - vals)) <= best.abs_error + err
+
+
 @pytest.mark.parametrize("q", [5, 7, 9, 12, 1009, 5040])
 def test_honest_against_mpmath(q):
     """Implementation minus oracle stays within the reported bound: every
@@ -136,6 +210,48 @@ def test_honest_against_mpmath(q):
         refs = mp_l_values(q, [g.char(i) for i in idx], s)
         for i, ref in zip(idx, refs):
             assert abs(vals[i] - ref) <= err
+
+
+def test_honest_at_q_10007_against_mpmath():
+    """Four characters mod 10007 against the Taylor oracle, itself checked
+    against the direct one mod 101.  (mpmath's zeta at all 10^4 units would
+    take about 25 s.)"""
+    s = 0.5 + 2.7j
+    g = build_group(101)
+    chars = [g.char(i) for i in (1, 50, 99)]
+    for got, ref in zip(mp_l_values_taylor(101, chars, s), mp_l_values(101, chars, s)):
+        assert abs(got - ref) < 1e-14
+    q = 10007
+    g = build_group(q)
+    idx = (1, len(g) // 3, len(g) // 2, len(g) - 1)
+    vals, err = l_values_all_chars(q, s, group=g)
+    assert err <= 1e-10
+    for i, ref in zip(idx, mp_l_values_taylor(q, [g.char(i) for i in idx], s)):
+        assert abs(vals[i] - ref) <= err, (i, abs(vals[i] - ref), err)
+
+
+def _principal_l(q, s):
+    """L(s, chi_0) mod prime q = (1 - q^{-s}) zeta(s), in mpmath."""
+    s = mp.mpc(s)
+    return complex((1 - mp.power(q, -s)) * mp.zeta(s))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="the Taylor centres need an extended longdouble to certify here")
+def test_certifies_at_q_100003_and_height_35():
+    q, s = 100003, 0.5 + 35j
+    vals, err = l_values_all_chars(q, s)
+    assert err <= 1e-10
+    assert abs(vals[0] - _principal_l(q, s)) <= err
+
+
+def test_bound_holds_at_q_100003_and_height_35():
+    """Never skipped: at a tol float64 arithmetic certifies anywhere, the
+    principal character stays within the reported bound."""
+    q, s = 100003, 0.5 + 35j
+    vals, err = l_values_all_chars(q, s, tol=1e-8)
+    assert err <= 1e-8
+    assert abs(vals[0] - _principal_l(q, s)) <= err
 
 
 def test_all_chars_matches_single():
@@ -162,7 +278,7 @@ def test_all_chars_batch_equals_rows(q):
 
 def test_all_chars_batch_refusal_names_the_point():
     q = 1009
-    s = np.array([0.5 + 1j, 0.5 + 2j, 0.5 + 40j, 0.5 + 45j])
+    s = np.array([0.5 + 1j, 0.5 + 2j, 0.5 + 200j, 0.5 + 400j])
     with pytest.raises(PrecisionError) as batch:
         l_values_all_chars(q, s)
     with pytest.raises(PrecisionError) as one:
@@ -172,25 +288,24 @@ def test_all_chars_batch_refusal_names_the_point():
     assert f"at s = {s[2]:g}: requested tol 1e-10" in str(batch.value)
 
 
-def test_refusal_is_decided_before_the_phi_wide_evaluation(monkeypatch):
-    """A refused q = 100003 call allocates O(phi), not the (rows x phi) term arrays."""
+def test_refusal_at_q_100003_names_the_tol_and_stays_small():
+    """A tol below what float64 certifies at q = 100003 is refused with the
+    caller's tol, the error split and the stage that dominates, and the refused
+    call allocates O(phi)."""
     g = build_group(100003)
-    widths = []
-    evaluate = specfun._em_block
-
-    def recording(pts, nmb, a):
-        widths.append(len(a))
-        return evaluate(pts, nmb, a)
-
-    monkeypatch.setattr(specfun, "_em_block", recording)
     tracemalloc.start()
     try:
-        with pytest.raises(PrecisionError, match="requested tol 1e-10"):
-            l_values_all_chars(100003, 0.5, group=g)
+        with pytest.raises(PrecisionError, match="requested tol 1e-14") as exc:
+            l_values_all_chars(100003, 0.5, tol=1e-14, group=g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert widths == [1]
+    e = exc.value
+    assert (e.q, e.tol, e.s) == (100003, 1e-14, 0.5)
+    assert e.stage in ("Hurwitz part", "Dirichlet polynomial", "transform rounding")
+    assert f"largest: {e.stage}" in str(e) and 0 < e.internal_tol < e.tol
+    assert all(name in str(e) for name in ("Hurwitz part", "Dirichlet polynomial", "transform"))
+    assert e.best.value.shape == (g.phi,) and e.best.abs_error > e.tol
     assert peak <= 8 * 2 ** 20, peak
 
 

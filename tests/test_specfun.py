@@ -134,8 +134,7 @@ def test_vector_of_s_refuses_at_the_first_infeasible_point(monkeypatch):
     with pytest.raises(PrecisionError) as one:
         hurwitz_zeta_vector(s[2], a, 1e-40)
     assert exc.value.best == one.value.best
-    # one point per block: the single-column pre-flight over every point refuses
-    # s[2], so only the blocks before it are evaluated at full width
+    # one point per block: evaluation stops at the block that refuses s[2]
     blocks = []
     evaluate = specfun._em_block
 
@@ -147,8 +146,7 @@ def test_vector_of_s_refuses_at_the_first_infeasible_point(monkeypatch):
     monkeypatch.setattr(specfun, "_em_block", recording)
     with pytest.raises(PrecisionError):
         hurwitz_zeta_vector(s, a, tols)
-    assert blocks[0] == (s.tolist(), [a.min()])
-    assert blocks[1:] == [([z], a.tolist()) for z in s[:2].tolist()]
+    assert blocks == [([z], a.tolist()) for z in s[:3].tolist()]
 
 
 def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
@@ -197,6 +195,48 @@ def test_pre_flight_refuses_exactly_what_the_full_evaluation_refuses(q):
             for row, err, z, t in zip(vals, errs, s.tolist(), tols.tolist()):
                 one, one_err = hurwitz_zeta_vector(z, a, t)
                 assert np.array_equal(row, one) and err == one_err
+
+
+def _grid_route(monkeypatch, s, q, tol):
+    """(evaluate, route) of hurwitz_grid_runs for the one point s over the units mod prime q."""
+    routes = []
+    for name in ("_taylor", "_direct"):
+        fn = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, lambda *a, _fn=fn, _name=name: routes.append(_name) or _fn(*a))
+    ((i, j, evaluate),) = specfun.hurwitz_grid_runs([s], q, q - 1, [tol])
+    return evaluate, routes
+
+
+@pytest.mark.parametrize("t", [0.0, 35.0, 50.0])
+def test_unit_grid_entries_within_their_own_bounds(monkeypatch, t):
+    """zeta(s, 1 + a/q) at q = 100003 (the Taylor route) against mpmath on 67
+    sampled entries, the extremes and a cell edge among them: each deviation
+    stays within that entry's own bound."""
+    q, s = 100003, complex(0.5, t)
+    tol = 1e-10 * q ** 0.5 / (4 * (q - 1))  # the L path's per-entry target at tol 1e-10
+    evaluate, routes = _grid_route(monkeypatch, s, q, tol)
+    assert routes == ["_taylor"]
+    rng = np.random.default_rng(int(t) + 1)
+    a = np.concatenate([[1, q - 1, q // specfun.TAYLOR_J], rng.integers(2, q - 1, 64)])
+    vals, errs = evaluate(a)
+    assert vals.shape == errs.shape == (1, len(a))
+    for ai, v, e in zip(a.tolist(), vals[0], errs[0]):
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag), 1 + mp.mpf(ai) / q))
+        assert abs(v - ref) <= e, (ai, abs(v - ref), e)
+        assert e < 1e-13
+
+
+def test_unit_grid_direct_route_within_bounds(monkeypatch):
+    """At small phi the grid takes direct Euler-Maclaurin at the float64
+    argument 1 + a/q; the bound covers that argument's rounding too."""
+    q, s = 29, 0.5 - 35j
+    evaluate, routes = _grid_route(monkeypatch, s, q, 1e-12)
+    assert routes == ["_direct"]
+    a = np.arange(1, q)
+    vals, errs = evaluate(a)
+    for ai, v, e in zip(a.tolist(), vals[0], errs[0]):
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag), 1 + mp.mpf(ai) / q))
+        assert abs(v - ref) <= e, (ai, abs(v - ref), e)
 
 
 def test_pole_and_domain_errors():
