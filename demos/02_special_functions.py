@@ -26,8 +26,8 @@ for s, a, target, label in cases:
         f"  bound {z.abs_error:.1e}"
     )
 
-# The vector interface shares the Euler-Maclaurin setup across many abscissas:
-# this is the shape the L-value code uses (one call per modulus, not per a).
+# The vector interface shares one Euler-Maclaurin truncation (N, M) across many
+# abscissas and reports one error bound for all of them.
 a = np.arange(1, 8) / 7.0
 vals, err = hurwitz_zeta_vector(0.5 + 1j, a)
 print(f"\nzeta(1/2 + i, a/7) for a = 1..7: shared error bound {err:.1e}")

@@ -82,9 +82,6 @@ class ShiftTuple:
         return [(i, j, abs(t[i] - t[j]))
                 for i in range(len(t)) for j in range(i + 1, len(t))]
 
-    def negated(self) -> "ShiftTuple":
-        return ShiftTuple(tuple(-t for t in self.shifts))
-
     @staticmethod
     def is_close(delta: float) -> bool:
         return abs(delta) <= CLOSE_THRESHOLD

@@ -203,6 +203,8 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
         raise DomainError("l_values_all_chars requires q >= 3")
     if group is None:
         group = build_group(q)
+    if group.q != q:
+        raise DomainError(f"group modulus {group.q} does not match q = {q}")
     values = np.empty((np.size(s), group.phi), dtype=complex)
     errs = np.empty(np.size(s))
     for i, j, v, err in _l_rows(group, s, tol, group.transform):

@@ -41,10 +41,6 @@ class MomentReport:
     eps: float
     family_size: int
 
-    @property
-    def empty_family(self) -> bool:
-        return self.family_size == 0
-
     def row(self) -> tuple:
         return (self.q, self.k, self.family, self.raw, self.normalization,
                 self.ratio, self.eps, self.family_size)

@@ -17,11 +17,12 @@ zeta(s, a) uses Euler-Maclaurin directly: sum_{n<N} (n+a)^{-s}
 with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
 escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
-grown further.  An array of s-points is evaluated in input-order blocks of at
-most HZ_BLOCK term entries; each point keeps its own (N, M), and the rows and
-terms past them enter as exact zeros, so every row equals the one-point call.
-The same block code runs in float64 or, with eps_ld in its float model, in
-longdouble.
+grown further.  _em_runs is the one tiling of this work: runs of s-points in
+input order, each run's a-values in column tiles of at most HZ_BLOCK term
+entries (points x min(N, EM_ROWS) x columns).  Each point keeps its own (N, M),
+with the rows and terms past them as exact zeros, so every row equals the
+one-point evaluation.  The same block code runs in float64 or, with eps_ld in
+its float model, in longdouble.
 
 The L path needs zeta(s, 1 + a/q) at every unit a mod q, with an error per
 entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
@@ -78,6 +79,7 @@ _B2J_FACT = {np.float64: np.array([b / math.factorial(2 * j) for j, b in enumera
                                       for j, (n, d) in enumerate(_B2J_EXACT, 1)])}
 _MAX_M = len(_B2J)  # 15
 HZ_BLOCK = 2 ** 16  # term entries (s-points x rows x a-values) evaluated at once
+EM_ROWS = 256  # Euler-Maclaurin rows summed per step of _em_block
 
 
 @dataclass(frozen=True)
@@ -119,19 +121,18 @@ def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
 
 
 def _em_block(pts, nmb: list[tuple[int, int, float]], a: np.ndarray):
-    """(values, errs, per-entry errs, sums of |term|) at s-points pts, each
-    with its own (N, M): rows n >= N_i and Bernoulli terms j > M_i enter as
-    exact zeros.  The
+    """(values, per-entry errs) at s-points pts, each with its own (N, M):
+    rows n >= N_i and Bernoulli terms j > M_i enter as exact zeros.  The
     arithmetic, and the eps of the float model, follow a's dtype (float64 or
     longdouble)."""
     s = np.asarray(pts, dtype=np.result_type(a, complex))[:, None]
     eps, bern = np.finfo(a.dtype).eps, _B2J_FACT[a.dtype.type]
     ns, tabs = np.array([n for n, _, _ in nmb]), np.abs(s.imag)
-    # main sum in fixed row blocks, each reduced by np.sum; alongside it the
-    # sums of |term| and |log(n+a)| |term| for the error model
-    block, parts = 256, []
-    for i0 in range(0, ns.max(), block):
-        idx = np.arange(i0, min(i0 + block, ns.max()), dtype=a.dtype)[:, None]
+    # main sum in blocks of EM_ROWS rows, each reduced by np.sum; alongside it
+    # the sums of |term| and |log(n+a)| |term| for the error model
+    parts = []
+    for i0 in range(0, ns.max(), EM_ROWS):
+        idx = np.arange(i0, min(i0 + EM_ROWS, ns.max()), dtype=a.dtype)[:, None]
         lg = np.log(idx + a[None, :])
         drop = idx[:, 0] >= ns[:, None]  # rows n >= N of points that stop here
         # exp in place, one (points, rows, len(a)) array alive at a time
@@ -164,61 +165,59 @@ def _em_block(pts, nmb: list[tuple[int, int, float]], a: np.ndarray):
 
     # float model: pairwise-summation depth times accumulated magnitude, plus
     # the exp-argument (angle) error ~ |Im s| |log(n+a)| eps per term
-    depth = np.array([[math.log2(min(n, block) + 1) + -(-n // block) + 8] for n in ns])
+    depth = np.array([[math.log2(min(n, EM_ROWS) + 1) + -(-n // EM_ROWS) + 8] for n in ns])
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
     per_entry = (depth * acc_abs + 2 * tabs * acc_wabs
                  + (2 * tabs * np.abs(lg) + 10) * tail_mag)
-    analytic = np.array([b for _, _, b in nmb])
-    return (acc, analytic + float(eps) * per_entry.max(axis=1).astype(float),
-            analytic[:, None] + float(eps) * per_entry.astype(float), acc_abs)
+    analytic = np.array([b for _, _, b in nmb])[:, None]
+    return acc, analytic + float(eps) * per_entry.astype(float)
 
 
 def _em_runs(pts, nmb, a: np.ndarray):
-    """_em_block over consecutive runs of points whose zero-padded term arrays
-    fit HZ_BLOCK entries, in input order: yields (i, j, block result)."""
+    """The one tiling of Euler-Maclaurin work: yields (i, j, columns, _em_block
+    result) over runs of points i..j-1 in input order and column slices of a,
+    with points x min(N, EM_ROWS) x columns <= HZ_BLOCK (a lone point always fits)."""
     i = 0
     while i < len(pts):
-        n_run = np.maximum.accumulate([n for n, _, _ in nmb[i:]])
-        j = i + max(1, int(np.sum(np.arange(1, len(n_run) + 1) * n_run * a.size <= HZ_BLOCK)))
-        yield i, j, _em_block(pts[i:j], nmb[i:j], a)
+        rows = np.minimum(np.maximum.accumulate([n for n, _, _ in nmb[i:]]), EM_ROWS)
+        width = max(1, min(a.size, HZ_BLOCK // rows[0]))
+        j = i + max(1, int(np.sum(np.arange(1, len(rows) + 1) * rows * width <= HZ_BLOCK)))
+        for c in range(0, a.size, width):
+            yield i, j, slice(c, c + width), _em_block(pts[i:j], nmb[i:j], a[c:c + width])
         i = j
 
 
-def _check_s(s: np.ndarray) -> None:
+def _check_s(s) -> None:
     if np.any(s == 1):
         raise PoleError("zeta(s, a) has its pole at s = 1")
     if np.any(s.real <= 0):
         raise DomainError("hurwitz_zeta requires Re s > 0")
 
 
-def hurwitz_zeta_vector(s, a: np.ndarray, tol=1e-12) -> tuple[np.ndarray, float | np.ndarray]:
-    """zeta(s, a) for an array of a in (0, 1]; returns (values, error bound).
+def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, float]:
+    """zeta(s, a) at one point s for an array of a in (0, 1]: (values, error bound).
 
-    The error bound is one worst-case figure for every entry: the remainder at
-    the smallest a plus the float model maximised over a.  An array of S points
-    s (tol: a scalar or one per point) gives ((S, len(a)) values, (S,) errs),
-    row i bit-identical to the call at s[i].  Raises PrecisionError naming the
-    first s whose bound misses tol; later points are not evaluated.
+    The bound is one worst-case figure for every entry: the remainder at the
+    smallest a plus the float model maximised over a, evaluated in _em_runs'
+    column tiles.  Raises PrecisionError when it misses tol, with best the value
+    at argmin(a), where sum_n (n + a)^{-sigma}, and so the float model, is largest.
     """
-    scalar, s = np.ndim(s) == 0, np.atleast_1d(np.asarray(s, dtype=complex))
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), s.shape)
-    a = np.asarray(a, dtype=float)
+    s, a = complex(s), np.ravel(np.asarray(a, dtype=float))
     _check_s(s)
-    if a.size and (np.any(a <= 0) or np.any(a > 1)):
+    if np.any(a <= 0) or np.any(a > 1):
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
-    if a.size and not np.all(tols > 0):
+    if not tol > 0:
         raise DomainError("tol must be positive")
-    pts, a_min = s.tolist(), float(a.min(initial=1.0))
-    nmb = [_em_choose(z, a_min, t) for z, t in zip(pts, tols.tolist())] if a.size else []
-    vals, errs = np.empty((s.size, a.size), dtype=complex), np.zeros(s.size)
-    for i, j, (v, e, _, acc_abs) in _em_runs(pts, nmb, a):
-        vals[i:j], errs[i:j] = v, e
-        for k in np.flatnonzero(e > tols[i:j])[:1] + i:
-            best = ComplexApprox(complex(vals[k, np.argmax(acc_abs[k - i])]), float(errs[k]))
-            raise PrecisionError(f"zeta(s, a) at s = {pts[k]:g}: requested tol {tols[k]:g} "
-                                 f"unreachable (achieved {best.abs_error:g})",
-                                 best=best, s=pts[k], tol=float(tols[k]))
-    return (vals[0], float(errs[0])) if scalar else (vals, errs)
+    vals, errs = np.empty(a.size, dtype=complex), np.empty(a.size)
+    nmb = [_em_choose(s, float(a.min(initial=1.0)), tol)]
+    for _, _, cols, (v, e) in _em_runs([s], nmb, a):
+        vals[cols], errs[cols] = v[0], e[0]
+    err = float(errs.max(initial=0.0))
+    if err > tol:
+        raise PrecisionError(f"zeta(s, a) at s = {s:g}: requested tol {tol:g} unreachable "
+                             f"(achieved {err:g})", best=ComplexApprox(complex(vals[np.argmin(a)]), err),
+                             s=s, tol=float(tol))
+    return vals, err
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,8 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     nmb = [_em_choose(complex(z), 1 + 0.5 / TAYLOR_J, tol) for z in pts.tolist()]
     zeta = np.empty((k_terms, TAYLOR_J), dtype=np.clongdouble)
     zerr = np.empty((k_terms, TAYLOR_J))
-    for i, j, (v, _, e, _) in _em_runs(pts, nmb, centres):
-        zeta[i:j], zerr[i:j] = v, e
+    for i, j, cols, (v, e) in _em_runs(pts, nmb, centres):
+        zeta[i:j, cols], zerr[i:j, cols] = v, e
     # (-1)^k (s)_k / k! as one running product
     r = np.cumprod(np.concatenate([[1], -pts[:-1] / ks[1:]]))[:, None]
     coef = r * zeta
@@ -297,16 +296,12 @@ def _direct(pts: list[complex], nmb, q: int):
     each entry's bound.
     """
     shift = np.array([2 * _EPS * abs(z) * (1 + 1 / z.real) for z in pts])[:, None]
-    # a-values per block, so that even one point's row block fits HZ_BLOCK
-    width = max(1, HZ_BLOCK // min(256, max(n for n, _, _ in nmb)))
 
     def evaluate(a: np.ndarray):
-        x = 1 + a / q
         vals = np.empty((len(pts), a.size), dtype=complex)
         errs = np.empty((len(pts), a.size))
-        for c in range(0, a.size, width):
-            for i, j, (v, _, e, _) in _em_runs(pts, nmb, x[c:c + width]):
-                vals[i:j, c:c + width], errs[i:j, c:c + width] = v, e
+        for i, j, cols, (v, e) in _em_runs(pts, nmb, 1 + a / q):
+            vals[i:j, cols], errs[i:j, cols] = v, e
         return vals, errs + shift
 
     return evaluate

