@@ -20,10 +20,11 @@ length-100002 Bluestein FFT), in place in one phi-wide buffer.
 group of order d = 2h (q prime, p^e, 2 p^e or 4), -1 = g^h and chi_j has
 parity j mod 2, so with u_m = w[g^m] the even values are the length-h
 inverse DFT of u_m + u_{m+h} and the odd ones the odd bins of the length-d
-inverse DFT of u_m - u_{m+h}: half the work of the full transform.  Real w
-goes through rfft, and the values past its half are the conjugates of
-earlier ones (chi_{d-j} = conj chi_j).  Other groups select the parity from
-the full transform.  Tables are built by broadcasting per-component
+inverse DFT of u_m - u_{m+h}: half the work of the full transform.  Only
+real w (the theta weights) takes this fold, through rfft, and the values
+past its half are the conjugates of earlier ones (chi_{d-j} = conj chi_j).
+Complex w, and every other group, select the parity from the unsplit full
+transform.  Tables are built by broadcasting per-component
 exponent ranges, never as a phi x r matrix.
 
 A conductor is the product of local conductors, one per p^e || q, read off
@@ -196,8 +197,9 @@ class CharacterGroup:
         w has length q along its last axis, leading axes being a batch (entries
         at non-unit residues are ignored).  The sum is an inverse multidimensional
         DFT of w regrouped by exponent tuple, over the prime-power split of
-        _prime_power_split.  With a parity the cyclic fold of the module
-        docstring applies; other groups select it from the unsplit transform.
+        _prime_power_split.  With a parity, real w on a cyclic group takes the
+        fold of the module docstring; otherwise the parity is selected from
+        the unsplit transform.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.q,):
@@ -207,12 +209,10 @@ class CharacterGroup:
         batch = w.shape[:-1]
         if parity is not None:
             z = w[..., self.structure.n_of_index]
-            if len(self._dims) == 1:
+            if len(self._dims) == 1 and not np.iscomplexobj(z):
                 h = self.phi // 2
                 f = z[..., :h] - z[..., h:] if parity else z[..., :h] + z[..., h:]
                 n = 2 * h if parity else h
-                if np.iscomplexobj(f):
-                    return (np.fft.ifft(f, n) * n)[..., parity::1 + parity]
                 r = np.fft.rfft(f, n)[..., parity::1 + parity]
                 return np.concatenate(
                     [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)

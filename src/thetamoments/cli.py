@@ -121,7 +121,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (csv text or None, json payload, meta)
+# subcommand handlers: each returns (csv text, json payload, meta), csv text
+# None for a JSON-only report
 
 
 def _cmd_char_table(args, cfg):
@@ -252,8 +253,6 @@ _HANDLERS = {
     "rand-model": _cmd_rand_model,
 }
 
-_JSON_ONLY = ("bound-eval", "rand-model")
-
 
 @functools.cache  # built on the first run, reused by later runs in the process
 def build_parser() -> argparse.ArgumentParser:
@@ -365,8 +364,7 @@ def run(argv: list[str]) -> int:
                 raise DomainError(
                     f"--k {args.k} expects {2 * args.k} shifts; got {len(args.shifts)}")
         csv_out, payload, meta = _HANDLERS[args.command](args, cfg)
-        want_json = cfg.format == "json" or args.command in _JSON_ONLY
-        if want_json:
+        if cfg.format == "json" or csv_out is None:
             config_snapshot = {**asdict(cfg), "workers": cfg.resolved_workers(),
                                **{k: v for k, v in meta.items() if k != "command"}}
             env = make_envelope(["thetamoments", *argv], config_snapshot, payload)

@@ -29,13 +29,17 @@ Aggregates over character families:
 * large-value counts N(q, V) = #{chi : sum_i log|L(1/2+it_i, chi)| >= V};
 * an explicit-formula style majorant for log|L(1/2+it, chi)| under GRH.
 
+All three reach L through one family path, _family_columns: it checks q
+and the shifts, builds the group and the family mask once, and evaluates the
+distinct |t| as the s-points of one _l_rows call, keeping only |L| of each
+run (no (S, phi) complex array).  A central moment is its t = 0 column.
 Negative shifts reuse the |L| column of the matching positive shift through
 the conjugation permutation chi -> conj(chi), the t = 0 column is averaged
 with its own conjugation permutation (|L(1/2, conj chi)| = |L(1/2, chi)|),
-and family sums are sorted before the fixed-chunk reduction, so a moment at
-shifts -t is bit-identical to the moment at t.  The distinct |t| are the rows
-of one call; the `workers` keyword of the public functions is accepted and
-ignored.
+and every moment is reduced by reports.moment_report (sorted, then the
+fixed-chunk sum), so a moment at shifts -t is bit-identical to the moment at
+t, and M_2(q) to the shifted moment at (0, 0).  The `workers` keyword of the
+public functions is accepted and ignored.
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -53,7 +57,7 @@ from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
 from .characters import Character, CharacterGroup, build_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import PrimeTable, sieve
-from .reports import MomentReport
+from .reports import MomentReport, moment_report
 from .specfun import HZ_BLOCK, ComplexApprox, digamma_vector, hurwitz_grid_runs
 from .summation import chunked_sum, rounding_bound
 
@@ -219,45 +223,40 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
 # family aggregates
 
 
-def _abs_l_columns(group: CharacterGroup, shifts, tol: float):
-    """|L(1/2 + i t, chi)| columns for every shift value in `shifts`.
-
-    Columns for -t are the +t column permuted by conjugation (same floats),
-    which keeps t -> -t symmetry exact.  Returns (columns, errs) keyed by
-    position in `shifts`.
-    """
+def _family_columns(caller: str, q: int, shifts, tol: float, family: str):
+    """The one family path of the aggregates (see the module docstring):
+    (columns, errs, family size), column i holding |L(1/2 + i t, chi)| over
+    the family at t = shifts[i] and errs[i] its error bound.  q and the shifts
+    are checked in the name of caller; no shifts evaluate no L."""
+    if max(map(abs, shifts), default=0) > MAX_SHIFT:
+        raise DomainError(f"shifts must satisfy |t| <= {MAX_SHIFT:g}")
+    if q < 3:
+        raise DomainError(f"{caller} requires q >= 3")
+    group = build_group(q)
+    mask = group.family_mask(family)
     pos = sorted({abs(t) for t in shifts})
-    vals, errs = l_values_all_chars(group.q, 0.5 + 1j * np.array(pos), tol, group=group)
-    absl = np.abs(vals)
-    del vals
-    if pos[0] == 0:  # |L(1/2, conj chi)| = |L(1/2, chi)|: the t = 0 column is made exactly so
+    absl, errs = np.empty((len(pos), group.phi)), np.empty(len(pos))
+    for i, j, v, err in _l_rows(group, 0.5 + 1j * np.array(pos), tol, group.transform):
+        np.abs(v, out=absl[i:j])
+        errs[i:j] = err
+        del v  # not alive during the next run's transform
+    if pos and pos[0] == 0:  # |L(1/2, conj chi)| = |L(1/2, chi)|: the t = 0 row is made exactly so
         absl[0] += absl[0][group.conjugation]
         absl[0] /= 2
     rows = [pos.index(abs(t)) for t in shifts]
-    return ([absl[i] if t >= 0 else absl[i][group.conjugation] for i, t in zip(rows, shifts)],
-            [float(errs[i]) for i in rows])
+    cols = [(absl[i] if t >= 0 else absl[i][group.conjugation])[mask]
+            for i, t in zip(rows, shifts)]
+    return cols, [float(errs[i]) for i in rows], int(np.sum(mask))
 
 
 def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     """M_{2k}(q) = sum over primitive chi of |L(1/2, chi)|^{2k}, with the
-    q (log q)^{k^2} normalization."""
-    if q < 3:
-        raise DomainError("central_moment requires q >= 3")
+    q (log q)^{k^2} normalization: the t = 0 column of the family path."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    group = build_group(q)
-    mask = group.family_mask("star")
-    size = int(np.sum(mask))
-    if k == 0:
-        raw = float(size)
-    else:
-        absl = np.abs(l_values_all_chars(q, 0.5, tol, group=group)[0])[mask]
-        absl **= 2 * k
-        absl.sort()
-        raw = float(chunked_sum(absl))
-    norm = q * math.log(q) ** (k * k)
-    return MomentReport(q=q, k=k, family="star", raw=raw, normalization=norm,
-                        ratio=raw / norm, eps=tol, family_size=size)
+    cols, _, size = _family_columns("central_moment", q, (0.0,) if k else (), tol, "star")
+    terms = cols[0] ** (2 * k) if k else np.ones(size)
+    return moment_report(q, k, "star", terms, q * math.log(q) ** (k * k), tol)
 
 
 def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
@@ -269,21 +268,12 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
     accepted and ignored.
     """
     t = as_shift_tuple(t)
-    if max(abs(v) for v in t) > MAX_SHIFT:
-        raise DomainError(f"shifts must satisfy |t| <= {MAX_SHIFT:g}")
-    if q < 3:
-        raise DomainError("shifted_moment requires q >= 3")
-    group = build_group(q)
-    mask = group.family_mask(family)
-    size = int(np.sum(mask))
-    cols, _ = _abs_l_columns(group, tuple(t), tol)
+    cols, _, size = _family_columns("shifted_moment", q, t, tol, family)
     prod = np.ones(size)
     for col in cols:
-        prod = prod * col[mask]
-    raw = float(chunked_sum(np.sort(prod)))
+        prod *= col
     norm = shifted_moment_bound(q, t, eps=0.1) if q >= 16 else float("nan")
-    return MomentReport(q=q, k=t.k, family=family, raw=raw, normalization=norm,
-                        ratio=raw / norm, eps=tol, family_size=size)
+    return moment_report(q, t.k, family, prod, norm, tol)
 
 
 @dataclass(frozen=True)
@@ -310,21 +300,13 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     and ignored.
     """
     t = as_shift_tuple(t)
-    if max(abs(v) for v in t) > MAX_SHIFT:
-        raise DomainError(f"shifts must satisfy |t| <= {MAX_SHIFT:g}")
-    if q < 3:
-        raise DomainError("large_value_counts requires q >= 3")
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0 or np.any(np.diff(v) < 0):
         raise DomainError("V grid must be one-dimensional and ascending")
-    group = build_group(q)
-    mask = group.family_mask(family)
-    size = int(np.sum(mask))
-    cols, errs = _abs_l_columns(group, tuple(t), tol)
+    cols, errs, size = _family_columns("large_value_counts", q, t, tol, family)
     total = np.zeros(size)
     clamped = np.zeros(size, dtype=bool)
-    for col, err in zip(cols, errs):
-        lv = col[mask]
+    for lv, err in zip(cols, errs):
         low = lv < err
         lv[low] = 1.0
         np.log(lv, out=lv)

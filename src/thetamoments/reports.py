@@ -15,7 +15,10 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
+from .summation import chunked_sum
 
 TOOL_NAME = "thetamoments"
 
@@ -44,6 +47,17 @@ class MomentReport:
     def row(self) -> tuple:
         return (self.q, self.k, self.family, self.raw, self.normalization,
                 self.ratio, self.eps, self.family_size)
+
+
+def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization: float,
+                  eps: float) -> MomentReport:
+    """The one moment reduction: raw = the chunked sum of the per-character
+    terms, sorted in place first so the sum does not depend on character
+    order; one term per family member."""
+    terms.sort()
+    raw = float(chunked_sum(terms))
+    return MomentReport(q=q, k=k, family=family, raw=raw, normalization=normalization,
+                        ratio=raw / normalization, eps=eps, family_size=terms.size)
 
 
 def fmt(x) -> str:

@@ -17,12 +17,14 @@ zeta(s, a) uses Euler-Maclaurin directly: sum_{n<N} (n+a)^{-s}
 with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
 escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
-grown further.  _em_runs is the one tiling of this work: runs of s-points in
-input order, each run's a-values in column tiles of at most HZ_BLOCK term
-entries (points x min(N, EM_ROWS) x columns).  Each point keeps its own (N, M),
-with the rows and terms past them as exact zeros, so every row equals the
-one-point evaluation.  The same block code runs in float64 or, with eps_ld in
-its float model, in longdouble.
+grown further.  _em_fill is the one tiling of this work, and every caller
+takes its (points, len(a)) values and errors whole: runs of s-points in input
+order, each run's a-values in balanced column tiles (equal widths +-1, so none
+is one column wide unless len(a) = 1) of at most HZ_BLOCK term entries
+(points x min(N, EM_ROWS) x columns).  Each point keeps its own (N, M), with
+the rows and terms past them as exact zeros, so every row equals the
+one-point, untiled evaluation.  The same block code runs in float64 or, with
+eps_ld in its float model, in longdouble.
 
 The L path needs zeta(s, 1 + a/q) at every unit a mod q, with an error per
 entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
@@ -173,18 +175,25 @@ def _em_block(pts, nmb: list[tuple[int, int, float]], a: np.ndarray):
     return acc, analytic + float(eps) * per_entry.astype(float)
 
 
-def _em_runs(pts, nmb, a: np.ndarray):
-    """The one tiling of Euler-Maclaurin work: yields (i, j, columns, _em_block
-    result) over runs of points i..j-1 in input order and column slices of a,
-    with points x min(N, EM_ROWS) x columns <= HZ_BLOCK (a lone point always fits)."""
+def _em_fill(pts, nmb, a: np.ndarray):
+    """(values, errs) of _em_block at every point and a-value, shape (points,
+    len(a)) in a's complex dtype, over the balanced tiles of the module
+    docstring: points x min(N, EM_ROWS) x width <= HZ_BLOCK (a lone point
+    always fits).  numpy reduces a one-column term array in another order, so
+    a one-column tile would move that entry's last bits."""
+    vals = np.empty((len(pts), a.size), dtype=np.result_type(a, complex))
+    errs = np.empty((len(pts), a.size))
     i = 0
     while i < len(pts):
         rows = np.minimum(np.maximum.accumulate([n for n, _, _ in nmb[i:]]), EM_ROWS)
         width = max(1, min(a.size, HZ_BLOCK // rows[0]))
         j = i + max(1, int(np.sum(np.arange(1, len(rows) + 1) * rows * width <= HZ_BLOCK)))
-        for c in range(0, a.size, width):
-            yield i, j, slice(c, c + width), _em_block(pts[i:j], nmb[i:j], a[c:c + width])
+        tiles = -(-a.size // width)
+        edges = [c * a.size // tiles for c in range(tiles + 1)]
+        for c0, c1 in zip(edges, edges[1:]):
+            vals[i:j, c0:c1], errs[i:j, c0:c1] = _em_block(pts[i:j], nmb[i:j], a[c0:c1])
         i = j
+    return vals, errs
 
 
 def _check_s(s) -> None:
@@ -198,7 +207,7 @@ def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[
     """zeta(s, a) at one point s for an array of a in (0, 1]: (values, error bound).
 
     The bound is one worst-case figure for every entry: the remainder at the
-    smallest a plus the float model maximised over a, evaluated in _em_runs'
+    smallest a plus the float model maximised over a, evaluated in _em_fill's
     column tiles.  Raises PrecisionError when it misses tol, with best the value
     at argmin(a), where sum_n (n + a)^{-sigma}, and so the float model, is largest.
     """
@@ -208,10 +217,7 @@ def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    vals, errs = np.empty(a.size, dtype=complex), np.empty(a.size)
-    nmb = [_em_choose(s, float(a.min(initial=1.0)), tol)]
-    for _, _, cols, (v, e) in _em_runs([s], nmb, a):
-        vals[cols], errs[cols] = v[0], e[0]
+    ((vals,), (errs,)) = _em_fill([s], [_em_choose(s, float(a.min(initial=1.0)), tol)], a)
     err = float(errs.max(initial=0.0))
     if err > tol:
         raise PrecisionError(f"zeta(s, a) at s = {s:g}: requested tol {tol:g} unreachable "
@@ -262,10 +268,7 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     ks = np.arange(k_terms)
     pts = np.clongdouble(s) + ks  # exact in longdouble
     nmb = [_em_choose(complex(z), 1 + 0.5 / TAYLOR_J, tol) for z in pts.tolist()]
-    zeta = np.empty((k_terms, TAYLOR_J), dtype=np.clongdouble)
-    zerr = np.empty((k_terms, TAYLOR_J))
-    for i, j, cols, (v, e) in _em_runs(pts, nmb, centres):
-        zeta[i:j, cols], zerr[i:j, cols] = v, e
+    zeta, zerr = _em_fill(pts, nmb, centres)
     # (-1)^k (s)_k / k! as one running product
     r = np.cumprod(np.concatenate([[1], -pts[:-1] / ks[1:]]))[:, None]
     coef = r * zeta
@@ -298,10 +301,7 @@ def _direct(pts: list[complex], nmb, q: int):
     shift = np.array([2 * _EPS * abs(z) * (1 + 1 / z.real) for z in pts])[:, None]
 
     def evaluate(a: np.ndarray):
-        vals = np.empty((len(pts), a.size), dtype=complex)
-        errs = np.empty((len(pts), a.size))
-        for i, j, cols, (v, e) in _em_runs(pts, nmb, 1 + a / q):
-            vals[i:j, cols], errs[i:j, cols] = v, e
+        vals, errs = _em_fill(pts, nmb, 1 + a / q)
         return vals, errs + shift
 
     return evaluate

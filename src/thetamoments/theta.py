@@ -41,7 +41,7 @@ import numpy as np
 from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group
 from .errors import DomainError
 from .lfunc import l_values_all_chars
-from .reports import MomentReport
+from .reports import MomentReport, moment_report
 from .specfun import ComplexApprox, gamma_fn
 from .summation import chunked_sum, rounding_bound
 
@@ -159,14 +159,11 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
         raise DomainError(f"parity must be 'even' or 'odd'; got {parity!r}")
     eta = THETA_FAMILIES.index(parity)
     group = build_group(q)
-    mask = group.family_mask(parity)
-    size = int(np.sum(mask))
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
-    raw = float(chunked_sum(np.sort(np.abs(values[mask[group.parity_bits == eta]]) ** (2 * k))))
+    terms = np.abs(values[group.family_mask(parity)[group.parity_bits == eta]]) ** (2 * k)
     half_powers = k if parity == "even" else 3 * k
     norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)
-    return MomentReport(q=q, k=k, family=parity, raw=raw, normalization=norm,
-                        ratio=raw / norm, eps=eps, family_size=size)
+    return moment_report(q, k, parity, terms, norm, eps)
 
 
 @dataclass(frozen=True)

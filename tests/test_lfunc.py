@@ -315,17 +315,41 @@ def test_refusal_at_q_100003_names_the_tol_and_stays_small():
 
 
 def test_shift_columns_are_one_call(monkeypatch):
-    """Every distinct |t| of a request is a row of one l_values_all_chars call."""
+    """Every distinct |t| of a request is an s-point of one _l_rows call, and
+    no aggregate reaches L through l_values_all_chars."""
     calls = []
-    evaluate = lfunc.l_values_all_chars
+    evaluate = lfunc._l_rows
 
-    def recording(q, s, *args, **kwargs):
-        calls.append(np.shape(s))
-        return evaluate(q, s, *args, **kwargs)
+    def recording(group, s, *args):
+        calls.append(np.asarray(s).tolist())
+        return evaluate(group, s, *args)
 
-    monkeypatch.setattr(lfunc, "l_values_all_chars", recording)
+    def unused(*args, **kwargs):
+        raise AssertionError("aggregate called l_values_all_chars")
+
+    monkeypatch.setattr(lfunc, "_l_rows", recording)
+    monkeypatch.setattr(lfunc, "l_values_all_chars", unused)
     shifted_moment(19, (0.1, 0.9, -0.1, 0.0))
-    assert calls == [(3,)]
+    assert calls == [[0.5, 0.5 + 0.1j, 0.5 + 0.9j]]
+    calls.clear()
+    large_value_counts(19, (-2.0, 0.0, 2.0, 0.0), [0.0])
+    central_moment(19, 2)
+    assert calls == [[0.5, 0.5 + 2j], [0.5]]
+    calls.clear()
+    central_moment(19, 0)
+    assert calls == [[]]  # k = 0 evaluates no L
+
+
+def test_shifted_moment_memory_at_q_100003():
+    """Eight shifts at q = 100003 keep |L| rows only: no (S, phi) complex
+    array is formed (22.3 MiB peak when it was)."""
+    tracemalloc.start()
+    try:
+        shifted_moment(100003, (0, 1.5, -3, 6, 10, -15, 25, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak / 2 ** 20
 
 
 def test_conjugation_symmetry():
@@ -370,6 +394,14 @@ def test_central_moment_direct_sum_cross_check():
         central_moment(2, 1)
     with pytest.raises(DomainError):
         central_moment(13, -1)
+
+
+@pytest.mark.parametrize("q", [13, 1000, 1009, 5040])
+def test_central_moment_is_the_zero_shift_moment(q):
+    """M_2(q) is the shifted moment at (0, 0) bit for bit: both read the same
+    conjugation-averaged t = 0 column (at q = 1000 the unaveraged column's
+    sum differed in its last digit)."""
+    assert central_moment(q, 1).raw == shifted_moment(q, (0, 0)).raw
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,22 @@ def test_scalar_vector_memory_stays_within_the_tile_budget():
     assert peak < 4.0, peak
 
 
+@pytest.mark.parametrize("s", [0.5 + 200j, 0.5 + 30j, 0.75 + 3j])
+@pytest.mark.parametrize("extra", [1, 2])
+def test_balanced_tiles_equal_the_untiled_block(s, extra):
+    """extra column tiles' worth of a-values plus one: the tiles are balanced,
+    so none is one column wide, and the values and error equal one untiled
+    _em_block call bit for bit (a one-column tile moves the last bits)."""
+    tol = 1e-8
+    n_rows = specfun._em_choose(s, 0.5, tol)[0]
+    width = specfun.HZ_BLOCK // min(n_rows, specfun.EM_ROWS)
+    n = extra * width + 1
+    a = np.linspace(0.5, 1.0, n)
+    vals, err = hurwitz_zeta_vector(s, a, tol)
+    full, full_err = _full(s, a, tol)
+    assert np.array_equal(vals, full) and err == full_err
+
+
 def _grid_route(monkeypatch, s, q, tol):
     """(evaluate, route) of hurwitz_grid_runs for the one point s over the units mod prime q."""
     routes = []
