@@ -10,22 +10,23 @@ trivial character.  The group also provides vectorized tables (parity bits,
 conductors, orders, the conjugation permutation), the character families every
 moment sums over (`family_mask`), and the fast weighted-sum transform
 
-    transform(w)[j] = sum_a chi_j(a) w[a],
+    transform(w)[j] = sum_i chi_j(u_i) w[i]   (weights on the units u = n_of_index),
 
-computed for all phi(q) characters at once as a multidimensional inverse FFT
-over the cyclic components, each split into its prime-power factors by
-Good-Thomas (so q = 100003 transforms a (2, 3, 7, 2381) array, never one
-length-100002 Bluestein FFT), in place in one phi-wide buffer.
+computed for all phi(q) characters at once as one in-place multidimensional
+inverse FFT in one phi-wide buffer, over the cyclic components, each split
+into its prime-power factors by Good-Thomas (so q = 100003 transforms a
+(2, 3, 7, 2381) array, never one length-100002 Bluestein FFT).
 `transform(w, parity)` returns one parity's characters only.  On a cyclic
-group of order d = 2h (q prime, p^e, 2 p^e or 4), -1 = g^h and chi_j has
-parity j mod 2, so with u_m = w[g^m] the even values are the length-h
-inverse DFT of u_m + u_{m+h} and the odd ones the odd bins of the length-d
-inverse DFT of u_m - u_{m+h}: half the work of the full transform.  Only
-real w (the theta weights) takes this fold, through rfft, and the values
-past its half are the conjugates of earlier ones (chi_{d-j} = conj chi_j).
-Complex w, and every other group, select the parity from the unsplit full
-transform.  Tables are built by broadcasting per-component
-exponent ranges, never as a phi x r matrix.
+group of order d = 2h (q prime, p^e, 2 p^e or 4), u_m = g^m, -1 = g^h and
+chi_j has parity j mod 2, so the even values are the length-h inverse DFT
+of w_m + w_{m+h} and the odd ones the odd bins of the length-d inverse DFT
+of w_m - w_{m+h}: half the work of the full transform.  Only real w (the
+theta weights) takes this fold, through rfft, and the values past its half
+are the conjugates of earlier ones (chi_{d-j} = conj chi_j).  Complex w,
+and every other group, run the same in-place block over the unsplit grid
+(the split maps would pay off for one transform only) and select the
+parity.  Tables are built by broadcasting per-component exponent ranges,
+never as a phi x r matrix.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -191,69 +192,63 @@ class CharacterGroup:
         return table
 
     def transform(self, w: np.ndarray, parity: int | None = None) -> np.ndarray:
-        """sum_a chi_j(a) w[a] for every character j, in index order; with
-        parity = eta, for the characters of parity eta only, in index order.
+        """sum_i chi_j(u_i) w[i], u = structure.n_of_index, for every character
+        j in index order; with parity = eta, for the parity-eta ones only.
 
-        w has length q along its last axis, leading axes being a batch (entries
-        at non-unit residues are ignored).  The sum is an inverse multidimensional
-        DFT of w regrouped by exponent tuple, over the prime-power split of
+        w has length phi along its last axis, leading axes being a batch.  The
+        sum is one in-place inverse DFT of w over the exponent grid, split by
         _prime_power_split.  With a parity, real w on a cyclic group takes the
         fold of the module docstring; otherwise the parity is selected from
-        the unsplit transform.
+        the unsplit grid.
         """
         w = np.asarray(w)
-        if w.shape[-1:] != (self.q,):
-            raise DomainError(f"weight vector must have length q = {self.q}")
+        if w.shape[-1:] != (self.phi,):
+            raise DomainError(f"weight vector must have length phi(q) = {self.phi}")
         if parity not in (None, 0, 1):
             raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
         batch = w.shape[:-1]
-        if parity is not None:
-            z = w[..., self.structure.n_of_index]
-            if len(self._dims) == 1 and not np.iscomplexobj(z):
-                h = self.phi // 2
-                f = z[..., :h] - z[..., h:] if parity else z[..., :h] + z[..., h:]
-                n = 2 * h if parity else h
-                r = np.fft.rfft(f, n)[..., parity::1 + parity]
-                return np.concatenate(
-                    [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
-            # unsplit, not the Good-Thomas path below, which moves theta's last bits
-            full = ((np.fft.ifftn(z.reshape(batch + self._dims), axes=range(-len(self._dims), 0))
-                     * self.phi).reshape(batch + (-1,)) if self._dims else z.astype(complex))
-            return full[..., self.parity_bits == parity]
-        units, dims, out = self._prime_power_split
-        z = w[..., units].astype(complex, copy=False).reshape(batch + dims)
-        del w  # a caller's temporary w is freed before the transform's own buffers
+        if parity is not None and len(self._dims) == 1 and not np.iscomplexobj(w):
+            h = self.phi // 2
+            f = w[..., :h] - w[..., h:] if parity else w[..., :h] + w[..., h:]
+            n = 2 * h if parity else h
+            r = np.fft.rfft(f, n)[..., parity::1 + parity]
+            return np.concatenate(
+                [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
+        perm, dims, out = ((None, self._dims, self.parity_bits == parity) if parity is not None
+                           else self._prime_power_split or (None, self._dims, None))
+        # a buffer of our own, never the caller's w (freed here if a temporary)
+        z = w.astype(complex) if perm is None else w[..., perm].astype(complex, copy=False)
+        del w
+        z = z.reshape(batch + dims)
         if dims:  # in place, one phi-wide buffer (out= needs numpy >= 2.0)
             np.fft.ifftn(z, axes=range(-len(dims), 0), norm="forward", out=z)
         return z.reshape(batch + (-1,)) if out is None else z.reshape(batch + (-1,))[..., out]
 
     @cached_property
-    def _prime_power_split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
-        """(units, dims, out): the Good-Thomas split of every cyclic component
-        into its prime-power factors P (d = prod P).
+    def _prime_power_split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray] | None:
+        """(perm, dims, out): the Good-Thomas split of every cyclic component
+        into its prime-power factors P (d = prod P); None if none splits.
 
         On the input side component l's exponent is m = sum_P (d/P) m_P mod d,
-        so units[flat (m_P)] = prod_l g_l^{m_l}; then exp(2 pi i j m / d) =
-        prod_P exp(2 pi i (j mod P) m_P / P), and character j's value sits at
-        the flat position of (j_l mod P) over every factor: out[j].  out is
-        None when no component splits.
+        so perm[flat (m_P)] is the unit index of prod_l g_l^{m_l}; then
+        exp(2 pi i j m / d) = prod_P exp(2 pi i (j mod P) m_P / P), and
+        character j's value sits at the flat position of (j_l mod P) over
+        every factor: out[j].
         """
         comps = [[p ** e for p, e in factorize(d).factors] for d in self._dims]
         dims = tuple(P for ps in comps for P in ps)
         if dims == self._dims:
-            return self.structure.n_of_index, dims, None
+            return None
         # int32 maps built from broadcast int32 ranges: phi < q < 2^31
         split = iter(np.ix_(*(np.arange(P, dtype=np.int32) for P in dims)))
-        flat = 0
+        perm = 0
         for d, ps in zip(self._dims, comps):
-            flat = flat * d + sum(d // P * next(split) for P in ps) % d
-        units = self.structure.n_of_index[flat.reshape(-1)].astype(np.int32)
-        del flat
+            perm = perm * d + sum(d // P * next(split) for P in ps) % d
         out = 0
         for j, ps in zip(np.ix_(*(np.arange(d, dtype=np.int32) for d in self._dims)), comps):
             for P in ps:
                 out = out * P + j % P
-        return units, dims, out.reshape(-1)
+        return perm.reshape(-1), dims, out.reshape(-1)
 
 
 def build_group(q: int) -> CharacterGroup:

@@ -174,6 +174,8 @@ def _cmd_shifted_moment(args, cfg):
 
 
 def _cmd_large_values(args, cfg):
+    if args.vsteps < 1:
+        raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
     hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
     meta = {"command": "large-values", "q": args.q,
@@ -202,6 +204,8 @@ def _cmd_mellin_check(args, cfg):
 
 
 def _cmd_bound_eval(args, cfg):
+    if args.k is not None and len(args.shifts) != 2 * args.k:
+        raise DomainError(f"--k {args.k} expects {2 * args.k} shifts; got {len(args.shifts)}")
     prof = bound_profile(args.q, args.shifts, eps=args.eps)
     payload = {
         "q": prof.q,
@@ -359,10 +363,6 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         cfg = _resolve_config(args)
-        if args.command == "bound-eval" and args.k is not None:
-            if len(args.shifts) != 2 * args.k:
-                raise DomainError(
-                    f"--k {args.k} expects {2 * args.k} shifts; got {len(args.shifts)}")
         csv_out, payload, meta = _HANDLERS[args.command](args, cfg)
         if cfg.format == "json" or csv_out is None:
             config_snapshot = {**asdict(cfg), "workers": cfg.resolved_workers(),

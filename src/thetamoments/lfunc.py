@@ -5,13 +5,15 @@ with the n = 0 term of each Hurwitz value split off:
 
     q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q).
 
-The weights w_a (the right-hand side) are shared by every character, and one
-fast multiplicative-group transform per s-point turns them into all
-L(s, chi).  The Dirichlet polynomial a^{-s} takes its phase t log a mod 2 pi
-in longdouble; zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs, with an
-error e_a per entry (Taylor in a from longdouble centres at large phi, direct
-Euler-Maclaurin at small phi).  The error of any character sum of the weights
-is then
+The weights w_a (the right-hand side), on the units in group order, are
+shared by every character, and one fast multiplicative-group transform per
+s-point turns them into all L(s, chi).  For s != 1, l_value is entry
+chi.index of that transform, so it equals the family entry bit for bit.
+The Dirichlet polynomial a^{-s} takes its phase t log a mod 2 pi in
+longdouble; zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs, with an
+error e_a per entry (Taylor in a from longdouble centres at large phi,
+direct Euler-Maclaurin at small phi).  The error of any character sum of the
+weights is then
 
     |q^{-s}| sum_a e_a  +  Dirichlet-polynomial rounding  +  transform rounding,
 
@@ -108,15 +110,15 @@ def _powers_rel(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray) -> np.ndarray:
-    """w[., a] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q) at units a
-    (0 elsewhere), one row per s-point of the column s_col, built in chunks of
-    _CHUNK units; adds each row's three error sums to sums (see _l_rows)."""
+    """w[., i] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q), a = n_of_index[i],
+    one row per s-point of the column s_col, filled in slices of _CHUNK
+    units; adds each row's three error sums to sums (see _l_rows)."""
     q = group.q
     a_all = np.array([1]) if q == 1 else group.structure.n_of_index
     qs, qs_abs = _powers(s_col, np.array([q]))
     # q^{-s} and its product with zeta(s, 1 + a/q) round within rel + eps
     qs_abs, qs_rel = qs_abs[:, 0], _powers_rel(s_col[:, 0], q) + _EPS
-    w = np.zeros((len(s_col), q), dtype=complex)
+    w = np.empty((len(s_col), len(a_all)), dtype=complex)
     for c in range(0, len(a_all), _CHUNK):
         a = a_all[c:c + _CHUNK]
         h, e = hurwitz(a)
@@ -125,20 +127,20 @@ def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray
         sums[1] += np.sum(mag, axis=1)
         h *= qs
         h += d
-        w[:, a % q] = h
+        w[:, c:c + _CHUNK] = h
         sums[2] += np.sum(np.abs(h), axis=1)
     return w
 
 
-def _l_rows(group: CharacterGroup, s, tol: float, reduce):
-    """Yield (i, j, reduce(w), err) over runs of the s-points (a 1-D array) in
-    order, w the _weights rows of points i..j-1 and err the error of any
-    chi-weighted sum of a row, the rounding of its group transform included:
+def _l_rows(group: CharacterGroup, s, tol: float):
+    """Yield (i, j, L, err) over runs of the s-points (a 1-D array) in order,
+    L the group transform of the _weights rows of points i..j-1 (row k: every
+    L(s_{i+k}, chi)) and err the error of each entry of a row:
       |q^{-s}| (sum_a e_a + rel sum_a |zeta|)   (Hurwitz part, e_a per entry)
       + rel sum_a |a^{-s}|                      (Dirichlet polynomial)
       + eps (log2 phi + 9) sum_a |w_a|          (weight and transform roundings),
     rel the _powers_rel bound.  Raises PrecisionError at the first point, in
-    input order, whose err > tol, with best = ComplexApprox(its reduce(w) row, err).
+    input order, whose err > tol, with best = ComplexApprox(its row of L, err).
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -149,8 +151,8 @@ def _l_rows(group: CharacterGroup, s, tol: float, reduce):
     for i, j, hurwitz in hurwitz_grid_runs(pts, q, phi, entry_tol):
         s_col = np.array(pts[i:j])[:, None]
         sums = np.zeros((3, j - i))
-        # w is reduce's only reference, so a transform can free it once read
-        out = reduce(_weights(group, s_col, hurwitz, sums))
+        # the transform holds the only reference to the weights and frees them once read
+        out = group.transform(_weights(group, s_col, hurwitz, sums))
         parts = {"Hurwitz part": sums[0],
                  "Dirichlet polynomial": _powers_rel(s_col[:, 0], q) * sums[1],
                  "transform rounding": _EPS * sums[2] + rounding_bound(phi, sums[2])}
@@ -168,10 +170,9 @@ def _l_rows(group: CharacterGroup, s, tol: float, reduce):
 
 
 def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexApprox:
-    """L(s, chi) by the Hurwitz route; s = 1 handled via the digamma finite part.
-
-    The error bound is that of _l_rows, whose transform rounding term also
-    covers this direct chunked sum.
+    """L(s, chi) by the Hurwitz route: entry chi.index of the _l_rows
+    transform, with its error bound (a refusal's best is that entry); s = 1
+    by the digamma finite part, a direct sum over the units.
     """
     if chi.q != q:
         raise DomainError(f"character modulus {chi.q} does not match q = {q}")
@@ -179,19 +180,21 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
         raise DomainError("tol must be positive")
     s = complex(s)
     group = chi.group
-    units = group.structure.units()
-    chivals = chi.value_table()[units % q]
     if s == 1:
         if chi.conductor == 1:
             raise PoleError("L(s, trivial-conductor character) has a pole at s = 1")
+        units = group.structure.n_of_index
         a = np.array([1.0]) if q == 1 else units.astype(float) / q
         psi, psi_err = digamma_vector(a)
-        total = chunked_sum(chivals * (-psi))
+        total = chunked_sum(chi.value_table()[units] * (-psi))
         err = (group.phi * psi_err + rounding_bound(group.phi, float(np.sum(np.abs(psi))))) / q
         return ComplexApprox(total / q, err)
-    ((_, _, (total,), err),) = _l_rows(group, s, tol,
-                                       lambda w: [chunked_sum(chivals * w[0, units % q])])
-    return ComplexApprox(total, float(err[0]))
+    try:
+        ((_, _, row, err),) = _l_rows(group, s, tol)
+    except PrecisionError as e:
+        e.best = ComplexApprox(complex(e.best.value[chi.index]), e.best.abs_error)
+        raise
+    return ComplexApprox(complex(row[0, chi.index]), float(err[0]))
 
 
 def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | None = None
@@ -211,7 +214,7 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
         raise DomainError(f"group modulus {group.q} does not match q = {q}")
     values = np.empty((np.size(s), group.phi), dtype=complex)
     errs = np.empty(np.size(s))
-    for i, j, v, err in _l_rows(group, s, tol, group.transform):
+    for i, j, v, err in _l_rows(group, s, tol):
         values[i:j], errs[i:j] = v, err
         del v  # not alive during the next run's transform
     if np.ndim(s):
@@ -236,7 +239,7 @@ def _family_columns(caller: str, q: int, shifts, tol: float, family: str):
     mask = group.family_mask(family)
     pos = sorted({abs(t) for t in shifts})
     absl, errs = np.empty((len(pos), group.phi)), np.empty(len(pos))
-    for i, j, v, err in _l_rows(group, 0.5 + 1j * np.array(pos), tol, group.transform):
+    for i, j, v, err in _l_rows(group, 0.5 + 1j * np.array(pos), tol):
         np.abs(v, out=absl[i:j])
         errs[i:j] = err
         del v  # not alive during the next run's transform
@@ -301,8 +304,8 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     """
     t = as_shift_tuple(t)
     v = np.asarray(v_grid, dtype=float)
-    if v.ndim != 1 or v.size == 0 or np.any(np.diff(v) < 0):
-        raise DomainError("V grid must be one-dimensional and ascending")
+    if v.ndim != 1 or v.size == 0 or np.isnan(v).any() or np.any(np.diff(v) < 0):
+        raise DomainError("V grid must be one-dimensional, ascending and free of NaN")
     cols, errs, size = _family_columns("large_value_counts", q, t, tol, family)
     total = np.zeros(size)
     clamped = np.zeros(size, dtype=bool)

@@ -172,10 +172,6 @@ class GroupStructure:
             raise DomainError(f"{n} is not a unit mod {self.q}")
         return tuple(int(x) for x in np.unravel_index(i, self.dims))
 
-    def units(self) -> np.ndarray:
-        """Units mod q in ascending order."""
-        return np.sort(self.n_of_index)
-
 
 def _crt_lift(g: int, pk: int, q: int) -> int:
     """Lift g to G mod q with G = g (mod pk), G = 1 (mod q//pk)."""

@@ -60,8 +60,8 @@ def _neumaier_rows(partials: list[np.ndarray]) -> np.ndarray:
     return s + c
 
 
-def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
-    """Sum an array in fixed-size chunks, combining partials in index order.
+def chunked_sum(values: np.ndarray) -> complex | np.ndarray:
+    """Sum an array in chunks of CHUNK entries, combining partials in index order.
 
     The chunking grid depends only on len(values), so the result does not
     depend on how the input was produced.  A 2-D array is summed along
@@ -69,7 +69,7 @@ def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
     """
     a = np.asarray(values)
     if a.ndim == 2:
-        partials = ([np.sum(a[:, i:i + chunk], axis=1) for i in range(0, a.shape[1], chunk)]
+        partials = ([np.sum(a[:, i:i + CHUNK], axis=1) for i in range(0, a.shape[1], CHUNK)]
                     or [np.zeros(a.shape[0], dtype=a.dtype)])
         if not np.iscomplexobj(a):
             return _neumaier_rows(partials)
@@ -79,7 +79,7 @@ def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> complex | np.ndarray:
         return out
     if a.size == 0:
         return 0.0 if not np.iscomplexobj(a) else 0j
-    partials = [np.sum(a[i:i + chunk]) for i in range(0, a.size, chunk)]
+    partials = [np.sum(a[i:i + CHUNK]) for i in range(0, a.size, CHUNK)]
     return neumaier_sum(partials) if np.iscomplexobj(a) else neumaier_sum(partials).real
 
 

@@ -7,14 +7,14 @@ so every value carries a certified absolute error; the minimal N is found by
 stepping up from the closed-form start ceil(sqrt(q ln(1/eps) / (pi x))) - 2,
 below which no n can meet the bound.
 
-The all-characters path folds the series into per-residue-class weights
-(one real vector per parity) and applies the multiplicative-group transform
-for that parity only: on a cyclic group (q prime, p^e, 2 p^e) this is a
-real FFT of half the group order, elsewhere the full transform with the
-parity selected.  A moment needs only its own parity, so it folds and
-transforms once.  Moments S_2k(q) over the even-primitive or
-odd-primitive family normalize by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp.
-phi(q) q^{3k/2} (log q)^{(k-1)^2}.
+The all-characters path folds the series by residue class mod q, then
+gathers the units once into real weights (one vector per parity), and
+applies the multiplicative-group transform for that parity only: on a
+cyclic group (q prime, p^e, 2 p^e) a real FFT of half the group order,
+elsewhere the transform over the unsplit grid with the parity selected.
+A moment needs only its own parity, so it folds and transforms once.
+Moments S_2k(q) over the even-primitive or odd-primitive family normalize
+by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
 mellin_checks compares the series against the line integral
 
@@ -113,15 +113,15 @@ def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> Complex
 def _theta_parity(q: int, x: float, eta: int, eps: float,
                   group: CharacterGroup) -> tuple[np.ndarray, float]:
     """(values, err): theta(eta, x, chi) within err for the parity-eta
-    characters, in index order; the series folded by residue, then transformed."""
+    characters, in index order; the series folded by residue, its units
+    gathered, then transformed."""
     n = truncation_length(q, x, eta, eps / 2)
     res, e = _series_terms(q, x, eta, n)
-    w = np.bincount(res, weights=e, minlength=q)
+    w = np.bincount(res, weights=e, minlength=q)[group.structure.n_of_index]
     tail = _tail_bound(q, x, eta, n)
-    # the transform reads only the units; its parity fold adds one rounding per
-    # entry, covered since log2 phi = log2(phi / 2) + 1
-    mass = float(np.sum(w[group.structure.n_of_index]))
-    return group.transform(w, eta), tail + rounding_bound(group.phi, mass)
+    # the parity fold adds one rounding per entry, covered since
+    # log2 phi = log2(phi / 2) + 1
+    return group.transform(w, eta), tail + rounding_bound(group.phi, float(np.sum(w)))
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import thetamoments
+from thetamoments import cli
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -54,6 +55,33 @@ def test_bound_eval_names_constraint(capsys, tmp_path):
                           "--out", str(tmp_path))
     assert code == 2
     assert "q must be >= 17" in err
+
+
+def test_bound_eval_k_must_match_the_shifts(capsys, tmp_path):
+    """The --k check is bound-eval's own: its handler raises, the CLI exits 2."""
+    argv = ["bound-eval", "--q", "101", "--shifts", "0,0.3", "--k", "2"]
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert "--k 2 expects 4 shifts; got 2" in err
+    with pytest.raises(DomainError, match="expects 4 shifts"):
+        cli._cmd_bound_eval(cli.build_parser().parse_args(argv), cli.RunConfig())
+
+
+@pytest.mark.parametrize("vsteps", ["-3", "0"])
+def test_large_values_vsteps_below_one_is_a_usage_error(capsys, tmp_path, vsteps):
+    code, _, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0",
+                          "--vmin", "-5", "--vmax", "1", "--vsteps", vsteps,
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"thetamoments: error: --vsteps must be >= 1; got {vsteps}\n"
+
+
+def test_large_values_nan_vmin_is_a_usage_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0",
+                            "--vmin", "nan", "--vmax", "1", "--vsteps", "3",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert "NaN" in err
 
 
 def test_unreachable_tol_exits_one(capsys, tmp_path):

@@ -182,6 +182,23 @@ def test_all_chars_and_aggregates_reject_a_nonpositive_tol(tol):
         shifted_moment(13, (0.0, 3.0), tol=tol)
 
 
+@pytest.mark.parametrize("q", [13, 1009, 5040, 10007, 100003])
+def test_l_value_is_the_family_entry(q):
+    """For s != 1 l_value reads entry chi.index of the family transform, so the
+    two agree bit for bit; a refusal's best is that entry, a scalar."""
+    g = build_group(q)
+    for s in (0.5 + 3j, 0.5, 0.75 - 12.5j):
+        vals, _ = l_values_all_chars(q, s, group=g)
+        for i in sorted({1, g.phi // 3, g.phi // 2, g.phi - 1}):
+            assert l_value(q, g.char(i), s).value == vals[i], (s, i)
+    with pytest.raises(PrecisionError) as exc:
+        l_value(q, g.char(1), 0.5 + 3j, tol=1e-18)
+    with pytest.raises(PrecisionError) as family:
+        l_values_all_chars(q, 0.5 + 3j, tol=1e-18, group=g)
+    assert exc.value.best == lfunc.ComplexApprox(complex(family.value.best.value[1]),
+                                                 family.value.best.abs_error)
+
+
 def test_refusal_carries_the_best_effort_value():
     """A refused L request keeps its result and the bound that missed."""
     g = build_group(13)
@@ -492,6 +509,13 @@ def test_large_value_counts_ties_at_grid_points(family):
     h = large_value_counts(q, (0.0, 0.0), grid, tol=tol, family=family)
     old = np.sum(total[:, None] >= grid[None, :], axis=0).astype(np.int64)
     assert h.counts.dtype == np.int64 and np.array_equal(h.counts, old)
+
+
+def test_large_value_grid_rejects_nan_and_keeps_infinities():
+    with pytest.raises(DomainError, match="NaN"):
+        large_value_counts(101, (0.0, 0.0), [np.nan, 1.0])
+    h = large_value_counts(101, (0.0, 0.0), [-np.inf, np.inf])
+    assert h.counts.tolist() == [h.family_size, 0]
 
 
 def test_large_value_counts_star_family_keeps_quadratic():
