@@ -7,8 +7,9 @@ character values are exact roots of unity up to one complex rounding.
 
 Characters are enumerated in C order of their exponent tuples; index 0 is the
 trivial character.  The group also provides vectorized tables (parity bits,
-conductors, orders, the conjugation permutation), the character families every
-moment sums over (`family_mask`), and the fast weighted-sum transform
+conductors, orders, the conjugation permutation, which `conjugate` applies to
+any array without the table), the character families every moment sums over
+(`family_mask`), and the fast weighted-sum transform
 
     transform(w)[j] = sum_i chi_j(u_i) w[i]   (weights on the units u = n_of_index),
 
@@ -153,15 +154,20 @@ class CharacterGroup:
         """chi^2 = trivial character (order 1 or 2)."""
         return self.orders <= 2
 
+    def conjugate(self, values: np.ndarray) -> np.ndarray:
+        """values[..., conjugation] for a last axis in index order: exponents
+        j -> -j, a flip and a shift by one along each component of the grid,
+        with no index table."""
+        if not self._dims:
+            return values.copy()
+        axes = tuple(range(-len(self._dims), 0))
+        grid = values.reshape(values.shape[:-1] + self._dims)
+        return np.roll(np.flip(grid, axes), 1, axes).reshape(values.shape)
+
     @cached_property
     def conjugation(self) -> np.ndarray:
-        """perm with perm[j] = index of conj(chi_j): exponents j -> -j."""
-        out = np.zeros((), dtype=np.int64)
-        for j, d in zip(self._ranges, self._dims):
-            neg = d - j
-            neg %= d
-            out = neg if out.ndim == 0 else out * d + neg
-        return np.broadcast_to(out, self._dims).reshape(-1)
+        """perm with perm[j] = index of conj(chi_j)."""
+        return self.conjugate(np.arange(self.phi))
 
     def family_mask(self, name: str) -> np.ndarray:
         """Boolean mask of the characters in a family, one of FAMILIES:

@@ -176,6 +176,9 @@ def _cmd_shifted_moment(args, cfg):
 def _cmd_large_values(args, cfg):
     if args.vsteps < 1:
         raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
+    for flag, v in (("--vmin", args.vmin), ("--vmax", args.vmax)):
+        if not np.isfinite(v):
+            raise DomainError(f"{flag} must be finite (not NaN or infinite); got {v}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
     hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
     meta = {"command": "large-values", "q": args.q,

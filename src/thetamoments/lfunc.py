@@ -9,11 +9,14 @@ The weights w_a (the right-hand side), on the units in group order, are
 shared by every character, and one fast multiplicative-group transform per
 s-point turns them into all L(s, chi).  For s != 1, l_value is entry
 chi.index of that transform, so it equals the family entry bit for bit.
-The Dirichlet polynomial a^{-s} takes its phase t log a mod 2 pi in
-longdouble; zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs, with an
-error e_a per entry (Taylor in a from longdouble centres at large phi,
-direct Euler-Maclaurin at small phi).  The error of any character sum of the
-weights is then
+At real s, L(s, conj chi) = conj L(s, chi); _l_rows makes each real-s row so
+exactly, as the mean of the row and its conjugated permutation, and charges
+that mean's rounding.  The Dirichlet polynomial a^{-s} takes its phase
+t log a mod 2 pi in longdouble, with no phase work for a run of points at
+t = 0, where a^{-s} is its real magnitude; zeta(s, 1 + a/q) comes from
+specfun.hurwitz_grid_runs, with an error e_a per entry (Taylor in a from
+longdouble centres at large phi, direct Euler-Maclaurin at small phi).  The
+error of any character sum of the weights is then
 
     |q^{-s}| sum_a e_a  +  Dirichlet-polynomial rounding  +  transform rounding,
 
@@ -36,12 +39,12 @@ and the shifts, builds the group and the family mask once, and evaluates the
 distinct |t| as the s-points of one _l_rows call, keeping only |L| of each
 run (no (S, phi) complex array).  A central moment is its t = 0 column.
 Negative shifts reuse the |L| column of the matching positive shift through
-the conjugation permutation chi -> conj(chi), the t = 0 column is averaged
-with its own conjugation permutation (|L(1/2, conj chi)| = |L(1/2, chi)|),
-and every moment is reduced by reports.moment_report (sorted, then the
-fixed-chunk sum), so a moment at shifts -t is bit-identical to the moment at
-t, and M_2(q) to the shifted moment at (0, 0).  The `workers` keyword of the
-public functions is accepted and ignored.
+the conjugation permutation chi -> conj(chi) (the t = 0 row is exactly
+conjugate-symmetric already), and every moment is reduced by
+reports.moment_report (sorted, then the fixed-chunk sum), so a moment at
+shifts -t is bit-identical to the moment at t, and M_2(q) to the shifted
+moment at (0, 0).  The `workers` keyword of the public functions is accepted
+and ignored.
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -92,9 +95,12 @@ _TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 def _powers(s: np.ndarray, n: np.ndarray):
     """(n^{-s}, |n^{-s}|) for integers n > 0 and a column of s-points, from
     log n in longdouble: the phase t log n is reduced mod 2 pi there, then it
-    and -sigma log n are rounded to float64 for cos, sin and exp."""
+    and -sigma log n are rounded to float64 for cos, sin and exp.  A column
+    of real points has no phase: n^{-s} is the (real) magnitude itself."""
     ln = np.log(n.astype(np.longdouble))
     mag = np.exp((-s.real * ln).astype(float))
+    if not s.imag.any():
+        return mag, mag
     ang = s.imag * ln
     ang -= _TWO_PI * np.rint(ang / _TWO_PI)
     ang = ang.astype(float)
@@ -138,7 +144,8 @@ def _l_rows(group: CharacterGroup, s, tol: float):
     L(s_{i+k}, chi)) and err the error of each entry of a row:
       |q^{-s}| (sum_a e_a + rel sum_a |zeta|)   (Hurwitz part, e_a per entry)
       + rel sum_a |a^{-s}|                      (Dirichlet polynomial)
-      + eps (log2 phi + 9) sum_a |w_a|          (weight and transform roundings),
+      + eps (log2 phi + 9) sum_a |w_a|          (weight and transform roundings)
+      + eps max_chi |L|                         (real s: the conjugate mean),
     rel the _powers_rel bound.  Raises PrecisionError at the first point, in
     input order, whose err > tol, with best = ComplexApprox(its row of L, err).
     """
@@ -153,9 +160,20 @@ def _l_rows(group: CharacterGroup, s, tol: float):
         sums = np.zeros((3, j - i))
         # the transform holds the only reference to the weights and frees them once read
         out = group.transform(_weights(group, s_col, hurwitz, sums))
+        # at real s, L(s, conj chi) = conj L(s, chi): the mean of each row and
+        # its conjugated permutation makes it so exactly; that mean rounds by
+        # at most eps/2 |L|, charged as eps max |L|
+        mean = np.zeros(j - i)
+        for k in np.flatnonzero(s_col[:, 0].imag == 0):
+            conj = group.conjugate(out[k])
+            np.conjugate(conj, out=conj)
+            out[k] += conj
+            out[k] /= 2
+            del conj
+            mean[k] = _EPS * np.abs(out[k]).max()
         parts = {"Hurwitz part": sums[0],
                  "Dirichlet polynomial": _powers_rel(s_col[:, 0], q) * sums[1],
-                 "transform rounding": _EPS * sums[2] + rounding_bound(phi, sums[2])}
+                 "transform rounding": _EPS * sums[2] + rounding_bound(phi, sums[2]) + mean}
         err = sum(parts.values())
         for k in np.flatnonzero(err > tol)[:1]:
             stage = max(parts, key=lambda name: parts[name][k])
@@ -243,11 +261,8 @@ def _family_columns(caller: str, q: int, shifts, tol: float, family: str):
         np.abs(v, out=absl[i:j])
         errs[i:j] = err
         del v  # not alive during the next run's transform
-    if pos and pos[0] == 0:  # |L(1/2, conj chi)| = |L(1/2, chi)|: the t = 0 row is made exactly so
-        absl[0] += absl[0][group.conjugation]
-        absl[0] /= 2
     rows = [pos.index(abs(t)) for t in shifts]
-    cols = [(absl[i] if t >= 0 else absl[i][group.conjugation])[mask]
+    cols = [(absl[i] if t >= 0 else group.conjugate(absl[i]))[mask]
             for i, t in zip(rows, shifts)]
     return cols, [float(errs[i]) for i in rows], int(np.sum(mask))
 

@@ -17,30 +17,38 @@ zeta(s, a) uses Euler-Maclaurin directly: sum_{n<N} (n+a)^{-s}
 with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
 escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
-grown further.  _em_fill is the one tiling of this work, and every caller
-takes its (points, len(a)) values and errors whole: runs of s-points in input
-order, each run's a-values in balanced column tiles (equal widths +-1, so none
-is one column wide unless len(a) = 1) of at most HZ_BLOCK term entries
-(points x min(N, EM_ROWS) x columns).  Each point keeps its own (N, M), with
-the rows and terms past them as exact zeros, so every row equals the
-one-point, untiled evaluation.  The same block code runs in float64 or, with
-eps_ld in its float model, in longdouble.
+grown further.  _em_block is the one kernel: it evaluates a ladder of rungs
+s, s+1, ..., s+K-1 from one complex power (n+a)^{-s} per row, since
+(n+a)^{-s-k} = (n+a)^{-s} (n+a)^{-k} is k real multiplications away (2k eps
+more in the float model), and each tail term at N + a is one complex power
+(N+a)^{-s-k} times real powers of (N+a)^{-1}.  _em_fill is the one tiling of
+this work, and every caller takes its (points, rungs, len(a)) values and
+errors whole: runs of s-points in input order, each run's a-values in
+balanced column tiles (equal widths +-1, so none is one column wide unless
+len(a) = 1) of at most HZ_BLOCK term entries (points x min(N, EM_ROWS) x
+columns; a point's rungs share its term array).  Each rung keeps its own
+(N, M) and analytic bound, with the rows and terms past them as exact zeros,
+so every row equals the one-point, untiled evaluation.  The same block code
+runs in float64 or, with eps_ld in its float model, in longdouble.
 
 The L path needs zeta(s, 1 + a/q) at every unit a mod q, with an error per
 entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
 
 * Taylor in a (DLMF 25.11): zeta(s, c + d) = sum_k (-1)^k (s)_k/k!
   zeta(s+k, c) d^k about J = 64 centres c_j = 1 + (j + 1/2)/J, so |d| <= 1/128.
-  The J K centre values come from the block code in clongdouble; each entry is
-  then a K-term float64 Horner sum in d = (2Ja - (2j+1)q)/(2Jq), an integer
-  ratio rounded once, with bound sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps
-  |C_k|) |d|^k plus the truncation bound of _taylor_terms;
+  The J K centre values zeta(s+k, c_j) are one K-rung ladder of the block
+  code in clongdouble; each entry is then a K-term float64 Horner sum in
+  d = (2Ja - (2j+1)q)/(2Jq), an integer ratio rounded once, with bound
+  sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps |C_k|) |d|^k plus the
+  truncation bound of _taylor_terms;
 * direct Euler-Maclaurin at the float64 argument 1 + a/q, its rounding
   included in the bound.
 
-By term count Taylor costs J K N + phi K against phi N for direct (N the
-Euler-Maclaurin rows), so small groups (the Mellin check's phi = 28) stay
-direct and large ones go through the centres.
+The route is chosen by term count, J K N + phi K for Taylor against phi N for
+direct (N the Euler-Maclaurin rows), so small groups (the Mellin check's
+phi = 28) stay direct and large ones go through the centres.  Of the J K N
+centre terms only J N are complex powers; the rest are the ladder's real
+multiplications, so the count overstates the centres' cost.
 
 log Gamma (elementwise on arrays) shifts the argument up by the recurrence
 until Re z >= 10 and then applies Stirling with 9 Bernoulli terms; on
@@ -122,76 +130,108 @@ def _em_choose(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
     return n, m, _em_tail_bound(s, n + a_min, m)
 
 
-def _em_block(pts, nmb: list[tuple[int, int, float]], a: np.ndarray):
-    """(values, per-entry errs) at s-points pts, each with its own (N, M):
-    rows n >= N_i and Bernoulli terms j > M_i enter as exact zeros.  The
+def _ladder(x: np.ndarray, idx: np.ndarray, a: np.ndarray, keep: np.ndarray,
+            out: np.ndarray) -> None:
+    """out[:, k] += sum over the rows kept for rung k of x (n+a)^{-k}, for
+    every rung k, n the row column idx: x (points, rows, len(a)) is
+    overwritten by k real multiplications by (n+a)^{-1}, and keep is (points,
+    rungs, rows).  Each rung is one np.sum over the rows, so its order does
+    not depend on the other rungs or on how the columns are tiled."""
+    for k in range(out.shape[1]):
+        if k == 1:
+            inv = (1 / (idx + a)).astype(x.dtype)  # once, so no cast per product
+        if k:
+            x *= inv
+        out[:, k] += np.sum(x, axis=1, where=keep[:, k, :, None])
+
+
+def _em_block(pts, nmb, a: np.ndarray):
+    """(values, per-entry errs), shape (points, rungs, len(a)), of zeta(s + k, a)
+    at each point s of pts and rung k, with nmb[i][k] the (N, M, bound) of
+    rung k of point i: rows n >= N and Bernoulli terms j > M enter as exact
+    zeros.  One complex power (n+a)^{-s} per point, row and a-value; rung k is
+    k real multiplications by (n+a)^{-1} away.  Each rung's tail is one
+    complex power (N+a)^{-s-k} times real powers of (N+a)^{-1}.  The
     arithmetic, and the eps of the float model, follow a's dtype (float64 or
     longdouble)."""
     s = np.asarray(pts, dtype=np.result_type(a, complex))[:, None]
     eps, bern = np.finfo(a.dtype).eps, _B2J_FACT[a.dtype.type]
-    ns, tabs = np.array([n for n, _, _ in nmb]), np.abs(s.imag)
-    # main sum in blocks of EM_ROWS rows, each reduced by np.sum; alongside it
-    # the sums of |term| and |log(n+a)| |term| for the error model
-    parts = []
+    ns, ms, analytic = (np.array([[r[i] for r in rungs] for rungs in nmb]) for i in range(3))
+    ks = np.arange(ns.shape[1])
+    # main sum in blocks of EM_ROWS rows; alongside it, in float64, the sums of
+    # |term| and |log(n+a)| |term| for the error model
+    acc = np.zeros(ns.shape + a.shape, dtype=s.dtype)
+    acc_abs, acc_wabs = np.zeros(acc.shape), np.zeros(acc.shape)
     for i0 in range(0, ns.max(), EM_ROWS):
         idx = np.arange(i0, min(i0 + EM_ROWS, ns.max()), dtype=a.dtype)[:, None]
-        lg = np.log(idx + a[None, :])
-        drop = idx[:, 0] >= ns[:, None]  # rows n >= N of points that stop here
-        # exp in place, one (points, rows, len(a)) array alive at a time
+        keep = idx[:, 0] < ns[..., None]  # rows n < N of each point's rungs
+        lg = np.log(idx + a)
+        # exp in place, one complex (points, rows, len(a)) array alive at a time
         term = -s[..., None] * lg
         np.exp(term, out=term)
-        term[drop] = 0
-        part = np.sum(term, axis=1)
+        _ladder(term, idx, a, keep, acc)
         del term
-        mag = -s.real[..., None] * lg
+        lg = lg.astype(float, copy=False)
+        mag = -s.real.astype(float)[..., None] * lg
         np.exp(mag, out=mag)
-        mag[drop] = 0
-        parts.append((part, np.sum(mag, axis=1), np.sum(np.abs(lg) * mag, axis=1)))
-    acc, acc_abs, acc_wabs = (np.sum(p, axis=0) for p in zip(*parts))
+        _ladder(np.abs(lg) * mag, idx, a, keep, acc_wabs)
+        _ladder(mag, idx, a, keep, acc_abs)
+        del mag
 
-    lg = np.log(ns[:, None] + a)
-    pole = np.exp((1 - s) * lg) / (s - 1)
-    half = 0.5 * np.exp(-s * lg)
-    acc = acc + pole + half
+    # pole and half terms (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2 from x = (N+a)^{-s}
+    sk = (s + ks)[..., None]  # exact
+    na = ns[..., None] + a
+    lg = np.log(na)
+    x = np.exp(-sk * lg)
+    pole = x * na / (sk - 1)
+    half = 0.5 * x
+    acc += pole + half
 
-    # Bernoulli corrections B_2j/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1}: the rising
-    # factorials are one running product, terms j > M_i are zero
-    ms = np.array([m for _, m, _ in nmb])[:, None]
-    poch = np.cumprod(s + np.arange(2 * ms.max() - 1), axis=1)[:, ::2]
-    coef = np.where(np.arange(1, ms.max() + 1) <= ms, bern[:ms.max()] * poch, 0)
-    corr_abs = np.zeros(lg.shape, dtype=a.dtype)
-    for j in range(1, coef.shape[1] + 1):
-        term = coef[:, j - 1:j] * np.exp((-s - 2 * j + 1) * lg)
-        acc = acc + term
+    # Bernoulli corrections B_2j/(2j)! * (s)_{2j-1} * x (N+a)^{1-2j}: the rising
+    # factorials and the powers of (N+a)^{-2} are running products, terms j > M
+    # are zero
+    mmax = ms.max()
+    poch = np.cumprod(sk + np.arange(2 * mmax - 1), axis=-1)[..., ::2]
+    coef = np.where(np.arange(1, mmax + 1) <= ms[..., None], bern[:mmax] * poch, 0)
+    power, inv2 = x / na, na ** -2
+    corr_abs = np.zeros(acc.shape, dtype=a.dtype)
+    for j in range(mmax):
+        if j:
+            power *= inv2
+        term = coef[..., j:j + 1] * power
+        acc += term
         corr_abs += np.abs(term)
 
     # float model: pairwise-summation depth times accumulated magnitude, plus
-    # the exp-argument (angle) error ~ |Im s| |log(n+a)| eps per term
-    depth = np.array([[math.log2(min(n, EM_ROWS) + 1) + -(-n // EM_ROWS) + 8] for n in ns])
+    # 2k eps for rung k's products, the exp-argument error ~ |Im s| |log(n+a)|
+    # eps per term (|s + k| |log(N+a)| eps in the tail), and 4M eps for the
+    # Bernoulli terms' running products
+    depth = np.log2(np.minimum(ns, EM_ROWS) + 1) + -(-ns // EM_ROWS) + 8 + 2 * ks
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
-    per_entry = (depth * acc_abs + 2 * tabs * acc_wabs
-                 + (2 * tabs * np.abs(lg) + 10) * tail_mag)
-    analytic = np.array([b for _, _, b in nmb])[:, None]
-    return acc, analytic + float(eps) * per_entry.astype(float)
+    per_entry = (depth[..., None] * acc_abs + 2 * np.abs(s.imag)[..., None] * acc_wabs
+                 + (2 * np.abs(sk) * lg + 10) * tail_mag + 4 * mmax * corr_abs)
+    return acc, analytic[..., None] + float(eps) * per_entry.astype(float)
 
 
 def _em_fill(pts, nmb, a: np.ndarray):
-    """(values, errs) of _em_block at every point and a-value, shape (points,
-    len(a)) in a's complex dtype, over the balanced tiles of the module
-    docstring: points x min(N, EM_ROWS) x width <= HZ_BLOCK (a lone point
-    always fits).  numpy reduces a one-column term array in another order, so
-    a one-column tile would move that entry's last bits."""
-    vals = np.empty((len(pts), a.size), dtype=np.result_type(a, complex))
-    errs = np.empty((len(pts), a.size))
+    """(values, errs) of _em_block at every point, rung and a-value, shape
+    (points, rungs, len(a)) in a's complex dtype, over the balanced tiles of
+    the module docstring: points x min(N, EM_ROWS) x width <= HZ_BLOCK (a lone
+    point always fits; its rungs share one term array).  numpy reduces a
+    one-column term array in another order, so a one-column tile would move
+    that entry's last bits."""
+    vals = np.empty((len(pts), len(nmb[0]), a.size), dtype=np.result_type(a, complex))
+    errs = np.empty(vals.shape)
     i = 0
     while i < len(pts):
-        rows = np.minimum(np.maximum.accumulate([n for n, _, _ in nmb[i:]]), EM_ROWS)
+        rows = np.minimum(np.maximum.accumulate([max(r[0] for r in rungs) for rungs in nmb[i:]]),
+                          EM_ROWS)
         width = max(1, min(a.size, HZ_BLOCK // rows[0]))
         j = i + max(1, int(np.sum(np.arange(1, len(rows) + 1) * rows * width <= HZ_BLOCK)))
         tiles = -(-a.size // width)
         edges = [c * a.size // tiles for c in range(tiles + 1)]
         for c0, c1 in zip(edges, edges[1:]):
-            vals[i:j, c0:c1], errs[i:j, c0:c1] = _em_block(pts[i:j], nmb[i:j], a[c0:c1])
+            vals[i:j, :, c0:c1], errs[i:j, :, c0:c1] = _em_block(pts[i:j], nmb[i:j], a[c0:c1])
         i = j
     return vals, errs
 
@@ -217,7 +257,8 @@ def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    ((vals,), (errs,)) = _em_fill([s], [_em_choose(s, float(a.min(initial=1.0)), tol)], a)
+    nmb = [[_em_choose(s, float(a.min(initial=1.0)), tol)]]
+    vals, errs = (x[0, 0] for x in _em_fill([s], nmb, a))
     err = float(errs.max(initial=0.0))
     if err > tol:
         raise PrecisionError(f"zeta(s, a) at s = {s:g}: requested tol {tol:g} unreachable "
@@ -259,16 +300,16 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     """Evaluator a -> (values, errs) of the K-term Taylor sum of zeta(s, c_j + d)
     = sum_k (-1)^k (s)_k/k! zeta(s+k, c_j) d^k (DLMF 25.11) at the integers a.
 
-    The J*K centre values come from _em_block in clongdouble.  Each entry's
-    bound is sum_k B[k, j] |d|^k + the truncation bound, with B[k, j] the
-    centre error weighted by |(s)_k/k!| plus 2K + 5 eps per |C_k|: the float64
-    Horner sum, the rounding of C_k to complex128 and of d.
+    The J*K centre values are one K-rung ladder of _em_block in clongdouble.
+    Each entry's bound is sum_k B[k, j] |d|^k + the truncation bound, with
+    B[k, j] the centre error weighted by |(s)_k/k!| plus 2K + 5 eps per |C_k|:
+    the float64 Horner sum, the rounding of C_k to complex128 and of d.
     """
     centres = 1 + (np.arange(TAYLOR_J, dtype=np.longdouble) + 0.5) / TAYLOR_J
     ks = np.arange(k_terms)
     pts = np.clongdouble(s) + ks  # exact in longdouble
     nmb = [_em_choose(complex(z), 1 + 0.5 / TAYLOR_J, tol) for z in pts.tolist()]
-    zeta, zerr = _em_fill(pts, nmb, centres)
+    zeta, zerr = (x[0] for x in _em_fill(pts[:1], [nmb], centres))
     # (-1)^k (s)_k / k! as one running product
     r = np.cumprod(np.concatenate([[1], -pts[:-1] / ks[1:]]))[:, None]
     coef = r * zeta
@@ -301,8 +342,8 @@ def _direct(pts: list[complex], nmb, q: int):
     shift = np.array([2 * _EPS * abs(z) * (1 + 1 / z.real) for z in pts])[:, None]
 
     def evaluate(a: np.ndarray):
-        vals, errs = _em_fill(pts, nmb, 1 + a / q)
-        return vals, errs + shift
+        vals, errs = _em_fill(pts, [[r] for r in nmb], 1 + a / q)
+        return vals[:, 0], errs[:, 0] + shift
 
     return evaluate
 

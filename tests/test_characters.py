@@ -188,6 +188,8 @@ def test_conjugation_permutation(q):
     neg = [g.char_from_exponents(tuple(-e for e in chi.exponents)).index for chi in g]
     assert g.conjugation.tolist() == neg
     assert [g.conjugate_index(i) for i in range(len(g))] == neg
+    rows = np.random.default_rng(q).standard_normal((3, len(g))) * (1 + 1j)
+    assert np.array_equal(g.conjugate(rows), rows[:, neg])
 
 
 def test_char_from_exponents_roundtrip():

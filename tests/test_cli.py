@@ -84,6 +84,20 @@ def test_large_values_nan_vmin_is_a_usage_error(capsys, tmp_path):
     assert "NaN" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--vmin", "-inf"), ("--vmax", "inf"), ("--vmax", "-inf")])
+def test_large_values_infinite_bound_is_named(capsys, tmp_path, recwarn, flag, value):
+    """An infinite --vmin/--vmax is refused by its flag before the grid is
+    built: exit 2, no NaN grid blamed and no numpy warning."""
+    bounds = {"--vmin": "-5", "--vmax": "1", flag: value}
+    code, out, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0",
+                            "--vmin=" + bounds["--vmin"], "--vmax=" + bounds["--vmax"],
+                            "--vsteps", "3", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == (f"thetamoments: error: {flag} must be finite (not NaN or infinite); "
+                   f"got {float(value)}\n")
+    assert not recwarn.list
+
+
 def test_unreachable_tol_exits_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "l-moment", "--q", "13", "--k", "1",
                           "--tol", "1e-30", "--out", str(tmp_path))

@@ -199,6 +199,24 @@ def test_l_value_is_the_family_entry(q):
                                                  family.value.best.abs_error)
 
 
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_real_s_rows_are_exact_conjugate_pairs(q):
+    """At real s every row of l_values_all_chars pairs exactly: L(s, conj chi)
+    = conj L(s, chi) bit for bit and real characters take real values, in a
+    batch with a complex point and alone; the paired values stay within the
+    reported bound of the oracle."""
+    g = build_group(q)
+    vals, errs = l_values_all_chars(q, np.array([0.5, 0.5 + 3j, 2.0]), group=g)
+    real = g.conjugation == np.arange(g.phi)
+    for row in (vals[0], vals[2], l_values_all_chars(q, 0.5, group=g)[0]):
+        assert np.array_equal(row[g.conjugation], np.conj(row))
+        assert not np.any(row[real].imag)
+    idx = [1, g.phi // 3]
+    idx += [int(g.conjugation[i]) for i in idx]
+    for i, ref in zip(idx, mp_l_values_taylor(q, [g.char(i) for i in idx], 0.5)):
+        assert abs(vals[0, i] - ref) <= errs[0], (i, abs(vals[0, i] - ref), errs[0])
+
+
 def test_refusal_carries_the_best_effort_value():
     """A refused L request keeps its result and the bound that missed."""
     g = build_group(13)

@@ -128,13 +128,14 @@ def test_vector_of_s_equals_scalar_calls_bit_for_bit(q):
 
 def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
     """Every _em_block call holds at most HZ_BLOCK term entries (points x
-    min(N, EM_ROWS) x a-values), on both grid routes and the scalar vector,
-    with points of N > EM_ROWS and a-arrays that take several column tiles."""
+    min(N, EM_ROWS) x a-values, the rungs of a point sharing one term array),
+    on both grid routes and the scalar vector, with points of N > EM_ROWS and
+    a-arrays that take several column tiles."""
     calls = []
     evaluate = specfun._em_block
 
     def recording(pts, nmb, a):
-        n = max(n for n, _, _ in nmb)
+        n = max(n for rungs in nmb for n, _, _ in rungs)
         calls.append((len(pts), n, len(a)))
         assert len(pts) * min(n, specfun.EM_ROWS) * len(a) <= specfun.HZ_BLOCK
         return evaluate(pts, nmb, a)
@@ -154,8 +155,8 @@ def test_vector_of_s_blocks_fit_the_budget(monkeypatch):
 
 def _full(z, a, tol):
     """(values, error) of one untiled _em_block call over all of a, for the point z at tol."""
-    vals, errs = specfun._em_block([z], [specfun._em_choose(z, float(a.min()), tol)], a)
-    return vals[0], float(errs.max())
+    vals, errs = specfun._em_block([z], [[specfun._em_choose(z, float(a.min()), tol)]], a)
+    return vals[0, 0], float(errs.max())
 
 
 @pytest.mark.parametrize("q", [29, 1009, 2187, 5040, 10007])
@@ -226,15 +227,19 @@ def _grid_route(monkeypatch, s, q, tol):
     return evaluate, routes
 
 
-@pytest.mark.parametrize("t", [0.0, 35.0, 50.0])
+@pytest.mark.parametrize("t", [0.0, 35.0, 50.0, 300.0])
 def test_unit_grid_entries_within_their_own_bounds(monkeypatch, t):
     """zeta(s, 1 + a/q) at q = 100003 (the Taylor route) against mpmath on 67
     sampled entries, the extremes and a cell edge among them: each deviation
-    stays within that entry's own bound."""
+    stays within that entry's own bound, and every bound under the ceiling.
+    At t = 300 the centres take K = 23 rungs over N > EM_ROWS rows, and the
+    float64 Horner rounding of the larger coefficients puts the bounds near
+    1.7e-13."""
     q, s = 100003, complex(0.5, t)
     tol = 1e-10 * q ** 0.5 / (4 * (q - 1))  # the L path's per-entry target at tol 1e-10
     evaluate, routes = _grid_route(monkeypatch, s, q, tol)
     assert routes == ["_taylor"]
+    ceiling = 2e-13 if t > 50 else 1e-13
     rng = np.random.default_rng(int(t) + 1)
     a = np.concatenate([[1, q - 1, q // specfun.TAYLOR_J], rng.integers(2, q - 1, 64)])
     vals, errs = evaluate(a)
@@ -242,7 +247,44 @@ def test_unit_grid_entries_within_their_own_bounds(monkeypatch, t):
     for ai, v, e in zip(a.tolist(), vals[0], errs[0]):
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag), 1 + mp.mpf(ai) / q))
         assert abs(v - ref) <= e, (ai, abs(v - ref), e)
-        assert e < 1e-13
+        assert e < ceiling
+
+
+def _mp_exact(z):
+    """A longdouble complex as an mpmath number, exactly: float64 head plus tail."""
+    parts = []
+    for x in (z.real, z.imag):
+        head = float(x)
+        parts.append(mp.mpf(head) + mp.mpf(float(x - head)))
+    return mp.mpc(*parts)
+
+
+@pytest.mark.parametrize("t", [0.0, 50.0])
+def test_taylor_centre_rungs_within_their_own_bounds(monkeypatch, t):
+    """The Taylor centre table zeta(s + k, c_j) at q = 100003, each rung k
+    reached from one complex power per row by real multiplications: rungs 0
+    and K - 1 at 8 of the J centres against mpmath, each within its own bound."""
+    q, s = 100003, complex(0.5, t)
+    tol = 1e-10 * q ** 0.5 / (4 * (q - 1))
+    tables, fill = [], specfun._em_fill
+
+    def recording(*args):
+        tables.append((args, fill(*args)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(specfun, "_em_fill", recording)
+    _, routes = _grid_route(monkeypatch, s, q, tol)
+    assert routes == ["_taylor"]
+    (((pts, nmb, centres), (vals, errs)),) = tables
+    k_terms = len(nmb[0])
+    assert vals.shape == errs.shape == (1, k_terms, specfun.TAYLOR_J) and k_terms >= 6
+    for k in (0, k_terms - 1):
+        for j in np.linspace(0, specfun.TAYLOR_J - 1, 8).astype(int).tolist():
+            c = 1 + (mp.mpf(j) + mp.mpf(0.5)) / specfun.TAYLOR_J
+            assert centres[j] == np.longdouble(1) + (np.longdouble(j) + 0.5) / specfun.TAYLOR_J
+            ref = mp.zeta(mp.mpc(s.real + k, t), c)
+            dev = float(abs(_mp_exact(vals[0, k, j]) - ref))
+            assert dev <= errs[0, k, j], (k, j, dev, errs[0, k, j])
 
 
 def test_unit_grid_direct_route_within_bounds(monkeypatch):
