@@ -8,8 +8,8 @@ a GRH majorant), theta (theta series, moments, Mellin cross-check), bounds
 (closed-form bound shapes), randmodel (Steinhaus Monte-Carlo model), cli.
 
 Everything numerical is deterministic and runs on the calling thread:
-fixed-chunk reductions fix the summation order, Monte-Carlo runs are seeded
-per sample, and the `workers=` keywords are accepted and ignored.
+fixed-chunk reductions fix the summation order, and Monte-Carlo runs are
+seeded per sample.
 """
 
 # set before the submodule imports: reports reads it while the package loads

@@ -205,7 +205,8 @@ class CharacterGroup:
         sum is one in-place inverse DFT of w over the exponent grid, split by
         _prime_power_split.  With a parity, real w on a cyclic group takes the
         fold of the module docstring; otherwise the parity is selected from
-        the unsplit grid.
+        the unsplit grid.  Every route computes in w's own complex dtype, so
+        longdouble weights come back as clongdouble.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.phi,):
@@ -223,7 +224,8 @@ class CharacterGroup:
         perm, dims, out = ((None, self._dims, self.parity_bits == parity) if parity is not None
                            else self._prime_power_split or (None, self._dims, None))
         # a buffer of our own, never the caller's w (freed here if a temporary)
-        z = w.astype(complex) if perm is None else w[..., perm].astype(complex, copy=False)
+        dtype = np.result_type(w, complex)
+        z = w.astype(dtype) if perm is None else w[..., perm].astype(dtype, copy=False)
         del w
         z = z.reshape(batch + dims)
         if dims:  # in place, one phi-wide buffer (out= needs numpy >= 2.0)

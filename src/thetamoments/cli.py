@@ -8,6 +8,9 @@ lines) < THETAMOMENTS_WORKERS environment variable < flags.  Exit codes:
 0 success, 2 usage/domain error (bad flags, out-of-range parameters),
 1 computation error (unreachable precision, unexpected failure).
 
+A subcommand takes only the flags it reads: --tol is l-moment's,
+shifted-moment's and large-values', --seed rand-model's (the config-file keys
+`tol` and `seed` stay valid everywhere, one file serving every subcommand).
 The worker count (--workers, THETAMOMENTS_WORKERS, the `workers` config key)
 is accepted and validated by every subcommand and then ignored: every
 computation runs in order on the calling thread.  The JSON envelope still
@@ -179,6 +182,8 @@ def _cmd_large_values(args, cfg):
     for flag, v in (("--vmin", args.vmin), ("--vmax", args.vmax)):
         if not np.isfinite(v):
             raise DomainError(f"{flag} must be finite (not NaN or infinite); got {v}")
+    if args.vmin > args.vmax:
+        raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
     hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
     meta = {"command": "large-values", "q": args.q,
@@ -191,6 +196,9 @@ def _cmd_large_values(args, cfg):
 
 
 def _cmd_mellin_check(args, cfg):
+    for flag, v in (("--height", args.height), ("--step", args.step)):
+        if not 0 < v < np.inf:
+            raise DomainError(f"{flag} must be positive and finite; got {v}")
     group = build_group(args.q)
     idx = np.flatnonzero(group.family_mask("even"))
     if not idx.size:
@@ -264,13 +272,13 @@ _HANDLERS = {
 @functools.cache  # built on the first run, reused by later runs in the process
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, help="precision target for L-values")
     shared.add_argument("--workers", type=int, help="accepted and ignored; echoed "
                         f"in JSON (flag beats the {WORKERS_ENV} environment variable)")
     shared.add_argument("--out", help="output directory for report files")
     shared.add_argument("--format", choices=("csv", "json"), help="report format")
     shared.add_argument("--config", help="key=value config file")
-    shared.add_argument("--seed", type=int, help="random seed (rand-model)")
+    tol_parent = argparse.ArgumentParser(add_help=False)
+    tol_parent.add_argument("--tol", type=float, help="precision target for L-values")
 
     p = argparse.ArgumentParser(prog="thetamoments",
                                 description="theta and L-function moment reports")
@@ -296,19 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--parity", choices=THETA_FAMILIES, default="even")
     sp.add_argument("--eps", type=float, default=1e-12)
 
-    sp = sub.add_parser("l-moment", parents=[shared],
+    sp = sub.add_parser("l-moment", parents=[shared, tol_parent],
                         help="central moment over primitive characters")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
 
-    sp = sub.add_parser("shifted-moment", parents=[shared],
+    sp = sub.add_parser("shifted-moment", parents=[shared, tol_parent],
                         help="moment at a tuple of critical-line shifts")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--shifts", type=_parse_shifts, required=True,
                     metavar="t1,...,t2k")
     sp.add_argument("--family", choices=L_FAMILIES, default="star")
 
-    sp = sub.add_parser("large-values", parents=[shared],
+    sp = sub.add_parser("large-values", parents=[shared, tol_parent],
                         help="large-value counts over a V grid")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--shifts", type=_parse_shifts, required=True,
@@ -346,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--eps", type=float, default=1e-12)
+    sp.add_argument("--seed", type=int, help="first per-sample seed")
 
     return p
 

@@ -43,8 +43,7 @@ the conjugation permutation chi -> conj(chi) (the t = 0 row is exactly
 conjugate-symmetric already), and every moment is reduced by
 reports.moment_report (sorted, then the fixed-chunk sum), so a moment at
 shifts -t is bit-identical to the moment at t, and M_2(q) to the shifted
-moment at (0, 0).  The `workers` keyword of the public functions is accepted
-and ignored.
+moment at (0, 0).
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -61,7 +60,7 @@ import numpy as np
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
 from .characters import Character, CharacterGroup, build_group
 from .errors import DomainError, PoleError, PrecisionError
-from .numtheory import PrimeTable, sieve
+from .numtheory import sieve
 from .reports import MomentReport, moment_report
 from .specfun import HZ_BLOCK, ComplexApprox, digamma_vector, hurwitz_grid_runs
 from .summation import chunked_sum, rounding_bound
@@ -277,13 +276,11 @@ def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     return moment_report(q, k, "star", terms, q * math.log(q) ** (k * k), tol)
 
 
-def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star",
-                   workers: int = 1) -> MomentReport:
+def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star") -> MomentReport:
     """sum over the family of prod_i |L(1/2 + i t_i, chi)|.
 
     The report's normalization is the bounds-module product bound (eps knob
-    0.1); NaN when q < 16 where that bound is undefined.  `workers` is
-    accepted and ignored.
+    0.1); NaN when q < 16 where that bound is undefined.
     """
     t = as_shift_tuple(t)
     cols, _, size = _family_columns("shifted_moment", q, t, tol, family)
@@ -310,12 +307,11 @@ class LargeValueHistogram:
 
 
 def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
-                       family: str = "nonquadratic", workers: int = 1) -> LargeValueHistogram:
+                       family: str = "nonquadratic") -> LargeValueHistogram:
     """Empirical large-value histogram over an ascending V grid.
 
     log|L| below the evaluation's own error bound is clamped to LOG_CLAMP and
-    the affected characters are counted in `flagged`.  `workers` is accepted
-    and ignored.
+    the affected characters are counted in `flagged`.
     """
     t = as_shift_tuple(t)
     v = np.asarray(v_grid, dtype=float)
@@ -364,7 +360,7 @@ def _log_plus(x: float) -> float:
 
 def log_l_majorant(q: int, chi: Character, t: float = 0.0, x: float = 25.0,
                    lam: float = 0.6, primes_only: bool = False,
-                   T: float | None = None, table: PrimeTable | None = None) -> float:
+                   T: float | None = None) -> float:
     """Explicit-formula style upper bound for log|L(1/2 + it, chi)| under GRH:
 
         Re sum_{n<=x} chi(n) Lambda(n) / (n^{1/2 + lam/log x + it} log n)
@@ -383,10 +379,8 @@ def log_l_majorant(q: int, chi: Character, t: float = 0.0, x: float = 25.0,
         T = abs(t)
     lx = math.log(x)
     sigma = 0.5 + lam / lx
-    if table is None or table.limit < int(x):
-        table = sieve(max(int(x), 2))
     acc = 0.0
-    for p in table.primes_in(2, int(x)):
+    for p in sieve(max(int(x), 2)).primes_in(2, int(x)):
         p = int(p)
         n, j = p, 1
         while n <= x:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import PrimeTable, sieve
+from .numtheory import sieve
 from .summation import chunked_sum
 from .theta import _series_terms, truncation_length
 
@@ -60,13 +60,11 @@ class SteinhausSample:
         return complex(self.values[m])
 
 
-def sample(n: int, seed: int, table: PrimeTable | None = None) -> SteinhausSample:
+def sample(n: int, seed: int) -> SteinhausSample:
     """Draw one Steinhaus sample on 1..N, deterministic in (N, seed)."""
     if n < 2:
         raise DomainError("sample support must be >= 2")
-    if table is None or table.limit < n:
-        table = sieve(n)
-    primes = table.primes_in(2, n)
+    primes = sieve(n).primes_in(2, n)
     angles, values = _draw(n, primes, [seed])
     return SteinhausSample(n=n, seed=seed, primes=primes,
                            prime_values=np.exp(1j * angles[0]), values=values[0])
@@ -137,12 +135,8 @@ def _model_thetas(w: np.ndarray, samples: int, seed: int) -> np.ndarray:
 
 
 def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
-                 eta: int = 0, workers: int = 1) -> ModelMomentEstimate:
-    """Estimate E |model_theta|^{2k} from `samples` independent samples.
-
-    `workers` is accepted and ignored: the samples are drawn in blocks of
-    SAMPLE_BLOCK in this thread, and the result does not depend on it.
-    """
+                 eta: int = 0) -> ModelMomentEstimate:
+    """Estimate E |model_theta|^{2k} from `samples` independent samples."""
     if q < 3:
         raise DomainError("model_moment requires q >= 3")
     if k < 1:

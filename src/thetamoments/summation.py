@@ -92,8 +92,8 @@ def rounding_bound(n: int, mass: float) -> float:
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int = 1) -> list[U]:
     """[fn(x) for x in items], in input order on the calling thread.
 
-    `workers` is accepted and ignored: running items in parallel would hold
-    every item's full result at once, raising peak memory and CPU time for no
-    wall-time gain.
+    No library code calls it: it stays, with its ignored `workers`, only as
+    the (fn, items, workers) entry point that the benchmark's tracing layer
+    wraps and its contract test pins.
     """
     return [fn(x) for x in items]

@@ -196,21 +196,20 @@ def _gamma_tail_mass(height: float) -> float:
 
 
 def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
-                  eps: float = 1e-12, workers: int = 1) -> list[MellinCheckResult]:
+                  eps: float = 1e-12) -> list[MellinCheckResult]:
     """Trapezoidal quadrature of the Mellin integral vs the theta series, for
     each character in `chars`: characters mod q of the group's "even" family.
 
     Every character is validated before any L evaluation.  L-values come from
     one l_values_all_chars call over the t-grid at tol 1e-10, so
     PrecisionError is raised exactly where l_value would raise it.
-    `workers` is accepted and ignored.
     """
     chars = list(chars)
     for chi in chars:
         if chi.q != q:
             raise DomainError(f"character modulus {chi.q} does not match q = {q}")
-    if not height > 0 or not step > 0:
-        raise DomainError("height and step must be positive")
+    if not (0 < height < math.inf and 0 < step < math.inf):
+        raise DomainError("height and step must be positive and finite")
     if not chars:
         return []
     group, idx = chars[0].group, [chi.index for chi in chars]
@@ -237,8 +236,7 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
 
 
 def mellin_check(q: int, chi: Character, height: float = 8.0, step: float = 1 / 64,
-                 eps: float = 1e-12, workers: int = 1) -> MellinCheckResult:
+                 eps: float = 1e-12) -> MellinCheckResult:
     """Trapezoidal quadrature of the Mellin integral vs the theta series for
-    one character: mellin_checks(q, [chi], ...)[0].  `workers` is accepted
-    and ignored."""
+    one character: mellin_checks(q, [chi], ...)[0]."""
     return mellin_checks(q, [chi], height, step, eps)[0]

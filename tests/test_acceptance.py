@@ -11,6 +11,7 @@ L(1/2, chi) Gamma(1/4) against mpmath.  The supplementary tests at the bottom
 record why the earlier targets of those two criteria were wrong.
 """
 
+import json
 import math
 import time
 
@@ -190,7 +191,7 @@ def test_criterion_05_mellin_residual():
         g = build_group(q)
         for i in _even_primitive_indices(g):
             t0 = time.monotonic()
-            r = mellin_check(q, g.char(i), height=8.0, step=1 / 64, workers=4)
+            r = mellin_check(q, g.char(i), height=8.0, step=1 / 64)
             mellin_s += time.monotonic() - t0
             net = abs(r.series - r.quadrature - _mellin_mass_beyond(q, g.char(i), r.height))
             if not (r.residual <= r.tail_bound and net < 1e-6):
@@ -355,20 +356,22 @@ def test_criterion_11_majorant_dominance():
     assert ok, f"min slack {min_slack:.3f} (must be >= 0)"
 
 
-def test_criterion_12_random_model():
+def test_criterion_12_random_model(cli_at_workers):
     # Monte-Carlo second moment within three standard errors of the exact
-    # weight sum, and bit-identical output under seed replay and any worker
-    # count.
+    # weight sum, and bit-identical output under seed replay and, through the
+    # CLI, at any worker count.
     est = model_moment(101, 1, 10_000, seed=1)
     replay = model_moment(101, 1, 10_000, seed=1)
-    parallel = model_moment(101, 1, 10_000, seed=1, workers=5)
+    one, five = (json.loads(out)["payload"] for out in cli_at_workers(
+        "rand-model", "--q", "101", "--k", "1", "--samples", "10000", "--seed", "1"))
     target = est.sum_w2
     dev = abs(est.estimate - target)
     ok_se = dev <= 3 * est.std_error
     ok_det = (
-        est.estimate == replay.estimate == parallel.estimate
-        and est.std_error == replay.std_error == parallel.std_error
-        and est.median_of_means == replay.median_of_means == parallel.median_of_means
+        est.estimate == replay.estimate == one["estimate"]
+        and est.std_error == replay.std_error == one["std_error"]
+        and est.median_of_means == replay.median_of_means == one["median_of_means"]
+        and one == five
     )
     ok = ok_se and ok_det
     _report(
@@ -422,7 +425,7 @@ def test_supplementary_taller_window_closes_residual():
     for q in (5, 13, 29):
         g = build_group(q)
         for i in _even_primitive_indices(g):
-            r = mellin_check(q, g.char(i), height=10.0, step=1 / 64, workers=4)
+            r = mellin_check(q, g.char(i), height=10.0, step=1 / 64)
             worst = max(worst, r.residual)
     assert worst < 1e-6, f"worst residual at height 10: {worst:.3e}"
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -330,6 +331,44 @@ def test_transform_rounding_bound_against_longdouble(q):
         for eta in (0, 1) if w.dtype == float else ():
             got = g.transform(w, eta)
             assert np.max(np.abs(got - ref[g.parity_bits == eta])) <= bound, eta
+
+
+def _mp(x):
+    """A longdouble as an exact mpmath number."""
+    num, den = x.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is no wider than float64 here")
+@pytest.mark.parametrize("q", [1009, 5040])
+def test_transform_keeps_longdouble_weights(q):
+    """Real longdouble and clongdouble weights come back as clongdouble on the
+    Good-Thomas split (q = 1009) and on the non-cyclic grid with or without a
+    parity (q = 5040), and sampled entries match an mpmath sum within the
+    longdouble rounding bound eps_ld (log2 phi + 8) sum |w|.  The weights are
+    63-bit integers over 2^63, exact in longdouble and in mpmath."""
+    g = build_group(q)
+    units = g.structure.n_of_index
+    ints = np.random.default_rng(q).integers(0, 2 ** 63, size=(2, g.phi), dtype=np.uint64)
+    re, im = ints.astype(np.longdouble) / 2 ** 63
+    e = g.structure.exponent
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    with mp.workdps(40):
+        roots = [mp.expjpi(mp.mpf(2 * t) / e) for t in range(e)]
+        for w in (re, re + 1j * im):
+            mp_w = [_mp(a.real) + 1j * _mp(a.imag) for a in w.astype(np.clongdouble)]
+            bound = eps_ld * (math.log2(g.phi) + 8) * float(np.sum(np.abs(w)))
+            for parity in (None, 0, 1):
+                got = g.transform(w, parity)
+                assert got.dtype == np.clongdouble, (w.dtype, parity)
+                chars = (np.arange(g.phi) if parity is None
+                         else np.flatnonzero(g.parity_bits == parity))
+                for pos in (1, len(chars) // 2, len(chars) - 1):
+                    chi = g.char(int(chars[pos]))
+                    ref = mp.fsum(roots[chi.root_exponent(int(u))] * x for u, x in zip(units, mp_w))
+                    assert abs(_mp(got[pos].real) + 1j * _mp(got[pos].imag) - ref) <= bound, \
+                        (w.dtype, parity, pos)
 
 
 def _exponent_matrix(g):

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, config precedence, deterministic reports."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -98,6 +99,32 @@ def test_large_values_infinite_bound_is_named(capsys, tmp_path, recwarn, flag, v
     assert not recwarn.list
 
 
+def test_large_values_descending_bounds_are_named(capsys, tmp_path):
+    """--vmin above --vmax is refused by both flag names; equal bounds give a
+    constant grid."""
+    argv = ("large-values", "--q", "101", "--shifts", "0,0", "--vsteps", "5",
+            "--out", str(tmp_path))
+    code, out, err = invoke(capsys, *argv, "--vmin", "10", "--vmax", "-60")
+    assert code == 2 and not out
+    assert err == "thetamoments: error: --vmin must be <= --vmax; got 10.0 > -60.0\n"
+    code, out, _ = invoke(capsys, *argv, "--vmin", "-1", "--vmax", "-1")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert [r[1] for r in rows] == ["-1.0"] * 5
+
+
+@pytest.mark.parametrize("flag, value", [("--height", "inf"), ("--height", "nan"),
+                                         ("--step", "inf"), ("--step", "-inf"), ("--step", "0")])
+def test_mellin_check_window_is_named(capsys, tmp_path, recwarn, flag, value):
+    """A non-finite or non-positive --height/--step is refused by its flag
+    before any evaluation: exit 2 and no numpy warning."""
+    code, out, err = invoke(capsys, "mellin-check", "--q", "13", f"{flag}={value}",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: {flag} must be positive and finite; got {float(value)}\n"
+    assert not recwarn.list
+
+
 def test_unreachable_tol_exits_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "l-moment", "--q", "13", "--k", "1",
                           "--tol", "1e-30", "--out", str(tmp_path))
@@ -113,6 +140,52 @@ def test_precision_refusal_names_the_requested_tol(capsys, tmp_path):
     assert code == 1
     assert err.startswith("thetamoments: precision:")
     assert "1e-14" in err and "100003" in err
+
+
+# ---------------------------------------------------------------------------
+# flags: each subcommand takes only the settings it reads
+
+_COMMON_OPTIONS = {"-h", "--help", "--workers", "--out", "--format", "--config"}
+_OPTIONS = {
+    "char-table": {"--q"},
+    "theta-moment": {"--q", "--k", "--parity", "--eps"},
+    "theta-scan": {"--prime-range", "--k", "--parity", "--eps"},
+    "l-moment": {"--q", "--k", "--tol"},
+    "shifted-moment": {"--q", "--shifts", "--family", "--tol"},
+    "large-values": {"--q", "--shifts", "--vmin", "--vmax", "--vsteps", "--family", "--tol"},
+    "mellin-check": {"--q", "--height", "--step"},
+    "bound-eval": {"--q", "--shifts", "--k", "--V", "--eps"},
+    "lemma-cos": {"--z", "--a"},
+    "rand-model": {"--q", "--k", "--samples", "--eps", "--seed"},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_OPTIONS) == set(cli._HANDLERS)
+    for name, sp in subparsers.choices.items():
+        assert set(sp._option_string_actions) == _COMMON_OPTIONS | _OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("theta-moment", "--q", "101", "--k", "1", "--parity", "even", "--tol", "1e-30"), "--tol"),
+    (("rand-model", "--q", "101", "--k", "1", "--samples", "100", "--tol", "1e-30"), "--tol"),
+    (("mellin-check", "--q", "13", "--tol", "1e-9"), "--tol"),
+    (("char-table", "--q", "12", "--seed", "3"), "--seed"),
+])
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
+    """A flag the subcommand would ignore exits 2 and argparse names it; the
+    same setting from a config file is accepted, since one file serves every
+    subcommand."""
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert f"unrecognized arguments: {flag} " in err
+    config = tmp_path / "run.cfg"
+    config.write_text("tol=1e-30\nseed=3\n")
+    code, _, _ = invoke(capsys, *argv[:argv.index(flag)], "--config", str(config),
+                        "--out", str(tmp_path))
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -451,10 +451,15 @@ def test_shifted_moment_negation_bit_identical():
         assert a.family_size == b.family_size
 
 
-def test_shifted_moment_worker_invariance():
-    a = shifted_moment(19, (0.1, 0.9, -0.4, 0.0), workers=1)
-    b = shifted_moment(19, (0.1, 0.9, -0.4, 0.0), workers=4)
+def test_shifted_moment_worker_invariance(cli_at_workers):
+    """Repeat calls agree bit for bit, and so does the shifted-moment CSV at
+    any --workers."""
+    a = shifted_moment(19, (0.1, 0.9, -0.4, 0.0))
+    b = shifted_moment(19, (0.1, 0.9, -0.4, 0.0))
     assert a.raw == b.raw
+    one, five = cli_at_workers("shifted-moment", "--q", "19", "--shifts", "0.1,0.9,-0.4,0.0")
+    assert one == five
+    assert f",{a.raw!r}," in one
 
 
 def test_shifted_moment_direct_product_cross_check():

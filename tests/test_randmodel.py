@@ -1,5 +1,6 @@
 """Steinhaus model: multiplicativity, replay, moment identities, determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_second_moment_identity_monte_carlo():
     """E |model_theta|^2 = sum w_n^2 exactly; the fixed-seed run lands within
     3 standard errors and inside the [0.9, 1.1] ratio window."""
     q = 101
-    est = model_moment(q, 1, 10 ** 4, seed=7, workers=4)
+    est = model_moment(q, 1, 10 ** 4, seed=7)
     exact = est.sum_w2
     assert abs(est.estimate - exact) < 3 * est.std_error
     assert 0.9 < est.estimate / exact < 1.1
@@ -91,12 +92,18 @@ def test_model_moment_matches_manual_samples():
     assert est.samples == count and est.seed == s0
 
 
-def test_model_moment_deterministic_across_workers():
-    a = model_moment(101, 2, 300, seed=11, workers=1)
-    b = model_moment(101, 2, 300, seed=11, workers=4)
+def test_model_moment_deterministic_across_workers(cli_at_workers):
+    """Repeat calls agree bit for bit, and so do rand-model payloads at any
+    --workers."""
+    a = model_moment(101, 2, 300, seed=11)
+    b = model_moment(101, 2, 300, seed=11)
     assert a.estimate == b.estimate
     assert a.std_error == b.std_error
     assert a.median_of_means == b.median_of_means
+    one, five = (json.loads(out)["payload"] for out in cli_at_workers(
+        "rand-model", "--q", "101", "--k", "2", "--samples", "300", "--seed", "11"))
+    assert one == five
+    assert (one["estimate"], one["std_error"]) == (a.estimate, a.std_error)
 
 
 def test_model_moment_normalization():

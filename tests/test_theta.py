@@ -381,15 +381,20 @@ def test_mellin_taller_window_mod13():
     g = build_group(13)
     idx = [i for i in range(len(g))
            if g.parity_bits[i] == 0 and g.primitive_mask[i]]
-    r = mellin_check(13, g.char(idx[0]), 10.0, 1 / 64, workers=4)
+    r = mellin_check(13, g.char(idx[0]), 10.0, 1 / 64)
     assert r.residual < 5e-7
 
 
-def test_mellin_worker_invariance():
+def test_mellin_worker_invariance(cli_at_workers):
+    """Repeat calls agree bit for bit, and so does the mellin-check CSV at any
+    --workers."""
     chi = quadratic_char(5)
-    a = mellin_check(5, chi, 4.0, 1 / 32, workers=1)
-    b = mellin_check(5, chi, 4.0, 1 / 32, workers=4)
+    a = mellin_check(5, chi, 4.0, 1 / 32)
+    b = mellin_check(5, chi, 4.0, 1 / 32)
     assert a.quadrature == b.quadrature and a.residual == b.residual
+    one, five = cli_at_workers("mellin-check", "--q", "5", "--height", "4", "--step", "0.03125")
+    assert one == five
+    assert f",{a.residual!r}," in one
 
 
 def test_mellin_domain():
@@ -409,6 +414,9 @@ def test_mellin_domain():
         mellin_check(5, chi, 0.0, 1 / 64)
     with pytest.raises(DomainError):
         mellin_check(5, chi, 8.0, -1.0)
+    for height, step in ((math.inf, 1 / 64), (math.nan, 1 / 64), (8.0, math.inf)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            mellin_checks(5, [chi], height, step)
     with pytest.raises(DomainError):
         mellin_check(7, chi, 8.0, 1 / 64)  # modulus mismatch
 
