@@ -26,8 +26,9 @@ theta weights) takes this fold, through rfft, and the values past its half
 are the conjugates of earlier ones (chi_{d-j} = conj chi_j).  Complex w,
 and every other group, run the same in-place block over the unsplit grid
 (the split maps would pay off for one transform only) and select the
-parity.  Tables are built by broadcasting per-component exponent ranges,
-never as a phi x r matrix.
+parity; `parity_index` is that selection (eta::2 on a cyclic group).
+Tables are built by broadcasting per-component exponent ranges, never as a
+phi x r matrix, and none reads a length-q table.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -111,10 +112,16 @@ class CharacterGroup:
     def parity_bits(self) -> np.ndarray:
         """0 for even characters (chi(-1) = 1), 1 for odd, all characters."""
         out = np.zeros(self._dims, dtype=np.int64)
-        # chi(-1) = prod_l exp(2 pi i j_l m_l / d_l), every factor +-1
-        for j, d, m in zip(self._ranges, self._dims, self.structure.exponents_of(-1)):
-            out = out ^ (j * m % d != 0)
+        # chi(-1) = prod_l exp(2 pi i j_l m_l / d_l) with m_l = 0 or d_l / 2
+        for j, m in zip(self._ranges, self.structure.minus_one):
+            if m:
+                out ^= j & 1
         return out.reshape(-1)
+
+    def parity_index(self, parity: int) -> slice | np.ndarray:
+        """Indexer of the parity-eta characters along an index-ordered axis;
+        on a cyclic group chi_j has parity j mod 2, as transform's fold uses."""
+        return slice(parity, None, 2) if len(self._dims) == 1 else self.parity_bits == parity
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -147,7 +154,19 @@ class CharacterGroup:
 
     @cached_property
     def primitive_mask(self) -> np.ndarray:
-        return self.conductors == self.q
+        """conductors == q, as one condition per p^e || q that its local
+        conductor is p^e (see the module docstring), with no product formed."""
+        out = np.ones(self._dims, dtype=bool)
+        ranges = iter(self._ranges)
+        for p, e in self.structure.factorization.factors:
+            if p != 2:  # j prime to p, which for e = 1 (j < p - 1) is j > 0
+                j = next(ranges)
+                out &= j % p != 0 if e > 1 else j > 0
+            elif e <= 2:  # 2 || q: every character is induced from q / 2
+                out &= e == 2 and next(ranges) > 0
+            else:  # the exponent of chi(-3), s 2^{e-3} + j mod 2^{e-2}, is odd
+                out &= (next(ranges) * 2 ** (e - 3) + next(ranges)) % 2 == 1
+        return out.reshape(-1)
 
     @cached_property
     def quadratic_or_trivial_mask(self) -> np.ndarray:
@@ -176,7 +195,9 @@ class CharacterGroup:
         star: primitive; nonquadratic: chi^2 nontrivial; star-nonquadratic: both.
         """
         if name in THETA_FAMILIES:
-            return self.primitive_mask & (self.parity_bits == (name == "odd"))
+            out, idx = np.zeros(self.phi, dtype=bool), self.parity_index(THETA_FAMILIES.index(name))
+            out[idx] = self.primitive_mask[idx]
+            return out
         if name == "star":
             return self.primitive_mask.copy()
         if name == "nonquadratic":
@@ -221,7 +242,7 @@ class CharacterGroup:
             r = np.fft.rfft(f, n)[..., parity::1 + parity]
             return np.concatenate(
                 [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
-        perm, dims, out = ((None, self._dims, self.parity_bits == parity) if parity is not None
+        perm, dims, out = ((None, self._dims, self.parity_index(parity)) if parity is not None
                            else self._prime_power_split or (None, self._dims, None))
         # a buffer of our own, never the caller's w (freed here if a temporary)
         dtype = np.result_type(w, complex)

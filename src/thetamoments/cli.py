@@ -86,12 +86,7 @@ def load_config(path: str) -> RunConfig:
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                if key == "tol":
-                    overrides[key] = float(value)
-                elif key in ("workers", "seed"):
-                    overrides[key] = int(value)
-                else:
-                    overrides[key] = value
+                overrides[key] = {"tol": float, "workers": int, "seed": int}.get(key, str)(value)
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: bad value {value!r} for {key}")
     return RunConfig(**overrides).validate()
@@ -129,17 +124,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_char_table(args, cfg):
-    group = build_group(args.q)
-    rows = []
-    for i in range(len(group)):
-        chi = group.char(i)
-        rows.append((i, ";".join(str(e) for e in chi.exponents) or "-",
-                     chi.parity, chi.conductor, 1 if chi.is_primitive else 0))
+    payload = [{"index": chi.index, "exponents": list(chi.exponents), "parity": chi.parity,
+                "conductor": chi.conductor, "primitive": chi.is_primitive}
+               for chi in build_group(args.q)]
+    rows = [(r["index"], ";".join(map(str, r["exponents"])) or "-", r["parity"],
+             r["conductor"], int(r["primitive"])) for r in payload]
     meta = {"command": "char-table", "q": args.q}
     columns = ("index", "exponents", "parity", "conductor", "primitive")
-    payload = [{"index": r[0], "exponents": list(group.char(r[0]).exponents),
-                "parity": r[2], "conductor": r[3], "primitive": bool(r[4])}
-               for r in rows]
     return csv_text(columns, rows, meta), payload, meta
 
 
@@ -238,10 +229,7 @@ def _cmd_bound_eval(args, cfg):
 
 def _cmd_lemma_cos(args, cfg):
     table = sieve(args.z)
-    rows = []
-    for a in args.a:
-        lhs, rhs, margin = cos_sum_check(args.z, a, table=table)
-        rows.append((a, lhs, rhs, margin))
+    rows = [(a, *cos_sum_check(args.z, a, table=table)) for a in args.a]
     meta = {"command": "lemma-cos", "z": args.z}
     columns = ("a", "lhs", "rhs", "margin")
     payload = [{"a": a, "lhs": l, "rhs": r, "margin": m} for a, l, r, m in rows]
@@ -269,6 +257,16 @@ _HANDLERS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an argument the subcommand does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache  # built on the first run, reused by later runs in the process
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="thetamoments",
                                 description="theta and L-function moment reports")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     sp = sub.add_parser("char-table", parents=[shared],
                         help="character table mod q")

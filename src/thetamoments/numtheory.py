@@ -5,13 +5,15 @@ exact integer arithmetic; no probabilistic primality, no big-number tricks.
 
 The unit group (Z/qZ)* is described by `GroupStructure`: an explicit list of
 generators with their orders (one cyclic component per odd prime power, the
-usual <-1> x <3> pair for 2^k with k >= 3) together with the full discrete-log
-table n -> exponent tuple.  Character evaluation and the fast all-character
-transforms in later modules are pure index arithmetic on top of this.
+usual <-1> x <3> pair for 2^k with k >= 3), with the discrete-log table
+n -> exponent tuple built lazily.  Character evaluation and the fast
+all-character transforms in later modules are pure index arithmetic on top.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -72,10 +74,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def phi(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= (p - 1) * p ** (e - 1)
-        return out
+        return math.prod((p - 1) * p ** (e - 1) for p, e in self.factors)
 
 
 def factorize(n: int) -> Factorization:
@@ -114,10 +113,6 @@ def euler_phi(n: int) -> int:
 # unit group structure
 
 
-def _order_is_phi(g: int, q: int, phi: int, phi_primes: list[int]) -> bool:
-    return all(pow(g, phi // ell, q) != 1 for ell in phi_primes)
-
-
 def primitive_root(q: int, fac: Factorization | None = None) -> int:
     """Smallest primitive root mod q; DomainError if (Z/qZ)* is not cyclic.
     `fac`, the factorization of q if known, is not computed again."""
@@ -132,7 +127,7 @@ def primitive_root(q: int, fac: Factorization | None = None) -> int:
     phi = fac.phi()
     phi_primes = [p for p, _ in factorize(phi).factors]
     for g in range(2, q):
-        if math.gcd(g, q) == 1 and _order_is_phi(g, q, phi, phi_primes):
+        if math.gcd(g, q) == 1 and all(pow(g, phi // ell, q) != 1 for ell in phi_primes):
             return g
     raise AssertionError("no primitive root found for cyclic modulus")  # unreachable
 
@@ -145,15 +140,16 @@ class GroupStructure:
       map (m_1, ..., m_r) -> prod g_l^{m_l} a bijection onto the units.
     n_of_index: flat array of unit representatives; entry at the C-order flat
       position of (m_1, ..., m_r) is prod g_l^{m_l} mod q.
-    index_of_n: length-q inverse lookup (-1 at non-units).
+    minus_one: the exponent tuple of -1 (d_l / 2, but 0 on the <3> of 2^e).
     exponent: lcm of the d_l (every character value is an exponent-th root of 1).
     factorization: the factorization of q the components were built from.
+    index_of_n: length-q inverse lookup (-1 at non-units), built lazily.
     """
 
     q: int
     components: tuple[tuple[int, int], ...]
     n_of_index: np.ndarray = field(repr=False)
-    index_of_n: np.ndarray = field(repr=False)
+    minus_one: tuple[int, ...]
     exponent: int
     factorization: Factorization = field(repr=False)
 
@@ -164,6 +160,12 @@ class GroupStructure:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.components)
+
+    @functools.cached_property
+    def index_of_n(self) -> np.ndarray:
+        out = np.full(max(self.q, 1), -1, dtype=np.int64)
+        out[self.n_of_index] = np.arange(self.phi)
+        return out
 
     def exponents_of(self, n: int) -> tuple[int, ...]:
         """Exponent tuple of the unit n; DomainError for non-units."""
@@ -181,8 +183,23 @@ def _crt_lift(g: int, pk: int, q: int) -> int:
     return (g * m * pow(m, -1, pk) + pk * pow(pk, -1, m)) % q
 
 
+def _powers(g: int, d: int, q: int) -> np.ndarray:
+    """g^m mod q for m < d as (g^b)^i g^j with b = ceil(sqrt d): two integer
+    ladders of about sqrt d steps, then one outer multiply-mod."""
+    b = math.isqrt(d - 1) + 1
+    hi, lo = (np.fromiter(itertools.accumulate(range(n - 1), lambda x, _: x * s % q, initial=1),
+                          np.int64, n) for s, n in ((pow(g, b, q), -(-d // b)), (g, b)))
+    return _outer_mod(hi, lo, q)[:d]
+
+
+def _outer_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a_i b_j mod q, flattened in C order, in one buffer."""
+    out = np.multiply.outer(a, b)
+    return np.remainder(out, q, out=out).reshape(-1)
+
+
 def group_structure(q: int) -> GroupStructure:
-    """Generator/order decomposition of (Z/qZ)* with full index tables."""
+    """Generator/order decomposition of (Z/qZ)* with the units in generator order."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
     comps: list[tuple[int, int]] = []
@@ -200,28 +217,18 @@ def group_structure(q: int) -> GroupStructure:
             else:
                 g = primitive_root(pk, Factorization(pk, ((p, e),)))
                 comps.append((_crt_lift(g, pk, q), pk - pk // p))
+    # -1 is g^{d/2} on every component but <3>, the second one when 8 | q
+    minus_one = [d // 2 for _, d in comps]
+    if q % 8 == 0:
+        minus_one[1] = 0
     # enumerate n(m) with the last component fastest (C order)
-    n_flat = np.array([1 % q], dtype=np.int64)
-    for g, d in comps:
-        # doubling fill: g^{m+k} = g^m g^k, so each pass doubles the table
-        pows = np.empty(d, dtype=np.int64)
-        pows[0] = 1
-        m = 1
-        while m < d:
-            k = min(m, d - m)
-            pows[m:m + k] = pows[:k] * pow(g, m, q) % q
-            m += k
-        n_flat = (n_flat[:, None] * pows[None, :] % q).reshape(-1)
-    index_of_n = np.full(max(q, 1), -1, dtype=np.int64)
-    index_of_n[n_flat] = np.arange(n_flat.size)
-    exponent = 1
-    for _, d in comps:
-        exponent = math.lcm(exponent, d)
+    tables = [_powers(g, d, q) for g, d in comps] or [np.array([1 % q], dtype=np.int64)]
+    n_flat = functools.reduce(lambda a, b: _outer_mod(a, b, q), tables)
     return GroupStructure(
         q=q,
         components=tuple(comps),
         n_of_index=n_flat,
-        index_of_n=index_of_n,
-        exponent=exponent,
+        minus_one=tuple(minus_one),
+        exponent=math.lcm(*(d for _, d in comps)),
         factorization=fac,
     )

@@ -4,7 +4,7 @@ theta(eta, x, chi) = sum_{n >= 1} chi(n) n^eta e^{-pi n^2 x / q}, with
 eta = 0 for even characters and 1 for odd ones; theta(1, chi) means x = 1
 with eta = eta_chi.  Truncation is by an explicit geometric-ratio tail bound,
 so every value carries a certified absolute error; the minimal N is found by
-stepping up from the closed-form start ceil(sqrt(q ln(1/eps) / (pi x))) - 2,
+stepping up from just below the largest root of n^eta e^{-pi n^2 x / q} = eps,
 below which no n can meet the bound.
 
 The all-characters path folds the series by residue class mod q, then
@@ -78,10 +78,14 @@ def truncation_length(q: int, x: float, eta: int, eps: float) -> int:
         raise DomainError("eps must be positive")
     if eta not in (0, 1):
         raise DomainError("eta must be 0 or 1")
-    # The bound at n is at least e^{-pi x (n+1)^2 / q}, which exceeds eps for every
-    # n + 1 < sqrt(q ln(1/eps) / (pi x)); start below that root, a unit of margin
-    # for its rounding, and step up to the N a walk up from 0 would reach.
-    n = max(math.ceil(math.sqrt(q * max(-math.log(eps), 0.0) / (math.pi * x))) - 2, 0)
+    # The bound at n is at least f(n+1) = (n+1)^eta e^{-r (n+1)^2}, r = pi x / q: above eps
+    # for n + 1 below the largest root of f = eps, which m -> sqrt((ln(1/eps) + eta ln m) / r)
+    # approaches from below.  Start a unit under it and step up as a walk from 0 would.
+    big_l, r = max(-math.log(eps), 0.0), math.pi * x / q
+    m = math.sqrt(big_l / r)
+    while m > 1 and (nxt := math.sqrt((big_l + eta * math.log(m)) / r)) > m:
+        m = nxt
+    n = max(math.ceil(m) - 2, 0)
     while _tail_bound(q, x, eta, n) > eps:
         n += 1
     return n
@@ -142,7 +146,7 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     values = np.zeros(len(group), dtype=complex)
     err = 0.0
     for eta in (0, 1):
-        values[group.parity_bits == eta], e = _theta_parity(q, x, eta, eps, group)
+        values[group.parity_index(eta)], e = _theta_parity(q, x, eta, eps, group)
         err = max(err, e)
     return values, err
 
@@ -160,7 +164,7 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
     eta = THETA_FAMILIES.index(parity)
     group = build_group(q)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
-    terms = np.abs(values[group.family_mask(parity)[group.parity_bits == eta]]) ** (2 * k)
+    terms = np.abs(values[group.family_mask(parity)[group.parity_index(eta)]]) ** (2 * k)
     half_powers = k if parity == "even" else 3 * k
     norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)
     return moment_report(q, k, parity, terms, norm, eps)

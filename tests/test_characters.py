@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thetamoments import numtheory
-from thetamoments.characters import FAMILIES, build_group, gauss_sum
+from thetamoments.characters import FAMILIES, CharacterGroup, build_group, gauss_sum
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import euler_phi, factorize
 from thetamoments.summation import rounding_bound
@@ -104,10 +104,12 @@ def test_conductors_against_oracle(q):
         assert chi.conductor == conductor_oracle(chi), (q, chi.exponents)
 
 
-@pytest.mark.parametrize("q", list(range(1, 1200)))
+@pytest.mark.parametrize("q", list(range(1, 2000)))
 def test_primitive_count_formula(q):
+    """The closed-form primitive mask is the conductor test conductors == q."""
     g = build_group(q)
     assert int(np.sum(g.primitive_mask)) == primitive_count(q)
+    assert np.array_equal(g.primitive_mask, g.conductors == q)
 
 
 def test_conductors_linear_memory():
@@ -381,14 +383,19 @@ def _exponent_matrix(g):
     return m, m * np.array([g.structure.exponent // d for d in dims], dtype=np.int64)
 
 
-@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040, 3 ** 7])
+@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040, 3 ** 7, 2 ** 12, 30030, 100003])
 def test_tables_match_exponent_matrix(q):
     g = build_group(q)
     m, jw = _exponent_matrix(g)
     e = g.structure.exponent
     roots = np.exp(2j * np.pi * np.arange(e) / e)
     neg = np.array(g.structure.exponents_of(-1), dtype=np.int64)
+    assert g.structure.minus_one == tuple(neg.tolist())
     assert np.array_equal(g.parity_bits, ((jw @ neg) % e != 0).astype(np.int64))
+    assert np.array_equal(g.primitive_mask, g.conductors == q)
+    for eta in (0, 1):
+        assert np.array_equal(g.parity_bits[g.parity_index(eta)],
+                              g.parity_bits[g.parity_bits == eta])
     orders = np.ones(g.phi, dtype=np.int64)
     for l, d in enumerate(g.structure.dims):
         orders = np.lcm(orders, d // np.gcd(m[:, l], d))
@@ -417,6 +424,19 @@ def test_group_tables_factorize_q_once(q, expect, monkeypatch):
     calls.clear()
     theta_moment(q, 1, "even")
     assert calls == expect
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_theta_moment_reads_no_conductor_or_discrete_log_table(parity, monkeypatch):
+    """The moment path builds neither the conductor table nor the length-q
+    discrete-log table: both raise here, and the moment is still computed."""
+    def refuse(self):
+        raise AssertionError("table built on the moment path")
+
+    expect = theta_moment(1009, 2, parity)
+    monkeypatch.setattr(CharacterGroup, "conductors", property(refuse))
+    monkeypatch.setattr(numtheory.GroupStructure, "index_of_n", property(refuse))
+    assert theta_moment(1009, 2, parity) == expect
 
 
 def test_orthogonality_small():

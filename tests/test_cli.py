@@ -175,12 +175,14 @@ def test_each_subcommand_accepts_exactly_its_options():
     (("char-table", "--q", "12", "--seed", "3"), "--seed"),
 ])
 def test_unread_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
-    """A flag the subcommand would ignore exits 2 and argparse names it; the
-    same setting from a config file is accepted, since one file serves every
-    subcommand."""
+    """A flag the subcommand would ignore exits 2 and argparse names it under
+    the subcommand's own usage; the same setting from a config file is
+    accepted, since one file serves every subcommand."""
     code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and not out
     assert f"unrecognized arguments: {flag} " in err
+    assert err.startswith(f"usage: thetamoments {argv[0]} [-h]") and "{char-table," not in err
+    assert f"thetamoments {argv[0]}: error: " in err
     config = tmp_path / "run.cfg"
     config.write_text("tol=1e-30\nseed=3\n")
     code, _, _ = invoke(capsys, *argv[:argv.index(flag)], "--config", str(config),

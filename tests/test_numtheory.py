@@ -1,6 +1,7 @@
 """Sieve, factorization, and unit-group structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,22 @@ def test_group_tables_match_loop_reference(qs):
         n_flat, index_of_n = _loop_tables(q, g.components)
         assert g.n_of_index.tolist() == n_flat, q
         assert g.index_of_n.tolist() == index_of_n, q
+        assert g.minus_one == g.exponents_of(-1), q
+
+
+def test_group_structure_builds_no_length_q_table():
+    """Beyond the unit table it returns, group_structure(100003) allocates less
+    than one length-q int64 table: the discrete-log table is built lazily."""
+    q = 100003
+    group_structure(1009)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        g = group_structure(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - g.n_of_index.nbytes < 8 * q
+    assert "index_of_n" not in vars(g)
 
 
 def test_group_structure_rejects_zero():

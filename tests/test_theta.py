@@ -88,6 +88,19 @@ def test_truncation_matches_walk_from_zero():
                             == _walk_from_zero(q, x, eta, eps)), (q, eps, x, eta)
 
 
+@pytest.mark.parametrize("eta", [0, 1])
+def test_truncation_matches_walk_from_zero_over_scan_primes(eta):
+    """The start below the root of (n+1)^eta e^{-pi x (n+1)^2 / q} = eps leaves
+    N where the walk from 0 puts it, at every prime of the scan range."""
+    primes = [q for q in range(1009, 6008) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    assert len(primes) == 616
+    for q in primes:
+        for eps in (1e-12, 1e-10):
+            for x in (1.0, 0.5):
+                assert (truncation_length(q, x, eta, eps)
+                        == _walk_from_zero(q, x, eta, eps)), (q, eps, x)
+
+
 @pytest.mark.parametrize("q", [1009, 100003])
 def test_odd_tail_bound_covers_mpmath_tail(q):
     """For eta = 1 the terms m e^{-pi m^2 x / q} shrink by less than
