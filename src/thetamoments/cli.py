@@ -237,6 +237,8 @@ def _cmd_lemma_cos(args, cfg):
 
 
 def _cmd_rand_model(args, cfg):
+    if cfg.seed < 0:
+        raise DomainError(f"--seed must be >= 0; got {cfg.seed}")
     est = model_moment(args.q, args.k, args.samples, seed=cfg.seed, eps=args.eps)
     meta = {"command": "rand-model", "q": args.q, "k": args.k,
             "samples": args.samples, "seed": cfg.seed, "eps": args.eps}

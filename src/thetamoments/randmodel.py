@@ -8,22 +8,27 @@ model second moment is exactly sum w_n^2 (Steinhaus orthonormality) and
 higher moments probe the conjectured q^{k/2} (log q)^{(k-1)^2} growth without
 any character arithmetic.
 
-Randomness is numpy's default PCG64 generator; a sample is fully determined
-by (N, seed), and Monte-Carlo runs derive per-sample seeds as seed + index.
-model_moment draws a block of SAMPLE_BLOCK samples at a time: one generator
-per sample fills one row of a (block x primes) angle array, the additive
-angle table arg f(m) = sum_p v_p(m) angle_p is built for the whole block with
-one strided update per prime power, and the weighted sums are row reductions.
-Each row is bit-identical to sample(N, seed + index), which is the one-row
-case of the same helper, so working memory is O(block N) for any sample
-count and an estimate replays bit for bit.  k >= 2 powers are heavy-tailed,
-so the estimate record carries a median-of-means value alongside the plain
-mean.
+A sample is fully determined by (N, seed), and Monte-Carlo runs derive
+per-sample seeds as seed + index.  Seeds are non-negative integers.  The
+prime angles of the sample with seed s are the stream of
+numpy.random.default_rng(s).uniform(0, 2 pi, size), bit for bit, but no
+generator object is built: _uniform_angles runs numpy's SeedSequence and
+PCG64 (XSL-RR output, next_double) in uint64 lanes, one lane per sample, and
+a test pins it against the installed numpy.  model_moment draws a block of
+SAMPLE_BLOCK samples at a time: the kernel fills a (block x primes) angle
+array, the additive angle table arg f(m) = sum_p v_p(m) angle_p is built for
+the whole block with one strided update per prime power, and the weighted
+sums are row reductions.  Each row is bit-identical to
+sample(N, seed + index), which is the one-row case of the same helper, so
+working memory is O(block N) for any sample count and an estimate replays
+bit for bit.  k >= 2 powers are heavy-tailed, so the estimate record carries
+a median-of-means value alongside the plain mean.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,11 @@ __all__ = [
 
 SAMPLE_BLOCK = 4096  # samples drawn and reduced together in model_moment
 
+_U32, _U64 = np.uint32, np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_PCG_MULT_HI = _U64(2549297995355413924)  # PCG64's 128-bit LCG multiplier
+_PCG_MULT_LO = _U64(4865540595714422341)
+
 
 @dataclass(frozen=True)
 class SteinhausSample:
@@ -60,21 +70,27 @@ class SteinhausSample:
         return complex(self.values[m])
 
 
+def _check_seed(seed) -> int:
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0; got {seed}")
+    return seed
+
+
 def sample(n: int, seed: int) -> SteinhausSample:
     """Draw one Steinhaus sample on 1..N, deterministic in (N, seed)."""
     if n < 2:
         raise DomainError("sample support must be >= 2")
     primes = sieve(n).primes_in(2, n)
-    angles, values = _draw(n, primes, [seed])
+    angles, values = _draw(n, primes, [_check_seed(seed)])
     return SteinhausSample(n=n, seed=seed, primes=primes,
                            prime_values=np.exp(1j * angles[0]), values=values[0])
 
 
 def _draw(n: int, primes: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
     """(angles, values) for one sample per seed: row r of values is f(0..N)
-    drawn from default_rng(seeds[r]), with values[:, 0] = 0."""
-    angles = np.array([np.random.default_rng(s).uniform(0.0, 2 * math.pi, size=len(primes))
-                       for s in seeds])
+    drawn from the stream of default_rng(seeds[r]), with values[:, 0] = 0."""
+    angles = _uniform_angles(seeds, len(primes))
     # additive angle table: arg f(m) = sum_p v_p(m) angle_p
     acc = np.zeros((len(angles), n + 1))
     for p, a in zip(primes, angles.T):
@@ -85,6 +101,75 @@ def _draw(n: int, primes: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
     values = np.exp(1j * acc)
     values[:, 0] = 0.0
     return angles, values
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's uint32 hash step: (hashed value, next hash constant)."""
+    nxt = const * mult & 0xFFFFFFFF
+    value = (value ^ _U32(const)) * _U32(nxt)
+    return value ^ (value >> _U32(16)), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _U32(0xCA01F9DD) - y * _U32(0x4973F715)
+    return r ^ (r >> _U32(16))
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al).astype(_U64), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2^128 on (hi, lo) uint64 lanes; the high
+    word of lo * multiplier_lo comes from 32-bit limbs."""
+    a0, a1 = lo & _LOW32, lo >> _U64(32)
+    b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    mulhi = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return _add128(mulhi + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO,
+                   inc_hi, inc_lo)
+
+
+def _uniform_angles(seeds, size: int) -> np.ndarray:
+    """(len(seeds), size) angles; row r is, bit for bit,
+    default_rng(seeds[r]).uniform(0, 2 pi, size) for non-negative int seeds."""
+    # SeedSequence: little-endian uint32 words, zero words pad the 4-word pool
+    width = max(4, -(-max(s.bit_length() for s in seeds) // 32))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+                          dtype="<u4").reshape(-1, width).astype(_U32)
+    const = 0x43B0D7E5
+    pool = []
+    for i in range(4):
+        v, const = _hash(words[:, i], const, 0x931E8875)
+        pool.append(v)
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                v, const = _hash(pool[i_src], const, 0x931E8875)
+                pool[i_dst] = _mix(pool[i_dst], v)
+    for i_src in range(4, width):
+        has_word = words[:, i_src:].any(axis=1)  # rows whose seed reaches word i_src
+        for i_dst in range(4):
+            v, const = _hash(words[:, i_src], const, 0x931E8875)
+            pool[i_dst] = np.where(has_word, _mix(pool[i_dst], v), pool[i_dst])
+    const = 0x8B51F9DD
+    state = []
+    for i in range(8):  # generate_state(4, uint64): 8 uint32 words, low first
+        v, const = _hash(pool[i % 4], const, 0x58F38DED)
+        state.append(v.astype(_U64))
+    s0, s1, s2, s3 = (state[2 * j] | state[2 * j + 1] << _U64(32) for j in range(4))
+    # pcg64_set_seed: state 0, inc = (initseq << 1) | 1, step, add initstate, step
+    inc_hi, inc_lo = s2 << _U64(1) | s3 >> _U64(63), s3 << _U64(1) | _U64(1)
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo)
+    out = np.empty((len(words), size))
+    for j in range(size):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR output
+        x = x >> rot | x << (_U64(64) - rot & _U64(63))
+        out[:, j] = (x >> _U64(11)) * (1.0 / 9007199254740992.0) * (2 * math.pi)
+    return out
 
 
 def model_theta(q: int, s: SteinhausSample, eta: int = 0, eps: float = 1e-12) -> complex:
@@ -143,6 +228,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
         raise DomainError("k must be >= 1")
     if samples < 100:
         raise DomainError("at least 100 samples required")
+    seed = _check_seed(seed)  # seed + i only grows
     n = truncation_length(q, 1.0, eta, eps)
     w = _series_terms(q, 1.0, eta, n)[1]
     # scalar abs and pow: numpy's vector abs and power differ in the last bit

@@ -125,6 +125,15 @@ def test_mellin_check_window_is_named(capsys, tmp_path, recwarn, flag, value):
     assert not recwarn.list
 
 
+def test_rand_model_negative_seed_is_named(capsys, tmp_path):
+    """A negative first seed is refused by its flag: exit 2, no report."""
+    code, out, err = invoke(capsys, "rand-model", "--q", "101", "--k", "1",
+                            "--samples", "100", "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == "thetamoments: error: --seed must be >= 0; got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_unreachable_tol_exits_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "l-moment", "--q", "13", "--k", "1",
                           "--tol", "1e-30", "--out", str(tmp_path))

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from thetamoments import randmodel
 from thetamoments.errors import DomainError
 from thetamoments.randmodel import (
     SAMPLE_BLOCK,
     SteinhausSample,
     _model_thetas,
+    _uniform_angles,
     model_moment,
     model_theta,
     sample,
@@ -46,6 +48,73 @@ def test_sample_domain():
         s.value(11)
     with pytest.raises(DomainError):
         s.value(0)
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed must be >= 0; got -1"):
+        sample(100, -1)
+    with pytest.raises(DomainError, match="seed must be >= 0; got -50"):
+        model_moment(101, 1, 100, seed=-50)
+    # only the first seed is checked: seed + i grows from there
+    assert model_moment(101, 1, 100, seed=0).samples == 100
+
+
+def _numpy_angles(seeds, size):
+    """The reference stream: one live numpy generator per seed."""
+    return np.array([np.random.default_rng(s).uniform(0.0, 2 * math.pi, size)
+                     for s in seeds])
+
+
+# seeds of 1 to 7 little-endian uint32 words, with word-count edges
+_MIXED_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 5,
+                2 ** 128 - 1, 2 ** 128, 2 ** 160 + 3, 2 ** 192 + 7, 2 ** 223, 3 ** 140]
+
+
+@pytest.mark.parametrize("size", [1, 10, 46])
+def test_uniform_angles_match_numpy_bit_for_bit(size):
+    """The vectorised SeedSequence/PCG64 kernel is default_rng's stream: on
+    one block of 1- to 7-word seeds, and through sample() (46 = pi(200))."""
+    assert {-(-s.bit_length() // 32) or 1 for s in _MIXED_SEEDS} == set(range(1, 8))
+    assert np.array_equal(_uniform_angles(_MIXED_SEEDS, size),
+                          _numpy_angles(_MIXED_SEEDS, size))
+    n = {1: 2, 10: 29, 46: 200}[size]
+    for seed in (0, 7, 2 ** 64 + 1):
+        s = sample(n, seed)
+        assert len(s.primes) == size
+        assert np.array_equal(s.prime_values, np.exp(1j * _numpy_angles([seed], size)[0]))
+
+
+def test_model_moment_draws_numpy_streams_across_edges(monkeypatch):
+    """A run of SAMPLE_BLOCK + 3 samples from 2^32 - 2000 crosses a block edge
+    and the 1- to 2-word seed edge; the kernel's rows are default_rng's, and
+    the estimate equals the one drawn from live numpy generators."""
+    seed, samples = 2 ** 32 - 2000, SAMPLE_BLOCK + 3
+    drawn = []
+
+    def spy(seeds, size):
+        drawn.append((list(seeds), _uniform_angles(seeds, size)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(randmodel, "_uniform_angles", spy)
+    est = model_moment(101, 2, samples, seed)
+    assert [s for seeds, _ in drawn for s in seeds] == list(range(seed, seed + samples))
+    for seeds, angles in drawn:
+        assert np.array_equal(angles, _numpy_angles(seeds, angles.shape[1]))
+    monkeypatch.setattr(randmodel, "_uniform_angles", _numpy_angles)
+    ref = model_moment(101, 2, samples, seed)
+    assert (est.estimate, est.std_error, est.median_of_means) == \
+        (ref.estimate, ref.std_error, ref.median_of_means)
+
+
+def test_no_generator_object_per_sample(monkeypatch):
+    """sample() and model_moment build no numpy generator on any path."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy generator constructed")
+
+    for name in ("default_rng", "PCG64", "SeedSequence", "Generator"):
+        monkeypatch.setattr(np.random, name, refuse)
+    assert model_moment(101, 1, 10000, 5).samples == 10000
+    assert len(sample(200, 7).primes) == 46
 
 
 def test_model_theta_degenerate_all_ones():
