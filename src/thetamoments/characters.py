@@ -30,6 +30,12 @@ parity; `parity_index` is that selection (eta::2 on a cyclic group).
 Tables are built by broadcasting per-component exponent ranges, never as a
 phi x r matrix, and none reads a length-q table.
 
+`character_sums(w, parity)` is the step both theta and L take: the values
+of `transform` plus, per row, the one bound on their rounding,
+rounding_bound(phi, sum |w|).  Without a parity it also makes each row of
+real weights exactly conjugate-symmetric, v[conjugation] = conj v, by a
+mean charged eps max |v|, since a multi-axis FFT of real input is not.
+
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
 order o > 1; 4 when p^e = 4 and chi is nontrivial there; for 2^e, e >= 3, -3
@@ -46,6 +52,7 @@ import numpy as np
 from .errors import DomainError
 from .numtheory import GroupStructure, factorize, group_structure
 from .specfun import ComplexApprox
+from .summation import rounding_bound
 
 __all__ = ["FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum"]
 
@@ -253,6 +260,34 @@ class CharacterGroup:
             np.fft.ifftn(z, axes=range(-len(dims), 0), norm="forward", out=z)
         return z.reshape(batch + (-1,)) if out is None else z.reshape(batch + (-1,))[..., out]
 
+    def character_sums(self, w: np.ndarray, parity: int | None = None
+                       ) -> tuple[np.ndarray, float | np.ndarray]:
+        """(values, err): values = transform(w, parity) and, per leading row of
+        w, err = rounding_bound(phi, sum |w|) on each value (the parity fold's
+        extra rounding included: log2 phi = log2(phi / 2) + 1); a float for 1-D
+        w.  Without a parity, rows of real weights come back as exact conjugate
+        pairs, v[conjugation] = conj v (a multi-axis FFT of real input is not;
+        the fold's mirror is), by their mean with the conjugated permutation,
+        charged eps max |v|.  transform receives the only reference to w, so
+        temporary weights are freed once read.
+        """
+        w = np.asarray(w)
+        mass = np.abs(w).sum(axis=-1).reshape(-1)
+        paired = () if parity is not None else (
+            np.flatnonzero(~np.any(w.imag, axis=-1)) if np.iscomplexobj(w) else range(mass.size))
+        hand = [w]
+        del w
+        values = self.transform(hand.pop(), parity)
+        err = rounding_bound(self.phi, mass)
+        rows = values.reshape(-1, values.shape[-1])
+        for k in paired:
+            conj = self.conjugate(rows[k])
+            rows[k] += np.conjugate(conj, out=conj)
+            rows[k] /= 2
+            del conj  # not alive beside the |v| temporary
+            err[k] += _EPS * np.abs(rows[k]).max()
+        return values, err.reshape(values.shape[:-1]) if values.ndim > 1 else float(err[0])
+
     @cached_property
     def _prime_power_split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray] | None:
         """(perm, dims, out): the Good-Thomas split of every cyclic component
@@ -313,7 +348,7 @@ class Character:
 
     @property
     def is_primitive(self) -> bool:
-        return self.conductor == self.q
+        return bool(self.group.primitive_mask[self.index])
 
     @property
     def is_trivial(self) -> bool:

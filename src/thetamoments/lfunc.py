@@ -6,14 +6,14 @@ with the n = 0 term of each Hurwitz value split off:
     q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q).
 
 The weights w_a (the right-hand side), on the units in group order, are
-shared by every character, and one fast multiplicative-group transform per
-s-point turns them into all L(s, chi).  For s != 1, l_value is entry
-chi.index of that transform, so it equals the family entry bit for bit.
-At real s, L(s, conj chi) = conj L(s, chi); _l_rows makes each real-s row so
-exactly, as the mean of the row and its conjugated permutation, and charges
-that mean's rounding.  The Dirichlet polynomial a^{-s} takes its phase
-t log a mod 2 pi in longdouble, with no phase work for a run of points at
-t = 0, where a^{-s} is its real magnitude; zeta(s, 1 + a/q) comes from
+shared by every character, and one CharacterGroup.character_sums call per
+run of s-points turns them into all L(s, chi) and bounds the transform's
+rounding.  l_value is entry chi.index of that call, so it equals the family
+entry bit for bit; s = 1 reads the character sums of the digamma values.
+At real s the weights are real, so character_sums returns exact pairs
+L(s, conj chi) = conj L(s, chi).  The Dirichlet polynomial a^{-s} takes its
+phase t log a mod 2 pi in longdouble, with no phase work for a run of points
+at t = 0, where a^{-s} is its real magnitude; zeta(s, 1 + a/q) comes from
 specfun.hurwitz_grid_runs, with an error e_a per entry (Taylor in a from
 longdouble centres at large phi, direct Euler-Maclaurin at small phi).  The
 error of any character sum of the weights is then
@@ -63,7 +63,6 @@ from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_report
 from .specfun import HZ_BLOCK, ComplexApprox, digamma_vector, hurwitz_grid_runs
-from .summation import chunked_sum, rounding_bound
 
 __all__ = [
     "ShiftTuple",
@@ -143,8 +142,7 @@ def _l_rows(group: CharacterGroup, s, tol: float):
     L(s_{i+k}, chi)) and err the error of each entry of a row:
       |q^{-s}| (sum_a e_a + rel sum_a |zeta|)   (Hurwitz part, e_a per entry)
       + rel sum_a |a^{-s}|                      (Dirichlet polynomial)
-      + eps (log2 phi + 9) sum_a |w_a|          (weight and transform roundings)
-      + eps max_chi |L|                         (real s: the conjugate mean),
+      + eps sum_a |w_a| + character_sums' err   (weight and transform roundings),
     rel the _powers_rel bound.  Raises PrecisionError at the first point, in
     input order, whose err > tol, with best = ComplexApprox(its row of L, err).
     """
@@ -157,22 +155,10 @@ def _l_rows(group: CharacterGroup, s, tol: float):
     for i, j, hurwitz in hurwitz_grid_runs(pts, q, phi, entry_tol):
         s_col = np.array(pts[i:j])[:, None]
         sums = np.zeros((3, j - i))
-        # the transform holds the only reference to the weights and frees them once read
-        out = group.transform(_weights(group, s_col, hurwitz, sums))
-        # at real s, L(s, conj chi) = conj L(s, chi): the mean of each row and
-        # its conjugated permutation makes it so exactly; that mean rounds by
-        # at most eps/2 |L|, charged as eps max |L|
-        mean = np.zeros(j - i)
-        for k in np.flatnonzero(s_col[:, 0].imag == 0):
-            conj = group.conjugate(out[k])
-            np.conjugate(conj, out=conj)
-            out[k] += conj
-            out[k] /= 2
-            del conj
-            mean[k] = _EPS * np.abs(out[k]).max()
+        out, rounding = group.character_sums(_weights(group, s_col, hurwitz, sums))
         parts = {"Hurwitz part": sums[0],
                  "Dirichlet polynomial": _powers_rel(s_col[:, 0], q) * sums[1],
-                 "transform rounding": _EPS * sums[2] + rounding_bound(phi, sums[2]) + mean}
+                 "transform rounding": _EPS * sums[2] + rounding}
         err = sum(parts.values())
         for k in np.flatnonzero(err > tol)[:1]:
             stage = max(parts, key=lambda name: parts[name][k])
@@ -189,7 +175,8 @@ def _l_rows(group: CharacterGroup, s, tol: float):
 def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexApprox:
     """L(s, chi) by the Hurwitz route: entry chi.index of the _l_rows
     transform, with its error bound (a refusal's best is that entry); s = 1
-    by the digamma finite part, a direct sum over the units.
+    by the digamma finite part, entry chi.index of the character sums of
+    -psi(a/q) / q.
     """
     if chi.q != q:
         raise DomainError(f"character modulus {chi.q} does not match q = {q}")
@@ -198,14 +185,11 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
     s = complex(s)
     group = chi.group
     if s == 1:
-        if chi.conductor == 1:
-            raise PoleError("L(s, trivial-conductor character) has a pole at s = 1")
-        units = group.structure.n_of_index
-        a = np.array([1.0]) if q == 1 else units.astype(float) / q
-        psi, psi_err = digamma_vector(a)
-        total = chunked_sum(chi.value_table()[units] * (-psi))
-        err = (group.phi * psi_err + rounding_bound(group.phi, float(np.sum(np.abs(psi))))) / q
-        return ComplexApprox(total / q, err)
+        if chi.is_trivial:
+            raise PoleError("L(s, trivial character) has a pole at s = 1")
+        psi, psi_err = digamma_vector(group.structure.n_of_index / q)
+        values, err = group.character_sums(psi)
+        return ComplexApprox(-complex(values[chi.index]) / q, (group.phi * psi_err + err) / q)
     try:
         ((_, _, row, err),) = _l_rows(group, s, tol)
     except PrecisionError as e:

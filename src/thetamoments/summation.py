@@ -2,22 +2,23 @@
 
 Three concerns are handled here once so every module behaves the same way:
 
-* accuracy: long scalar accumulations use Neumaier's compensated summation;
-  vector reductions go through fixed-size chunks summed with numpy's pairwise
-  algorithm and then combined left-to-right.
+* accuracy: a reduction sums fixed-size chunks with numpy's pairwise
+  algorithm, then combines the chunk partials with math.fsum, which rounds
+  their exact sum once.
 
-* determinism: the chunk boundaries and the combine order depend only on the
-  input length, so results are bit-identical from run to run.
+* determinism: the chunk boundaries depend only on the input length, and
+  fsum's result not on the order of the partials, so results are
+  bit-identical from run to run.
 
-* the rounding term: every character sum (a direct chunked sum or a group
-  transform over n points) charges rounding_bound(n, mass), where mass is
-  the sum of the magnitudes of its terms.
+* the rounding term: every character sum of n terms with total magnitude
+  mass charges rounding_bound(n, mass): a direct chunked sum (theta_value)
+  here, a group transform in CharacterGroup.character_sums.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,59 +29,31 @@ CHUNK = 1024
 _EPS = np.finfo(float).eps
 
 
-def neumaier_sum(values: Iterable[complex]) -> complex:
-    """Compensated (Neumaier) sum of a scalar iterable; exact to ~1 ulp."""
-    sr = cr = 0.0  # running sum / compensation, real part
-    si = ci = 0.0
-    for v in values:
-        v = complex(v)
-        t = sr + v.real
-        if abs(sr) >= abs(v.real):
-            cr += (sr - t) + v.real
-        else:
-            cr += (v.real - t) + sr
-        sr = t
-        t = si + v.imag
-        if abs(si) >= abs(v.imag):
-            ci += (si - t) + v.imag
-        else:
-            ci += (v.imag - t) + si
-        si = t
-    return complex(sr + cr, si + ci)
+def chunked_sum(values: np.ndarray) -> float | complex | np.ndarray:
+    """Sum an array in chunks of CHUNK entries, combining the chunk partials
+    with math.fsum.
 
-
-def _neumaier_rows(partials: list[np.ndarray]) -> np.ndarray:
-    """neumaier_sum applied entry-wise across equal-shape real arrays."""
-    s = np.zeros_like(partials[0])
-    c = np.zeros_like(s)
-    for v in partials:
-        t = s + v
-        c += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
-        s = t
-    return s + c
-
-
-def chunked_sum(values: np.ndarray) -> complex | np.ndarray:
-    """Sum an array in chunks of CHUNK entries, combining partials in index order.
-
-    The chunking grid depends only on len(values), so the result does not
-    depend on how the input was produced.  A 2-D array is summed along
-    its rows: entry i of the result equals chunked_sum(values[i]) bit for bit.
+    The chunking grid depends only on the length of the summed axis, so the
+    result does not depend on how the input was produced.  A 1-D array gives
+    a Python float or complex; a 2-D array is summed along its rows, entry i
+    equal to chunked_sum(values[i]) bit for bit.
     """
     a = np.asarray(values)
-    if a.ndim == 2:
-        partials = ([np.sum(a[:, i:i + CHUNK], axis=1) for i in range(0, a.shape[1], CHUNK)]
-                    or [np.zeros(a.shape[0], dtype=a.dtype)])
-        if not np.iscomplexobj(a):
-            return _neumaier_rows(partials)
-        out = np.empty(a.shape[0], dtype=complex)
-        out.real = _neumaier_rows([p.real for p in partials])
-        out.imag = _neumaier_rows([p.imag for p in partials])
-        return out
-    if a.size == 0:
-        return 0.0 if not np.iscomplexobj(a) else 0j
-    partials = [np.sum(a[i:i + CHUNK]) for i in range(0, a.size, CHUNK)]
-    return neumaier_sum(partials) if np.iscomplexobj(a) else neumaier_sum(partials).real
+    rows = a if a.ndim == 2 else a[None]
+    n = rows.shape[1]
+    full = n - n % CHUNK
+    p = rows[:, full:].sum(axis=1, keepdims=True)  # the last, short chunk or an empty sum
+    if full:  # every full chunk in one reduction, each summed as np.sum sums it alone
+        chunks = rows[:, :full].reshape(len(rows), full // CHUNK, CHUNK).sum(axis=2)
+        p = chunks if full == n else np.concatenate([chunks, p], axis=1)
+    if p.shape[1] == 1:
+        out = p[:, 0]
+    else:
+        out = np.empty(len(rows), dtype=p.dtype)
+        out.real = [math.fsum(r) for r in p.real.tolist()]
+        if np.iscomplexobj(p):
+            out.imag = [math.fsum(r) for r in p.imag.tolist()]
+    return out if a.ndim == 2 else out[0].item()
 
 
 def rounding_bound(n: int, mass: float) -> float:

@@ -9,9 +9,10 @@ below which no n can meet the bound.
 
 The all-characters path folds the series by residue class mod q, then
 gathers the units once into real weights (one vector per parity), and
-applies the multiplicative-group transform for that parity only: on a
-cyclic group (q prime, p^e, 2 p^e) a real FFT of half the group order,
-elsewhere the transform over the unsplit grid with the parity selected.
+takes their character sums for that parity only (CharacterGroup.
+character_sums, which also bounds the transform's rounding): on a cyclic
+group (q prime, p^e, 2 p^e) a real FFT of half the group order, elsewhere
+the transform over the unsplit grid with the parity selected.
 A moment needs only its own parity, so it folds and transforms once.
 Moments S_2k(q) over the even-primitive or odd-primitive family normalize
 by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
@@ -121,11 +122,9 @@ def _theta_parity(q: int, x: float, eta: int, eps: float,
     gathered, then transformed."""
     n = truncation_length(q, x, eta, eps / 2)
     res, e = _series_terms(q, x, eta, n)
-    w = np.bincount(res, weights=e, minlength=q)[group.structure.n_of_index]
-    tail = _tail_bound(q, x, eta, n)
-    # the parity fold adds one rounding per entry, covered since
-    # log2 phi = log2(phi / 2) + 1
-    return group.transform(w, eta), tail + rounding_bound(group.phi, float(np.sum(w)))
+    values, err = group.character_sums(
+        np.bincount(res, weights=e, minlength=q)[group.structure.n_of_index], eta)
+    return values, _tail_bound(q, x, eta, n) + err
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,

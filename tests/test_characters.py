@@ -320,7 +320,8 @@ def test_transform_rounding_bound_against_longdouble(q):
     DFT of clongdouble weights over the unsplit grid, times phi.  The moduli
     cover the Bluestein factors 2381, 5003, 797 and 2393 of the prime-power
     split and the mixed-radix grids of 5040, 30030 and 9524 = 4 * 2381; the
-    smallest margin measured was 25x (q = 9524, full transform)."""
+    smallest margin measured was 25x (q = 9524, full transform).  The values
+    of character_sums, conjugate-paired for real w, stay within its own err."""
     g = build_group(q)
     rng = np.random.default_rng(q)
     dims = g.structure.dims
@@ -333,6 +334,39 @@ def test_transform_rounding_bound_against_longdouble(q):
         for eta in (0, 1) if w.dtype == float else ():
             got = g.transform(w, eta)
             assert np.max(np.abs(got - ref[g.parity_bits == eta])) <= bound, eta
+        for parity in (None, 0, 1):
+            got, err = g.character_sums(w, parity)
+            want = ref if parity is None else ref[g.parity_bits == parity]
+            assert isinstance(err, float) and err >= bound, (parity, w.dtype)
+            assert np.max(np.abs(got - want)) <= err, (parity, w.dtype)
+
+
+@pytest.mark.parametrize("q", [1009, 5040])
+def test_character_sums_pair_rows_of_real_weights(q):
+    """Without a parity, rows of real weights (real dtype, or complex with no
+    imaginary part, alike) come back as exact conjugate pairs, with the mean's
+    eps max |v| in their err; complex rows and every parity are transform's
+    values bit for bit with err rounding_bound(phi, sum |w|).  A batch gives
+    one err per row and equals its rows."""
+    g = build_group(q)
+    rng = np.random.default_rng(q)
+    real = rng.normal(size=(2, g.phi))
+    w = np.concatenate([real, real + 1j * rng.normal(size=(2, g.phi))]) + 0j
+    self_conj = g.conjugation == np.arange(g.phi)
+    for parity in (None, 0, 1):
+        values, err = g.character_sums(w, parity)
+        assert values.shape == (4, g.phi if parity is None else g.phi // 2) and err.shape == (4,)
+        for k, (row, wr) in enumerate(zip(values, w)):
+            bound = rounding_bound(g.phi, float(np.sum(np.abs(wr))))
+            alone, e = g.character_sums(wr, parity)
+            assert np.array_equal(row, alone) and err[k] == e, (parity, k)
+            if parity is None and k < 2:
+                assert np.array_equal(row, g.character_sums(real[k])[0])
+                assert np.array_equal(row[g.conjugation], np.conj(row))
+                assert not np.any(row[self_conj].imag)
+                assert err[k] == bound + np.finfo(float).eps * np.abs(row).max()
+            else:
+                assert np.array_equal(row, g.transform(wr, parity)) and err[k] == bound
 
 
 def _mp(x):

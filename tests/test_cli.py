@@ -430,6 +430,24 @@ def _traced_peak(capsys, tmp_path, command, q):
     return peak
 
 
+_NO_MPMATH_CHILD = """
+import sys, tempfile
+import thetamoments
+from thetamoments.cli import run
+assert run(["mellin-check", "--q", "5", "--out", tempfile.mkdtemp()]) == 0
+print("mpmath" in sys.modules)
+"""
+
+
+def test_library_runs_without_importing_mpmath():
+    """mpmath is a test oracle only: a fresh child imports the package and
+    runs a Mellin check (theta series and L-values) without loading it."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetamoments.__file__))}
+    done = subprocess.run([sys.executable, "-c", _NO_MPMATH_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split()[-1] == "False", done.stdout
+
+
 _RSS_CHILD = """
 import sys, tempfile
 import numpy as np

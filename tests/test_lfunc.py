@@ -147,6 +147,29 @@ def test_l_one_against_digamma_oracle():
         assert abs(v.value - ref) <= v.abs_error
 
 
+@pytest.mark.parametrize("q", [1009, 5040])
+def test_l_one_pairs_conjugates_exactly(q):
+    """L(1, conj chi) = conj L(1, chi) bit for bit, real characters giving
+    real values: s = 1 reads the conjugate-paired character sums."""
+    g = build_group(q)
+    for i in (1, g.phi // 3, g.phi // 2, g.phi - 1):
+        chi = g.char(i)
+        v, w = l_value(q, chi, 1), l_value(q, chi.conjugate(), 1)
+        assert v.value == w.value.conjugate() and v.abs_error == w.abs_error, i
+        if chi == chi.conjugate():
+            assert v.value.imag == 0, i
+
+
+def test_primitivity_and_the_pole_read_no_conductor_table():
+    """is_primitive reads the primitive mask and the s = 1 pole test the
+    trivial index, so neither builds the conductor table."""
+    g = build_group(12)
+    l_value(12, g.char(1), 1)
+    prims = [c.is_primitive for c in g]
+    assert "conductors" not in vars(g)
+    assert prims == [c.conductor == 12 for c in build_group(12)]
+
+
 def test_pole_only_for_trivial():
     g = build_group(7)
     with pytest.raises(PoleError):
@@ -199,7 +222,7 @@ def test_l_value_is_the_family_entry(q):
                                                  family.value.best.abs_error)
 
 
-@pytest.mark.parametrize("q", [1009, 10007])
+@pytest.mark.parametrize("q", [1009, 10007, 5040])
 def test_real_s_rows_are_exact_conjugate_pairs(q):
     """At real s every row of l_values_all_chars pairs exactly: L(s, conj chi)
     = conj L(s, chi) bit for bit and real characters take real values, in a
