@@ -202,12 +202,7 @@ def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[fl
         table = sieve(int(z))
     p = table.primes_in(2, int(z)).astype(float)
     lhs = float(np.sum(np.cos(a * np.log(p)) / p))
-    lz = math.log(z)
-    if abs(a) <= CLOSE_THRESHOLD:
-        inner = lz if a == 0 else min(1 / abs(a), lz)
-        rhs = math.log(inner)
-    else:
-        rhs = math.log(math.log(2 + abs(a)))
+    rhs = math.log(_pair_scale(a, 0.0, z) if abs(a) <= CLOSE_THRESHOLD else math.log(2 + abs(a)))
     return lhs, rhs, lhs - rhs
 
 

@@ -13,28 +13,27 @@ any array without the table), the character families every moment sums over
 
     transform(w)[j] = sum_i chi_j(u_i) w[i]   (weights on the units u = n_of_index),
 
-computed for all phi(q) characters at once as one in-place multidimensional
-inverse FFT in one phi-wide buffer, over the cyclic components, each split
-into its prime-power factors by Good-Thomas (so q = 100003 transforms a
-(2, 3, 7, 2381) array, never one length-100002 Bluestein FFT).
-`transform(w, parity)` returns one parity's characters only.  On a cyclic
-group of order d = 2h (q prime, p^e, 2 p^e or 4), u_m = g^m, -1 = g^h and
-chi_j has parity j mod 2, so the even values are the length-h inverse DFT
-of w_m + w_{m+h} and the odd ones the odd bins of the length-d inverse DFT
-of w_m - w_{m+h}: half the work of the full transform.  Only real w (the
-theta weights) takes this fold, through rfft, and the values past its half
-are the conjugates of earlier ones (chi_{d-j} = conj chi_j).  Complex w,
-and every other group, run the same in-place block over the unsplit grid
-(the split maps would pay off for one transform only) and select the
-parity; `parity_index` is that selection (eta::2 on a cyclic group).
+computed for all phi(q) characters at once by one of two routes.  Real w
+with a parity on a cyclic group of order d = 2h (q prime, p^e, 2 p^e or 4)
+takes the parity fold: u_m = g^m, -1 = g^h and chi_j has parity j mod 2, so
+the even values are the length-h inverse DFT of w_m + w_{m+h} and the odd
+ones the odd bins of the length-d inverse DFT of w_m - w_{m+h}, through
+rfft (chi_{d-j} = conj chi_j gives the values past its half).  All else is
+one in-place inverse FFT in one phi-wide buffer over the group's grid: the
+cyclic components, each of order d >= 50 with a prime factor above sqrt(d)
+(a length numpy's pocketfft may run by Bluestein) split into its prime-power
+factors by Good-Thomas (q = 100003 transforms a (2, 3, 7, 2381) array); a
+parity is read off its output by `parity_index` (eta::2 on a cyclic group).
+
 Tables are built by broadcasting per-component exponent ranges, never as a
 phi x r matrix, and none reads a length-q table.
 
 `character_sums(w, parity)` is the step both theta and L take: the values
-of `transform` plus, per row, the one bound on their rounding,
-rounding_bound(phi, sum |w|).  Without a parity it also makes each row of
-real weights exactly conjugate-symmetric, v[conjugation] = conj v, by a
-mean charged eps max |v|, since a multi-axis FFT of real input is not.
+of `transform` plus, per row, one bound on their rounding and the weights'
+own, rounding_bound(phi, sum |w|) + eps sum |w|.  Without a parity it also
+makes each row of real weights exactly conjugate-symmetric, v[conjugation]
+= conj v, by a mean charged eps max |v|, since a multi-axis FFT of real
+input is not.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -229,12 +228,12 @@ class CharacterGroup:
         """sum_i chi_j(u_i) w[i], u = structure.n_of_index, for every character
         j in index order; with parity = eta, for the parity-eta ones only.
 
-        w has length phi along its last axis, leading axes being a batch.  The
-        sum is one in-place inverse DFT of w over the exponent grid, split by
-        _prime_power_split.  With a parity, real w on a cyclic group takes the
-        fold of the module docstring; otherwise the parity is selected from
-        the unsplit grid.  Every route computes in w's own complex dtype, so
-        longdouble weights come back as clongdouble.
+        w has length phi along its last axis, leading axes being a batch.  Real
+        w with a parity on a cyclic group takes the module docstring's fold;
+        all else is one in-place inverse DFT over _grid, a parity read off its
+        output map, so transform(w, eta) == transform(w)[parity_index(eta)] bit
+        for bit.  Every route computes in w's own complex dtype, so longdouble
+        weights come back as clongdouble.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.phi,):
@@ -249,8 +248,9 @@ class CharacterGroup:
             r = np.fft.rfft(f, n)[..., parity::1 + parity]
             return np.concatenate(
                 [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
-        perm, dims, out = ((None, self._dims, self.parity_index(parity)) if parity is not None
-                           else self._prime_power_split or (None, self._dims, None))
+        perm, dims, out = self._grid
+        if parity is not None:
+            out = self.parity_index(parity) if out is None else out[self.parity_index(parity)]
         # a buffer of our own, never the caller's w (freed here if a temporary)
         dtype = np.result_type(w, complex)
         z = w.astype(dtype) if perm is None else w[..., perm].astype(dtype, copy=False)
@@ -263,13 +263,14 @@ class CharacterGroup:
     def character_sums(self, w: np.ndarray, parity: int | None = None
                        ) -> tuple[np.ndarray, float | np.ndarray]:
         """(values, err): values = transform(w, parity) and, per leading row of
-        w, err = rounding_bound(phi, sum |w|) on each value (the parity fold's
-        extra rounding included: log2 phi = log2(phi / 2) + 1); a float for 1-D
-        w.  Without a parity, rows of real weights come back as exact conjugate
-        pairs, v[conjugation] = conj v (a multi-axis FFT of real input is not;
-        the fold's mirror is), by their mean with the conjugated permutation,
-        charged eps max |v|.  transform receives the only reference to w, so
-        temporary weights are freed once read.
+        w, err = rounding_bound(phi, sum |w|) + eps sum |w| on each value, the
+        transform's rounding (log2 phi = log2(phi / 2) + 1 covers the fold's
+        extra one) and the weights' own; a float for 1-D w.  Without a parity,
+        rows of real weights come back as exact conjugate pairs, v[conjugation]
+        = conj v (a multi-axis FFT of real input is not; the fold's mirror is),
+        by their mean with the conjugated permutation, charged eps max |v|.
+        transform receives the only reference to w, so temporary weights are
+        freed once read.
         """
         w = np.asarray(w)
         mass = np.abs(w).sum(axis=-1).reshape(-1)
@@ -278,7 +279,7 @@ class CharacterGroup:
         hand = [w]
         del w
         values = self.transform(hand.pop(), parity)
-        err = rounding_bound(self.phi, mass)
+        err = rounding_bound(self.phi, mass) + _EPS * mass
         rows = values.reshape(-1, values.shape[-1])
         for k in paired:
             conj = self.conjugate(rows[k])
@@ -289,9 +290,11 @@ class CharacterGroup:
         return values, err.reshape(values.shape[:-1]) if values.ndim > 1 else float(err[0])
 
     @cached_property
-    def _prime_power_split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray] | None:
-        """(perm, dims, out): the Good-Thomas split of every cyclic component
-        into its prime-power factors P (d = prod P); None if none splits.
+    def _grid(self) -> tuple[np.ndarray | None, tuple[int, ...], np.ndarray | None]:
+        """(perm, dims, out): the transform's grid, perm and out None if it is
+        the exponent grid.  A cyclic component of order d >= 50 whose largest
+        prime factor exceeds sqrt(d), a length numpy's pocketfft may run by
+        Bluestein, is split into its prime-power factors P (d = prod P).
 
         On the input side component l's exponent is m = sum_P (d/P) m_P mod d,
         so perm[flat (m_P)] is the unit index of prod_l g_l^{m_l}; then
@@ -299,10 +302,11 @@ class CharacterGroup:
         character j's value sits at the flat position of (j_l mod P) over
         every factor: out[j].
         """
-        comps = [[p ** e for p, e in factorize(d).factors] for d in self._dims]
+        comps = [[p ** e for p, e in fs] if d >= 50 and fs[-1][0] ** 2 > d else [d]
+                 for d, fs in ((d, factorize(d).factors) for d in self._dims)]
         dims = tuple(P for ps in comps for P in ps)
         if dims == self._dims:
-            return None
+            return None, dims, None
         # int32 maps built from broadcast int32 ranges: phi < q < 2^31
         split = iter(np.ix_(*(np.arange(P, dtype=np.int32) for P in dims)))
         perm = 0

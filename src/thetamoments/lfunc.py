@@ -116,7 +116,7 @@ def _powers_rel(s: np.ndarray, n: int) -> np.ndarray:
 def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray) -> np.ndarray:
     """w[., i] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q), a = n_of_index[i],
     one row per s-point of the column s_col, filled in slices of _CHUNK
-    units; adds each row's three error sums to sums (see _l_rows)."""
+    units; adds each row's two error sums to sums (see _l_rows)."""
     q = group.q
     a_all = np.array([1]) if q == 1 else group.structure.n_of_index
     qs, qs_abs = _powers(s_col, np.array([q]))
@@ -132,7 +132,6 @@ def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray
         h *= qs
         h += d
         w[:, c:c + _CHUNK] = h
-        sums[2] += np.sum(np.abs(h), axis=1)
     return w
 
 
@@ -142,7 +141,7 @@ def _l_rows(group: CharacterGroup, s, tol: float):
     L(s_{i+k}, chi)) and err the error of each entry of a row:
       |q^{-s}| (sum_a e_a + rel sum_a |zeta|)   (Hurwitz part, e_a per entry)
       + rel sum_a |a^{-s}|                      (Dirichlet polynomial)
-      + eps sum_a |w_a| + character_sums' err   (weight and transform roundings),
+      + character_sums' err                     (weight and transform roundings),
     rel the _powers_rel bound.  Raises PrecisionError at the first point, in
     input order, whose err > tol, with best = ComplexApprox(its row of L, err).
     """
@@ -154,11 +153,11 @@ def _l_rows(group: CharacterGroup, s, tol: float):
     entry_tol = [tol * q ** z.real / (4 * phi) for z in pts]
     for i, j, hurwitz in hurwitz_grid_runs(pts, q, phi, entry_tol):
         s_col = np.array(pts[i:j])[:, None]
-        sums = np.zeros((3, j - i))
+        sums = np.zeros((2, j - i))
         out, rounding = group.character_sums(_weights(group, s_col, hurwitz, sums))
         parts = {"Hurwitz part": sums[0],
                  "Dirichlet polynomial": _powers_rel(s_col[:, 0], q) * sums[1],
-                 "transform rounding": _EPS * sums[2] + rounding}
+                 "transform rounding": rounding}
         err = sum(parts.values())
         for k in np.flatnonzero(err > tol)[:1]:
             stage = max(parts, key=lambda name: parts[name][k])
@@ -208,7 +207,7 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
     call at s[i].
     """
     if q < 3:
-        raise DomainError("l_values_all_chars requires q >= 3")
+        raise DomainError(f"q must be >= 3; got {q}")
     if group is None:
         group = build_group(q)
     if group.q != q:
@@ -227,15 +226,15 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
 # family aggregates
 
 
-def _family_columns(caller: str, q: int, shifts, tol: float, family: str):
+def _family_columns(q: int, shifts, tol: float, family: str):
     """The one family path of the aggregates (see the module docstring):
     (columns, errs, family size), column i holding |L(1/2 + i t, chi)| over
     the family at t = shifts[i] and errs[i] its error bound.  q and the shifts
-    are checked in the name of caller; no shifts evaluate no L."""
+    are checked first; no shifts evaluate no L."""
     if max(map(abs, shifts), default=0) > MAX_SHIFT:
         raise DomainError(f"shifts must satisfy |t| <= {MAX_SHIFT:g}")
     if q < 3:
-        raise DomainError(f"{caller} requires q >= 3")
+        raise DomainError(f"q must be >= 3; got {q}")
     group = build_group(q)
     mask = group.family_mask(family)
     pos = sorted({abs(t) for t in shifts})
@@ -255,7 +254,7 @@ def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     q (log q)^{k^2} normalization: the t = 0 column of the family path."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    cols, _, size = _family_columns("central_moment", q, (0.0,) if k else (), tol, "star")
+    cols, _, size = _family_columns(q, (0.0,) if k else (), tol, "star")
     terms = cols[0] ** (2 * k) if k else np.ones(size)
     return moment_report(q, k, "star", terms, q * math.log(q) ** (k * k), tol)
 
@@ -267,7 +266,7 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star") -> Momen
     0.1); NaN when q < 16 where that bound is undefined.
     """
     t = as_shift_tuple(t)
-    cols, _, size = _family_columns("shifted_moment", q, t, tol, family)
+    cols, _, size = _family_columns(q, t, tol, family)
     prod = np.ones(size)
     for col in cols:
         prod *= col
@@ -301,7 +300,7 @@ def large_value_counts(q: int, t, v_grid, tol: float = 1e-10,
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0 or np.isnan(v).any() or np.any(np.diff(v) < 0):
         raise DomainError("V grid must be one-dimensional, ascending and free of NaN")
-    cols, errs, size = _family_columns("large_value_counts", q, t, tol, family)
+    cols, errs, size = _family_columns(q, t, tol, family)
     total = np.zeros(size)
     clamped = np.zeros(size, dtype=bool)
     for lv, err in zip(cols, errs):

@@ -223,7 +223,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
                  eta: int = 0) -> ModelMomentEstimate:
     """Estimate E |model_theta|^{2k} from `samples` independent samples."""
     if q < 3:
-        raise DomainError("model_moment requires q >= 3")
+        raise DomainError(f"q must be >= 3; got {q}")
     if k < 1:
         raise DomainError("k must be >= 1")
     if samples < 100:

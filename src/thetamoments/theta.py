@@ -7,13 +7,13 @@ so every value carries a certified absolute error; the minimal N is found by
 stepping up from just below the largest root of n^eta e^{-pi n^2 x / q} = eps,
 below which no n can meet the bound.
 
-The all-characters path folds the series by residue class mod q, then
-gathers the units once into real weights (one vector per parity), and
-takes their character sums for that parity only (CharacterGroup.
-character_sums, which also bounds the transform's rounding): on a cyclic
-group (q prime, p^e, 2 p^e) a real FFT of half the group order, elsewhere
-the transform over the unsplit grid with the parity selected.
-A moment needs only its own parity, so it folds and transforms once.
+The all-characters path folds the series by residue class mod q, gathers
+the units once into real weights (one vector per parity) and takes their
+character sums for that parity only (CharacterGroup.character_sums, which
+also bounds the rounding): on a cyclic group (q prime, p^e, 2 p^e) a real
+FFT of half the group order, elsewhere the group's transform grid with the
+parity read off its output.  A moment needs only its own parity, so it
+folds and transforms once, and selects the primitive characters of it.
 Moments S_2k(q) over the even-primitive or odd-primitive family normalize
 by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
@@ -135,7 +135,7 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     the naive per-character series within 2 eps.  Returns (values, err).
     """
     if q < 3:
-        raise DomainError("theta_all_chars requires q >= 3")
+        raise DomainError(f"q must be >= 3; got {q}")
     if not x > 0:
         raise DomainError("x must be positive")
     if group is None:
@@ -155,7 +155,7 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
     odd-primitive family, with the matching normalization.  Only the series
     of that parity is folded and transformed."""
     if q < 3:
-        raise DomainError("theta_moment requires q >= 3")
+        raise DomainError(f"q must be >= 3; got {q}")
     if k < 1:
         raise DomainError("k must be >= 1")
     if parity not in THETA_FAMILIES:
@@ -163,7 +163,7 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
     eta = THETA_FAMILIES.index(parity)
     group = build_group(q)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
-    terms = np.abs(values[group.family_mask(parity)[group.parity_index(eta)]]) ** (2 * k)
+    terms = np.abs(values[group.primitive_mask[group.parity_index(eta)]]) ** (2 * k)
     half_powers = k if parity == "even" else 3 * k
     norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)
     return moment_report(q, k, parity, terms, norm, eps)

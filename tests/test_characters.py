@@ -245,21 +245,57 @@ def test_transform_matches_naive(q):
         assert abs(fast[i] - naive) < 1e-11, (q, i)
 
 
-@pytest.mark.parametrize("q", [29, 1009, 10007, 5040, 2 * 3 ** 7])
+# cyclic orders d >= 50 whose largest prime factor exceeds sqrt(d), which
+# pocketfft may run by Bluestein: 58 = 2 * 29, 52 = 4 * 13, 1018 = 2 * 509,
+# 10006 = 2 * 5003, 100002 = 2 * 3 * 7 * 2381 and 40028 = 4 * 10007's 10006
+GOOD_THOMAS = {59: (2, 29), 53: (4, 13), 1019: (2, 509), 10007: (2, 5003),
+               100003: (2, 3, 7, 2381), 4 * 10007: (2, 2, 5003)}
+
+
+@pytest.mark.parametrize("q", [29, 47, 53, 59, 1009, 1019, 10007, 100003, 4 * 10007,
+                               5040, 30030, 2 * 3 ** 7])
 def test_prime_power_split_transform_against_direct_sums(q):
-    """The full transform runs every cyclic component over its prime-power
-    factors (Good-Thomas); sampled characters, in index order, match their
-    direct sums sum_i chi(u_i) w[i] over the units u = n_of_index."""
+    """A cyclic component of order d is split into its prime-power factors
+    (Good-Thomas) exactly when d >= 50 and its largest prime factor exceeds
+    sqrt(d); smooth orders (1008, 1458, 5040's and 30030's components) and
+    short ones (28, 46) keep the exponent grid with no index maps.  Sampled
+    characters, in index order, match their direct sums
+    sum_i chi(u_i) w[i] over the units u = n_of_index."""
     g = build_group(q)
-    dims = g._prime_power_split[1]
-    assert all(len(factorize(P).factors) == 1 for P in dims)
-    assert len(dims) > len(g.structure.dims)  # every modulus here splits
+    perm, dims, out = g._grid
+    if q in GOOD_THOMAS:
+        assert dims == GOOD_THOMAS[q]
+        assert all(len(factorize(P).factors) == 1 for P in dims)
+        assert perm.shape == out.shape == (g.phi,)
+    else:
+        assert perm is None and out is None and dims == g.structure.dims
     rng = np.random.default_rng(q)
     w = (rng.normal(size=q) + 1j * rng.normal(size=q))[g.structure.n_of_index]
     fast = g.transform(w)
     for i in {0, 1, len(g) // 3, len(g) // 2, len(g) - 1}:
         naive = np.dot(g.value_table(i)[g.structure.n_of_index], w)
         assert abs(fast[i] - naive) <= rounding_bound(len(g), float(np.sum(np.abs(w)))), (q, i)
+
+
+@pytest.mark.parametrize("q", [5040, 4 * 10007, 1009])
+def test_parity_reads_the_full_transform_bit_for_bit(q):
+    """Every parity request off the fold (complex w, or a non-cyclic group)
+    runs on the group's grid and selects its characters from the output map,
+    so it is the full transform's parity entries bit for bit, on an unsplit
+    grid (5040, 1009) and a split one (40028), for a batch as for one row.
+    Real w mod the prime 1009 takes the fold instead."""
+    g = build_group(q)
+    rng = np.random.default_rng(q)
+    for kind in ("complex",) if q == 1009 else ("real", "complex"):
+        w = rng.normal(size=(2, g.phi))
+        if kind == "complex":
+            w = w + 1j * rng.normal(size=(2, g.phi))
+        full = g.transform(w)
+        for eta in (0, 1):
+            got = g.transform(w, eta)
+            assert got.shape == (2, g.phi // 2)
+            assert np.array_equal(got, full[:, g.parity_index(eta)]), (kind, eta)
+            assert np.array_equal(g.transform(w[1], eta), got[1]), (kind, eta)
 
 
 def test_transform_complex_weights():
@@ -318,9 +354,9 @@ def test_transform_rounding_bound_against_longdouble(q):
     """Every entry of the full transform and of both parities stays within
     rounding_bound(phi, sum |w|) of an extended-precision reference: the inverse
     DFT of clongdouble weights over the unsplit grid, times phi.  The moduli
-    cover the Bluestein factors 2381, 5003, 797 and 2393 of the prime-power
-    split and the mixed-radix grids of 5040, 30030 and 9524 = 4 * 2381; the
-    smallest margin measured was 25x (q = 9524, full transform).  The values
+    cover the Bluestein factors 2381, 5003, 797 and 2393 of the Good-Thomas
+    split and the mixed-radix grids of 1009, 5040, 30030 and 9524 = 4 * 2381;
+    the smallest margin measured was 26x (q = 10007, full transform).  The values
     of character_sums, conjugate-paired for real w, stay within its own err."""
     g = build_group(q)
     rng = np.random.default_rng(q)
@@ -346,8 +382,9 @@ def test_character_sums_pair_rows_of_real_weights(q):
     """Without a parity, rows of real weights (real dtype, or complex with no
     imaginary part, alike) come back as exact conjugate pairs, with the mean's
     eps max |v| in their err; complex rows and every parity are transform's
-    values bit for bit with err rounding_bound(phi, sum |w|).  A batch gives
-    one err per row and equals its rows."""
+    values bit for bit with err rounding_bound(phi, sum |w|) + eps sum |w|,
+    the transform's rounding and the weights' own.  A batch gives one err per
+    row and equals its rows."""
     g = build_group(q)
     rng = np.random.default_rng(q)
     real = rng.normal(size=(2, g.phi))
@@ -357,7 +394,8 @@ def test_character_sums_pair_rows_of_real_weights(q):
         values, err = g.character_sums(w, parity)
         assert values.shape == (4, g.phi if parity is None else g.phi // 2) and err.shape == (4,)
         for k, (row, wr) in enumerate(zip(values, w)):
-            bound = rounding_bound(g.phi, float(np.sum(np.abs(wr))))
+            mass = float(np.sum(np.abs(wr)))
+            bound = rounding_bound(g.phi, mass) + np.finfo(float).eps * mass
             alone, e = g.character_sums(wr, parity)
             assert np.array_equal(row, alone) and err[k] == e, (parity, k)
             if parity is None and k < 2:
@@ -377,11 +415,11 @@ def _mp(x):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is no wider than float64 here")
-@pytest.mark.parametrize("q", [1009, 5040])
+@pytest.mark.parametrize("q", [1009, 1019, 5040])
 def test_transform_keeps_longdouble_weights(q):
-    """Real longdouble and clongdouble weights come back as clongdouble on the
-    Good-Thomas split (q = 1009) and on the non-cyclic grid with or without a
-    parity (q = 5040), and sampled entries match an mpmath sum within the
+    """Real longdouble and clongdouble weights come back as clongdouble on a
+    cyclic exponent grid (q = 1009), on the Good-Thomas split (q = 1019) and on
+    the non-cyclic grid, with or without a parity (q = 5040), and sampled entries match an mpmath sum within the
     longdouble rounding bound eps_ld (log2 phi + 8) sum |w|.  The weights are
     63-bit integers over 2^63, exact in longdouble and in mpmath."""
     g = build_group(q)

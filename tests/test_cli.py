@@ -48,7 +48,18 @@ def test_domain_error_exits_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "theta-moment", "--q", "0", "--k", "1",
                           "--parity", "even", "--out", str(tmp_path))
     assert code == 2
-    assert "q >= 3" in err
+    assert "q must be >= 3; got 0" in err
+
+
+@pytest.mark.parametrize("argv", [("l-moment", "--q", "2", "--k", "1"),
+                                  ("theta-moment", "--q", "2", "--k", "1", "--parity", "odd")])
+def test_small_modulus_refusal_names_q(capsys, tmp_path, argv):
+    """A modulus below 3 is refused in the name of q and the value given,
+    not of the library function that checks it."""
+    code, _, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert "q must be >= 3; got 2" in err
+    assert "requires" not in err
 
 
 def test_bound_eval_names_constraint(capsys, tmp_path):
