@@ -190,6 +190,8 @@ def _cmd_mellin_check(args, cfg):
     for flag, v in (("--height", args.height), ("--step", args.step)):
         if not 0 < v < np.inf:
             raise DomainError(f"{flag} must be positive and finite; got {v}")
+    if round(args.height / args.step) == 0:
+        raise DomainError(f"--height / --step must round to >= 1; got {args.height} / {args.step}")
     group = build_group(args.q)
     idx = np.flatnonzero(group.family_mask("even"))
     if not idx.size:

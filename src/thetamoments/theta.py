@@ -22,14 +22,18 @@ mellin_checks compares the series against the line integral
     theta(1, chi) = (q/pi)^{1/4} 1/(2 pi) Integral L(1/2 + 2it, chi)
                     (q/pi)^{it} Gamma(1/4 + it) dt        (even primitive chi)
 
-by trapezoidal quadrature on [-H, H], for several characters mod q at once:
-the whole t-grid is one all-character l_values_all_chars call (its Hurwitz
-vectors in blocks of s-points, one transform over the rows), from which the
-requested characters are read off, and the Gamma kernel on the grid and the
-Gamma tail mass are one vectorised gamma_fn call each.  Gamma(1/4 + it)
-decays like e^{-pi |t| / 2}, and the reported tail bound is the numerically
-integrated Gamma mass beyond H scaled by the largest sampled |L|.
-mellin_check is the one-character case.
+by trapezoidal quadrature on [-H, H], for several characters mod q at once.
+Since f_chi(-t) = conj f_chibar(t) (L(1/2 - 2it, chi) = conj L(1/2 + 2it,
+chibar), Gamma(1/4 - it) = conj Gamma(1/4 + it)), only t >= 0 is evaluated
+and the trapezoid sum folds to half-length weights on f_chi + conj f_chibar:
+a real character's quadrature is exactly real, a conjugate pair's exactly
+conjugate.  The half grid is one all-character l_values_all_chars call (its
+Hurwitz vectors in blocks of s-points, one transform over the rows), read
+off at the requested characters and their conjugates, and the Gamma kernel
+and the Gamma tail mass are one vectorised gamma_fn call each.
+Gamma(1/4 + it) decays like e^{-pi |t| / 2}, and the reported tail bound is
+the numerically integrated Gamma mass beyond H scaled by the largest sampled
+|L|.  mellin_check is the one-character case.
 """
 
 from __future__ import annotations
@@ -204,8 +208,9 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
     each character in `chars`: characters mod q of the group's "even" family.
 
     Every character is validated before any L evaluation.  L-values come from
-    one l_values_all_chars call over the t-grid at tol 1e-10, so
-    PrecisionError is raised exactly where l_value would raise it.
+    one l_values_all_chars call over t = j * step, j = 0..round(height / step)
+    >= 1, at tol 1e-10, so PrecisionError is raised exactly where l_value
+    would raise it; each mirrored t < 0 value is exact, with its twin's error.
     """
     chars = list(chars)
     for chi in chars:
@@ -213,28 +218,30 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
             raise DomainError(f"character modulus {chi.q} does not match q = {q}")
     if not (0 < height < math.inf and 0 < step < math.inf):
         raise DomainError("height and step must be positive and finite")
+    if (m := int(round(height / step))) == 0:
+        raise DomainError(f"height / step must round to >= 1; got {height} / {step}")
     if not chars:
         return []
     group, idx = chars[0].group, [chi.index for chi in chars]
     if q < 3 or not group.family_mask("even")[idx].all():  # primitive mod q >= 3: nontrivial
         raise DomainError("mellin_check needs an even primitive nontrivial character")
-    m = int(round(height / step))
-    grid = step * np.arange(-m, m + 1)
-    lq = math.log(q / math.pi)
-    # rows = characters, columns = t-points
-    lvals = l_values_all_chars(q, 0.5 + 2j * grid, tol=1e-10, group=group)[0][:, idx].T
-    gam = gamma_fn(0.25 + 1j * grid).value
-    f = lvals * np.exp(1j * lq * grid) * gam
+    ts = step * np.arange(m + 1)
+    # rows = characters, columns = t >= 0; f_chi(-t) = conj f_chibar(t), read off chibar's row
+    lvals = l_values_all_chars(q, 0.5 + 2j * ts, tol=1e-10, group=group)[0]
+    lv, lv_bar = lvals[:, idx].T, lvals[:, group.conjugation[idx]].T
+    kern = np.exp(1j * math.log(q / math.pi) * ts) * gamma_fn(0.25 + 1j * ts).value
     pref = (q / math.pi) ** 0.25 / (2 * math.pi)
-    quads = pref * step * chunked_sum(f * _trapezoid_weights(len(grid)))
+    quads = pref * step * chunked_sum(
+        (lv * kern + (lv_bar * kern).conj()) * _trapezoid_weights(m + 1))
     tail_mass = _gamma_tail_mass(m * step)
+    peaks = np.maximum(np.abs(lv), np.abs(lv_bar)).max(axis=1)
     results = []
-    for chi, quad, row in zip(chars, quads.tolist(), lvals):
+    for chi, quad, peak in zip(chars, quads.tolist(), peaks.tolist()):
         series = theta_value(q, chi, 1.0, eps).value
         results.append(MellinCheckResult(
             q=q, char_index=chi.index, series=series, quadrature=quad,
             residual=abs(series - quad), height=m * step, step=step,
-            tail_bound=pref * float(np.max(np.abs(row))) * tail_mass))
+            tail_bound=pref * peak * tail_mass))
     return results
 
 

@@ -136,6 +136,16 @@ def test_mellin_check_window_is_named(capsys, tmp_path, recwarn, flag, value):
     assert not recwarn.list
 
 
+def test_mellin_check_window_without_interval_is_named(capsys, tmp_path):
+    """A --height below half a --step leaves no interval: exit 2, and the
+    message names both flags and the values given."""
+    code, out, err = invoke(capsys, "mellin-check", "--q", "13", "--height", "0.001",
+                            "--step", "1", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == "thetamoments: error: --height / --step must round to >= 1; got 0.001 / 1.0\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_rand_model_negative_seed_is_named(capsys, tmp_path):
     """A negative first seed is refused by its flag: exit 2, no report."""
     code, out, err = invoke(capsys, "rand-model", "--q", "101", "--k", "1",

@@ -461,6 +461,78 @@ def test_mellin_checks_match_per_character_quadrature():
     assert mellin_check(q, chars[1], height, step) == results[1]
 
 
+@pytest.mark.parametrize("q, picks", [(40, None), (65, (0, 2))])
+def test_mellin_checks_match_per_character_quadrature_non_cyclic(q, picks):
+    """The same comparison on a non-cyclic group, where the conjugation flips
+    several grid components: 40 = 8 * 5 (grid 2 x 2 x 4) and 65 = 5 * 13
+    (4 x 12).  At 65 only two characters are asked for, so the negative half
+    is read off conjugates outside the request."""
+    height, step = 2.0, 1 / 16
+    chars = _even_primitive(q)
+    if picks is not None:
+        chars = [chars[i] for i in picks]
+    group = chars[0].group
+    assert len(group._dims) > 1
+    assert any(group.conjugate_index(c.index) != c.index for c in chars)
+    results = mellin_checks(q, chars, height, step)
+    m = int(round(height / step))
+    pref = (q / math.pi) ** 0.25 / (2 * math.pi)
+    for chi, r in zip(chars, results):
+        f = [l_value(q, chi, complex(0.5, 2 * step * j), tol=1e-10).value
+             * cmath.exp(1j * step * j * math.log(q / math.pi))
+             * gamma_fn(complex(0.25, step * j)).value for j in range(-m, m + 1)]
+        quad = pref * step * (sum(f) - (f[0] + f[-1]) / 2)
+        assert abs(r.quadrature - quad) < 1e-13
+
+
+@pytest.mark.parametrize("q", [5, 13, 29])
+def test_mellin_fold_is_exact(q):
+    """f_chi(-t) = conj f_chibar(t) is used exactly: a real character's
+    quadrature is real, and a conjugate pair's quadratures and tail bounds are
+    conjugate and equal, bit for bit."""
+    results = {r.char_index: r for r in mellin_checks(q, _even_primitive(q))}
+    group = build_group(q)
+    assert any(group.orders[i] == 2 for i in results)
+    for i, r in results.items():
+        bar = results[group.conjugate_index(i)]
+        if group.orders[i] == 2:
+            assert r.quadrature.imag == 0.0
+        assert bar.quadrature == r.quadrature.conjugate()
+        assert bar.tail_bound == r.tail_bound
+
+
+def test_mellin_checks_evaluate_t_at_least_zero_only(monkeypatch):
+    """One mellin_checks call makes one L call on the m + 1 points t >= 0, and
+    its Gamma kernel has m + 1 points: the negative half is never built."""
+    l_calls, gamma_calls = [], []
+    l_values, gamma = theta.l_values_all_chars, theta.gamma_fn
+    monkeypatch.setattr(theta, "l_values_all_chars",
+                        lambda q, s, *a, **kw: l_calls.append(np.array(s)) or l_values(q, s, *a, **kw))
+    monkeypatch.setattr(theta, "gamma_fn",
+                        lambda s, *a, **kw: gamma_calls.append(np.array(s)) or gamma(s, *a, **kw))
+    height, step = 4.0, 1 / 16
+    m = int(round(height / step))
+    mellin_checks(13, _even_primitive(13), height, step)
+    assert [s.size for s in l_calls] == [m + 1]
+    assert np.all(l_calls[0].imag >= 0) and l_calls[0].imag.max() == 2 * height
+    kernel = [s for s in gamma_calls if s.imag.min() == 0.0]  # the other is the tail beyond H
+    assert [s.size for s in kernel] == [m + 1]
+    assert len(gamma_calls) == 2
+
+
+def test_mellin_window_needs_an_interval():
+    """height / step rounding to 0 leaves no interval: refused, not a one-point
+    'quadrature' whose residual exceeds its tail bound."""
+    chars = _even_primitive(13)
+    for height, step in ((0.001, 1.0), (0.5, 1.0), (1 / 256, 1 / 64)):
+        with pytest.raises(DomainError, match="height / step must round to >= 1"):
+            mellin_checks(13, chars, height, step)
+    with pytest.raises(DomainError, match="round to >= 1"):
+        mellin_checks(13, [], 0.001, 1.0)
+    (r,) = mellin_checks(13, chars[:1], 0.6, 1.0)  # rounds to one step
+    assert r.height == 1.0 and r.residual <= r.tail_bound
+
+
 def test_mellin_checks_rejects_mixed_sets(monkeypatch):
     """Every character is validated before any L evaluation."""
     def no_l_values(*args, **kwargs):
