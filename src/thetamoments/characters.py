@@ -13,17 +13,17 @@ any array without the table), the character families every moment sums over
 
     transform(w)[j] = sum_i chi_j(u_i) w[i]   (weights on the units u = n_of_index),
 
-computed for all phi(q) characters at once by one of two routes.  Real w
-with a parity on a cyclic group of order d = 2h (q prime, p^e, 2 p^e or 4)
-takes the parity fold: u_m = g^m, -1 = g^h and chi_j has parity j mod 2, so
-the even values are the length-h inverse DFT of w_m + w_{m+h} and the odd
-ones the odd bins of the length-d inverse DFT of w_m - w_{m+h}, through
-rfft (chi_{d-j} = conj chi_j gives the values past its half).  All else is
-one in-place inverse FFT in one phi-wide buffer over the group's grid: the
-cyclic components, each of order d >= 50 with a prime factor above sqrt(d)
-(a length numpy's pocketfft may run by Bluestein) split into its prime-power
-factors by Good-Thomas (q = 100003 transforms a (2, 3, 7, 2381) array); a
-parity is read off its output by `parity_index` (eta::2 on a cyclic group).
+computed for all phi(q) characters at once by one in-place inverse FFT in
+one phi-wide buffer.  Real w with a parity on a cyclic group of order d = 2h
+(q prime, p^e, 2 p^e or 4) is folded in front of it: u_m = g^m, -1 = g^h and
+chi_j has parity j mod 2, so chi_{2k+eta} is entry k of the unsplit length-h
+inverse DFT of (w_m + (-1)^eta w_{m+h}) e^{2 pi i eta m / d} (for eta = 1 an
+odd-frequency DFT, by a twiddle twist).  All else runs over the group's grid:
+the cyclic components, each of order d >= 50 with a prime factor above
+sqrt(d) (a length numpy's pocketfft may run by Bluestein) split into its
+prime-power factors by Good-Thomas (q = 100003 transforms a (2, 3, 7, 2381)
+array); a parity is read off its output by `parity_index` (eta::2 on a
+cyclic group).
 
 Tables are built by broadcasting per-component exponent ranges, never as a
 phi x r matrix, and none reads a length-q table.
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numtheory import GroupStructure, factorize, group_structure
-from .specfun import ComplexApprox
+from .specfun import TWO_PI, ComplexApprox
 from .summation import rounding_bound
 
 __all__ = ["FAMILIES", "Character", "CharacterGroup", "build_group", "gauss_sum"]
@@ -126,7 +126,7 @@ class CharacterGroup:
 
     def parity_index(self, parity: int) -> slice | np.ndarray:
         """Indexer of the parity-eta characters along an index-ordered axis;
-        on a cyclic group chi_j has parity j mod 2, as transform's fold uses."""
+        on a cyclic group chi_j has parity j mod 2, so transform's fold is eta::2."""
         return slice(parity, None, 2) if len(self._dims) == 1 else self.parity_bits == parity
 
     @cached_property
@@ -229,11 +229,11 @@ class CharacterGroup:
         j in index order; with parity = eta, for the parity-eta ones only.
 
         w has length phi along its last axis, leading axes being a batch.  Real
-        w with a parity on a cyclic group takes the module docstring's fold;
-        all else is one in-place inverse DFT over _grid, a parity read off its
-        output map, so transform(w, eta) == transform(w)[parity_index(eta)] bit
-        for bit.  Every route computes in w's own complex dtype, so longdouble
-        weights come back as clongdouble.
+        w with a parity on a cyclic group is folded (odd: and twisted) to length
+        phi / 2 as in the module docstring; all else runs over _grid, a parity
+        read off its output map, so there transform(w, eta) ==
+        transform(w)[parity_index(eta)] bit for bit.  The one inverse DFT runs
+        in w's own complex dtype: longdouble weights come back as clongdouble.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.phi,):
@@ -242,15 +242,18 @@ class CharacterGroup:
             raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
         batch = w.shape[:-1]
         if parity is not None and len(self._dims) == 1 and not np.iscomplexobj(w):
-            h = self.phi // 2
-            f = w[..., :h] - w[..., h:] if parity else w[..., :h] + w[..., h:]
-            n = 2 * h if parity else h
-            r = np.fft.rfft(f, n)[..., parity::1 + parity]
-            return np.concatenate(
-                [r.conj(), r[..., 1 - parity:h + 1 - parity - r.shape[-1]][..., ::-1]], axis=-1)
-        perm, dims, out = self._grid
-        if parity is not None:
-            out = self.parity_index(parity) if out is None else out[self.parity_index(parity)]
+            h = self.phi // 2  # chi_j(g^{m+h}) = (-1)^j chi_j(g^m): fold, unsplit length h
+            w = w[..., :h] - w[..., h:] if parity else w[..., :h] + w[..., h:]
+            if parity:  # chi_{2k+1}(g^m) = e^{2 pi i m / phi} e^{2 pi i k m / h}, m = b i + j
+                b = int(np.sqrt(h)) + 1  # so the twist is an outer product of 2b roots
+                e = np.exp(1j * (TWO_PI / self.phi * np.arange(b)[:, None] * [b, 1]).astype(
+                    np.result_type(w, float)))
+                w = w * np.outer(e[:, 0], e[:, 1]).reshape(-1)[:h]
+            perm, dims, out = None, (h,), None
+        else:
+            perm, dims, out = self._grid
+            if parity is not None:
+                out = self.parity_index(parity) if out is None else out[self.parity_index(parity)]
         # a buffer of our own, never the caller's w (freed here if a temporary)
         dtype = np.result_type(w, complex)
         z = w.astype(dtype) if perm is None else w[..., perm].astype(dtype, copy=False)
@@ -264,13 +267,13 @@ class CharacterGroup:
                        ) -> tuple[np.ndarray, float | np.ndarray]:
         """(values, err): values = transform(w, parity) and, per leading row of
         w, err = rounding_bound(phi, sum |w|) + eps sum |w| on each value, the
-        transform's rounding (log2 phi = log2(phi / 2) + 1 covers the fold's
-        extra one) and the weights' own; a float for 1-D w.  Without a parity,
-        rows of real weights come back as exact conjugate pairs, v[conjugation]
-        = conj v (a multi-axis FFT of real input is not; the fold's mirror is),
-        by their mean with the conjugated permutation, charged eps max |v|.
-        transform receives the only reference to w, so temporary weights are
-        freed once read.
+        transform's rounding (a fold counts one level, the odd twist one
+        twiddle level, then log2(phi / 2) levels) and the weights' own; a
+        float for 1-D w.  Without a parity, rows of real weights come
+        back as exact conjugate pairs, v[conjugation] = conj v (a multi-axis FFT
+        of real input is not), by their mean with the conjugated permutation,
+        charged eps max |v|.  transform receives the only reference to w, so
+        temporary weights are freed once read.
         """
         w = np.asarray(w)
         mass = np.abs(w).sum(axis=-1).reshape(-1)
@@ -395,7 +398,5 @@ class Character:
 def gauss_sum(chi: Character) -> ComplexApprox:
     """Gauss sum tau(chi) = sum_a chi(a) e^{2 pi i a / q}."""
     q = chi.q
-    vals = chi.value_table()
-    e = np.exp(2j * np.pi * np.arange(q) / q)
-    v = complex(np.dot(vals, e))
+    v = complex(np.dot(chi.value_table(), np.exp(2j * np.pi * np.arange(q) / q)))
     return ComplexApprox(v, 8 * _EPS * max(q, 1))

@@ -37,11 +37,11 @@ from . import __version__  # noqa: F401  (version surfaced via --version)
 from .bounds import bound_profile, cos_sum_check, cutoff_exponent, large_value_bound
 from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
-from .lfunc import central_moment, large_value_counts, shifted_moment
+from .lfunc import MAX_SHIFT, central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
 from .randmodel import model_moment
 from .reports import csv_text, fmt, make_envelope, moment_csv
-from .theta import mellin_checks, theta_moment
+from .theta import MAX_MELLIN_STEPS, mellin_checks, theta_moment
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
 
@@ -190,6 +190,11 @@ def _cmd_mellin_check(args, cfg):
     for flag, v in (("--height", args.height), ("--step", args.step)):
         if not 0 < v < np.inf:
             raise DomainError(f"{flag} must be positive and finite; got {v}")
+    if args.height > MAX_SHIFT / 2:
+        raise DomainError(f"--height must be <= {MAX_SHIFT / 2:g}; got {args.height}")
+    if args.height / args.step > MAX_MELLIN_STEPS + 0.5:
+        raise DomainError(f"--height / --step must round to <= {MAX_MELLIN_STEPS}; "
+                          f"got {args.height} / {args.step}")
     if round(args.height / args.step) == 0:
         raise DomainError(f"--height / --step must round to >= 1; got {args.height} / {args.step}")
     group = build_group(args.q)

@@ -62,7 +62,7 @@ from .characters import Character, CharacterGroup, build_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_report
-from .specfun import HZ_BLOCK, ComplexApprox, digamma_vector, hurwitz_grid_runs
+from .specfun import HZ_BLOCK, TWO_PI, ComplexApprox, digamma_vector, hurwitz_grid_runs
 
 __all__ = [
     "ShiftTuple",
@@ -87,7 +87,6 @@ LOG_CLAMP = -50.0  # log|L| substitute when |L| is below its error bound
 # a-values per elementwise chunk of the weights: about 100 bytes of
 # temporaries each, so a chunk stays under a megabyte
 _CHUNK = HZ_BLOCK // 8
-_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
 
 def _powers(s: np.ndarray, n: np.ndarray):
@@ -100,7 +99,7 @@ def _powers(s: np.ndarray, n: np.ndarray):
     if not s.imag.any():
         return mag, mag
     ang = s.imag * ln
-    ang -= _TWO_PI * np.rint(ang / _TWO_PI)
+    ang -= TWO_PI * np.rint(ang / TWO_PI)
     ang = ang.astype(float)
     return mag * (np.cos(ang) - 1j * np.sin(ang)), mag
 
@@ -217,9 +216,7 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
     for i, j, v, err in _l_rows(group, s, tol):
         values[i:j], errs[i:j] = v, err
         del v  # not alive during the next run's transform
-    if np.ndim(s):
-        return values, errs
-    return values[0], float(errs[0])
+    return (values, errs) if np.ndim(s) else (values[0], float(errs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +355,7 @@ def log_l_majorant(q: int, chi: Character, t: float = 0.0, x: float = 25.0,
         raise DomainError("x must be >= 2")
     if lam < LAMBDA0 - 1e-12:
         raise DomainError(f"lambda must be >= lambda0 = {LAMBDA0:.6f}")
-    if T is None:
-        T = abs(t)
+    T = abs(t) if T is None else T
     lx = math.log(x)
     sigma = 0.5 + lam / lx
     acc = 0.0

@@ -78,30 +78,22 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; fine for the moduli this library targets."""
+    """Trial division by 2 and the odd numbers; fine for the moduli this
+    library targets.  Whatever is left once p^2 exceeds it is 1 or a prime."""
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     m, fac = n, []
-    for p in (2, 3):
+    for p in itertools.chain((2,), itertools.count(3, 2)):
+        if p * p > m:
+            break
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         if e:
             fac.append((p, e))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):  # 6k +- 1 wheel
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e:
-                fac.append((p, e))
-        d += 6
     if m > 1:
         fac.append((m, 1))
-    fac.sort()
     return Factorization(n=n, factors=tuple(fac))
 
 

@@ -90,6 +90,7 @@ _B2J_FACT = {np.float64: np.array([b / math.factorial(2 * j) for j, b in enumera
 _MAX_M = len(_B2J)  # 15
 HZ_BLOCK = 2 ** 16  # term entries (s-points x rows x a-values) evaluated at once
 EM_ROWS = 256  # Euler-Maclaurin rows summed per step of _em_block
+TWO_PI = np.longdouble("6.283185307179586476925286766559005768")  # 2 pi to longdouble precision
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,7 @@ def _em_tail_bound(s: complex, na: float, m: int) -> float:
         m = _MAX_M - 1
     b = abs(_B2J[m])  # B_{2(m+1)}
     fact = math.factorial(2 * m + 2)
-    poch = 1.0
-    for i in range(2 * m + 1):
-        poch *= abs(s + i)
+    poch = math.prod(abs(s + i) for i in range(2 * m + 1))
     return (b / fact) * poch * na ** (-sigma - 2 * m - 1) * abs(s + 2 * m + 1) / (sigma + 2 * m + 1)
 
 
@@ -417,7 +416,6 @@ def digamma_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 _STIRLING_K = 9
 _STIRLING_SHIFT = 10.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2 * math.pi)
 
 
 def log_gamma(s) -> ComplexApprox:
@@ -441,7 +439,7 @@ def log_gamma(s) -> ComplexApprox:
         series = series + term
         series_abs = series_abs + np.abs(term)
         p = p * zr2
-    val = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + series - shift
+    val = (z - 0.5) * np.log(z) - z + 0.5 * math.log(TWO_PI) + series - shift
 
     sec = 1.0 / np.cos(0.5 * np.abs(np.angle(z)))
     k = _STIRLING_K

@@ -10,9 +10,9 @@ below which no n can meet the bound.
 The all-characters path folds the series by residue class mod q, gathers
 the units once into real weights (one vector per parity) and takes their
 character sums for that parity only (CharacterGroup.character_sums, which
-also bounds the rounding): on a cyclic group (q prime, p^e, 2 p^e) a real
-FFT of half the group order, elsewhere the group's transform grid with the
-parity read off its output.  A moment needs only its own parity, so it
+also bounds the rounding): one inverse FFT, of half the group order on a
+cyclic group (q prime, p^e, 2 p^e), elsewhere over the group's grid with
+the parity read off its output.  A moment needs only its own parity, so it
 folds and transforms once, and selects the primitive characters of it.
 Moments S_2k(q) over the even-primitive or odd-primitive family normalize
 by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
@@ -45,7 +45,7 @@ import numpy as np
 
 from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group
 from .errors import DomainError
-from .lfunc import l_values_all_chars
+from .lfunc import MAX_SHIFT, l_values_all_chars
 from .reports import MomentReport, moment_report
 from .specfun import ComplexApprox, gamma_fn
 from .summation import chunked_sum, rounding_bound
@@ -59,6 +59,8 @@ __all__ = [
     "mellin_check",
     "mellin_checks",
 ]
+
+MAX_MELLIN_STEPS = 2 ** 16  # round(height / step): 128 times the default window's 512
 
 
 def _tail_bound(q: int, x: float, eta: int, n: int) -> float:
@@ -100,9 +102,7 @@ def _series_terms(q: int, x: float, eta: int, n: int) -> tuple[np.ndarray, np.nd
     """(residues mod q, term values) for n = 1..N."""
     m = np.arange(1, n + 1, dtype=np.int64)
     e = np.exp(-math.pi * x / q * m.astype(float) ** 2)
-    if eta:
-        e = e * m
-    return m % q, e
+    return m % q, e * m if eta else e
 
 
 def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> ComplexApprox:
@@ -207,10 +207,13 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
     """Trapezoidal quadrature of the Mellin integral vs the theta series, for
     each character in `chars`: characters mod q of the group's "even" family.
 
-    Every character is validated before any L evaluation.  L-values come from
-    one l_values_all_chars call over t = j * step, j = 0..round(height / step)
-    >= 1, at tol 1e-10, so PrecisionError is raised exactly where l_value
-    would raise it; each mirrored t < 0 value is exact, with its twin's error.
+    Every character and the window are validated before anything is
+    allocated: height <= MAX_SHIFT / 2 (L runs at 1/2 + 2it; past 25,
+    Gamma(1/4 + it) is below 1e-17 relative) and 1 <= m = round(height /
+    step) <= MAX_MELLIN_STEPS.  L-values come from one l_values_all_chars
+    call over t = j * step, j = 0..m, at tol 1e-10, so PrecisionError is
+    raised exactly where l_value would raise it; each mirrored t < 0 value
+    is exact, with its twin's error.
     """
     chars = list(chars)
     for chi in chars:
@@ -218,6 +221,11 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
             raise DomainError(f"character modulus {chi.q} does not match q = {q}")
     if not (0 < height < math.inf and 0 < step < math.inf):
         raise DomainError("height and step must be positive and finite")
+    if height > MAX_SHIFT / 2:
+        raise DomainError(f"height must be <= {MAX_SHIFT / 2:g}; got {height}")
+    if height / step > MAX_MELLIN_STEPS + 0.5:  # round(height / step) > MAX_MELLIN_STEPS
+        raise DomainError(
+            f"height / step must round to <= {MAX_MELLIN_STEPS}; got {height} / {step}")
     if (m := int(round(height / step))) == 0:
         raise DomainError(f"height / step must round to >= 1; got {height} / {step}")
     if not chars:

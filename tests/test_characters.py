@@ -279,11 +279,12 @@ def test_prime_power_split_transform_against_direct_sums(q):
 
 @pytest.mark.parametrize("q", [5040, 4 * 10007, 1009])
 def test_parity_reads_the_full_transform_bit_for_bit(q):
-    """Every parity request off the fold (complex w, or a non-cyclic group)
-    runs on the group's grid and selects its characters from the output map,
-    so it is the full transform's parity entries bit for bit, on an unsplit
-    grid (5040, 1009) and a split one (40028), for a batch as for one row.
-    Real w mod the prime 1009 takes the fold instead."""
+    """Every parity request that is not folded (complex w, or a non-cyclic
+    group) runs the full transform on the group's grid and selects its
+    characters from the output map, so it is the full transform's parity
+    entries bit for bit, on an unsplit grid (5040, 1009) and a split one
+    (40028), for a batch as for one row.  Real w mod the prime 1009 is folded
+    to half length in front of the same inverse FFT instead."""
     g = build_group(q)
     rng = np.random.default_rng(q)
     for kind in ("complex",) if q == 1009 else ("real", "complex"):
@@ -320,7 +321,9 @@ def test_transform_rejects_bad_shape():
 
 @pytest.mark.parametrize("q", [3, 4, 5, 1009, 3 ** 7, 2 * 3 ** 7, 2 * 1009, 5040])
 def test_transform_parity_matches_full_selection(q):
-    # cyclic groups take the half-length fold, 5040 the full transform
+    # real w on a cyclic group is folded (odd: twisted) to one half-length
+    # inverse FFT, within the rounding bound of the full one; complex w and
+    # 5040 select from the full transform
     g = build_group(q)
     rng = np.random.default_rng(q)
     units = g.structure.n_of_index
@@ -334,10 +337,13 @@ def test_transform_parity_matches_full_selection(q):
             assert np.max(np.abs(got - want)) <= bound, (eta, w.dtype)
 
 
-@pytest.mark.parametrize("q", [1009, 2 * 3 ** 7])
+@pytest.mark.parametrize("q", [1009, 2 * 3 ** 7, 100003])
 def test_transform_odd_fold_against_direct_sums(q):
-    """Odd characters through the fold, both halves of the rfft mirror, against
-    direct sums; a fold through the antisymmetric extension [f, -f] doubles them."""
+    """Odd characters through the fold, at both ends and across the middle of
+    the half-length output, against direct sums; a missing or wrong twist
+    e^{2 pi i m / phi} moves every one of them.  At q = 100003 the unsplit
+    half length is 50001 = 3 * 7 * 2381, a length pocketfft may run by
+    Bluestein."""
     g = build_group(q)
     units = g.structure.n_of_index
     w = np.random.default_rng(7).random(q)[units]

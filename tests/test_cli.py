@@ -146,6 +146,26 @@ def test_mellin_check_window_without_interval_is_named(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("window, message", [
+    (("--height", "1e15", "--step", "1"), "--height must be <= 25; got 1000000000000000.0"),
+    (("--height", "25.5"), "--height must be <= 25; got 25.5"),
+    (("--height", "8", "--step", "1e-4"),
+     "--height / --step must round to <= 65536; got 8.0 / 0.0001"),
+    (("--height", "8", "--step", "1e-320"),
+     "--height / --step must round to <= 65536; got 8.0 / 1e-320"),
+])
+def test_mellin_check_window_bounds_are_named(capsys, tmp_path, window, message):
+    """A --height above MAX_SHIFT / 2 (L runs at 1/2 + 2it) or a grid of more
+    than MAX_MELLIN_STEPS intervals is refused by its flags before anything is
+    allocated: exit 2 and no report, where --height 1e15 once ran out of
+    memory (exit 1)."""
+    assert (cli.MAX_SHIFT / 2, cli.MAX_MELLIN_STEPS) == (25, 65536)
+    code, out, err = invoke(capsys, "mellin-check", "--q", "13", *window, "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_rand_model_negative_seed_is_named(capsys, tmp_path):
     """A negative first seed is refused by its flag: exit 2, no report."""
     code, out, err = invoke(capsys, "rand-model", "--q", "101", "--k", "1",
@@ -506,6 +526,20 @@ def test_certified_l_request_peak_rss(args, rows):
     q = 100003
     base = _child_peak_mb("base", q, rows)
     peak = _child_peak_mb("request", q, rows, *args)
+    assert peak <= base + 6.5, (base, peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_theta_moment_peak_rss(parity):
+    """A q = 100003 theta moment of either parity, in a child process, stays
+    within 6.5 MB of the same base child (one complex output row).  Both
+    parities run one unsplit length-50001 inverse FFT of folded weights; the
+    odd one's former zero-padded length-100002 real FFT took pocketfft's
+    Bluestein path and its native buffers, about 12 MB above the base."""
+    q = 100003
+    base = _child_peak_mb("base", q, 1)
+    peak = _child_peak_mb("request", q, 1, "theta-moment", "--k", "2", "--parity", parity)
     assert peak <= base + 6.5, (base, peak)
 
 

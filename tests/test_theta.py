@@ -3,6 +3,7 @@
 import cmath
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,44 @@ def test_mellin_window_needs_an_interval():
         mellin_checks(13, [], 0.001, 1.0)
     (r,) = mellin_checks(13, chars[:1], 0.6, 1.0)  # rounds to one step
     assert r.height == 1.0 and r.residual <= r.tail_bound
+
+
+def _no_l_values(*args, **kwargs):
+    raise AssertionError("L evaluated for a refused window")
+
+
+def test_mellin_window_height_is_bounded(monkeypatch):
+    """L runs at 1/2 + 2it, so a height above MAX_SHIFT / 2 = 25 is refused
+    before any L evaluation; 25 itself is accepted."""
+    assert theta.MAX_SHIFT / 2 == 25
+    chars = _even_primitive(13)
+    with monkeypatch.context() as m:
+        m.setattr(theta, "l_values_all_chars", _no_l_values)
+        for height, step in ((25.5, 1.0), (1e15, 1.0), (1e300, 1e-300)):
+            with pytest.raises(DomainError, match=re.escape(f"height must be <= 25; got {height}")):
+                mellin_checks(13, chars, height, step)
+    (r,) = mellin_checks(13, chars[:1], 25.0, 1.0)
+    assert r.height == 25.0 and r.residual < 1e-10
+
+
+def test_mellin_window_grid_is_bounded(monkeypatch):
+    """A window is refused exactly when round(height / step) exceeds
+    MAX_MELLIN_STEPS = 2^16 (128 times the default 512), before any L
+    evaluation, also where height / step overflows to inf."""
+    n = theta.MAX_MELLIN_STEPS
+    assert n == 2 ** 16 == 128 * round(8.0 / (1 / 64))
+    chars = _even_primitive(13)
+    monkeypatch.setattr(theta, "l_values_all_chars", _no_l_values)
+    for ratio in (n - 1, n, n + 0.5, n + 0.5001, n + 1, 1e9):
+        step = 8.0 / ratio
+        if round(8.0 / step) > n:
+            with pytest.raises(DomainError, match=f"height / step must round to <= {n}; got 8.0"):
+                mellin_checks(13, chars, 8.0, step)
+        else:
+            with pytest.raises(AssertionError, match="L evaluated"):
+                mellin_checks(13, chars, 8.0, step)
+    with pytest.raises(DomainError, match=f"height / step must round to <= {n}"):
+        mellin_checks(13, chars, 8.0, 1e-320)  # 8 / 1e-320 is inf
 
 
 def test_mellin_checks_rejects_mixed_sets(monkeypatch):
