@@ -66,8 +66,6 @@ class CharacterGroup:
     """All Dirichlet characters mod q, with batch tables and transforms."""
 
     def __init__(self, q: int):
-        if q < 1:
-            raise DomainError("modulus must be >= 1")
         self.q = q
         self.structure: GroupStructure = group_structure(q)
         self._dims = self.structure.dims

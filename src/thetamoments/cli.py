@@ -37,11 +37,11 @@ from . import __version__  # noqa: F401  (version surfaced via --version)
 from .bounds import bound_profile, cos_sum_check, cutoff_exponent, large_value_bound
 from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
-from .lfunc import MAX_SHIFT, central_moment, large_value_counts, shifted_moment
+from .lfunc import central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
 from .randmodel import model_moment
-from .reports import csv_text, fmt, make_envelope, moment_csv
-from .theta import MAX_MELLIN_STEPS, mellin_checks, theta_moment
+from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
+from .theta import mellin_checks, mellin_steps, theta_moment
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
 
@@ -187,16 +187,7 @@ def _cmd_large_values(args, cfg):
 
 
 def _cmd_mellin_check(args, cfg):
-    for flag, v in (("--height", args.height), ("--step", args.step)):
-        if not 0 < v < np.inf:
-            raise DomainError(f"{flag} must be positive and finite; got {v}")
-    if args.height > MAX_SHIFT / 2:
-        raise DomainError(f"--height must be <= {MAX_SHIFT / 2:g}; got {args.height}")
-    if args.height / args.step > MAX_MELLIN_STEPS + 0.5:
-        raise DomainError(f"--height / --step must round to <= {MAX_MELLIN_STEPS}; "
-                          f"got {args.height} / {args.step}")
-    if round(args.height / args.step) == 0:
-        raise DomainError(f"--height / --step must round to >= 1; got {args.height} / {args.step}")
+    mellin_steps(args.height, args.step, ("--height", "--step"))  # refused before any allocation
     group = build_group(args.q)
     idx = np.flatnonzero(group.family_mask("even"))
     if not idx.size:
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     tol_parent = argparse.ArgumentParser(add_help=False)
     tol_parent.add_argument("--tol", type=float, help="precision target for L-values")
 
-    p = argparse.ArgumentParser(prog="thetamoments",
+    p = argparse.ArgumentParser(prog=TOOL_NAME,
                                 description="theta and L-function moment reports")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
@@ -386,19 +377,19 @@ def run(argv: list[str]) -> int:
         if cfg.format == "json" or csv_out is None:
             config_snapshot = {**asdict(cfg), "workers": cfg.resolved_workers(),
                                **{k: v for k, v in meta.items() if k != "command"}}
-            env = make_envelope(["thetamoments", *argv], config_snapshot, payload)
+            env = make_envelope([TOOL_NAME, *argv], config_snapshot, payload)
             _emit(args.command, env.to_json(), "json", cfg)
         else:
             _emit(args.command, csv_out, "csv", cfg)
         return 0
     except DomainError as e:
-        print(f"thetamoments: error: {e}", file=sys.stderr)
+        print(f"{TOOL_NAME}: error: {e}", file=sys.stderr)
         return 2
     except PrecisionError as e:
-        print(f"thetamoments: precision: {e}", file=sys.stderr)
+        print(f"{TOOL_NAME}: precision: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # computation failure, not usage
-        print(f"thetamoments: failed: {type(e).__name__}: {e}", file=sys.stderr)
+        print(f"{TOOL_NAME}: failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

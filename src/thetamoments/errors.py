@@ -12,6 +12,8 @@ codes, so they get their own classes instead of bare ValueErrors:
 
 from __future__ import annotations
 
+__all__ = ["DomainError", "PoleError", "PrecisionError"]
+
 
 class DomainError(ValueError):
     """Argument outside the documented domain of an operation."""

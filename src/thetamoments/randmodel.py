@@ -5,8 +5,8 @@ and extends completely multiplicatively: f(p^j m) = f(p)^j f(m), |f(n)| = 1.
 model_theta replaces chi by f in the theta series, keeping the weights
 w_n = n^eta e^{-pi n^2 / q} and the theta module's truncation rule, so the
 model second moment is exactly sum w_n^2 (Steinhaus orthonormality) and
-higher moments probe the conjectured q^{k/2} (log q)^{(k-1)^2} growth without
-any character arithmetic.
+higher moments probe the conjectured q^{(2 eta + 1) k/2} (log q)^{(k-1)^2}
+growth, theta_moment's normalization, without any character arithmetic.
 
 A sample is fully determined by (N, seed), and Monte-Carlo runs derive
 per-sample seeds as seed + index.  Seeds are non-negative integers.  The
@@ -174,8 +174,6 @@ def _uniform_angles(seeds, size: int) -> np.ndarray:
 
 def model_theta(q: int, s: SteinhausSample, eta: int = 0, eps: float = 1e-12) -> complex:
     """sum_n f(n) n^eta e^{-pi n^2 / q}, truncated per the theta rule."""
-    if eta not in (0, 1):
-        raise DomainError("eta must be 0 or 1")
     n = truncation_length(q, 1.0, eta, eps)
     if s.n < n:
         raise DomainError(f"sample support {s.n} below truncation length {n}")
@@ -195,7 +193,7 @@ class ModelMomentEstimate:
     estimate: float        # plain mean of |model_theta|^{2k}
     std_error: float
     median_of_means: float
-    normalization: float   # q^{k/2} (log q)^{(k-1)^2}
+    normalization: float   # q^{(2 eta + 1) k / 2} (log q)^{(k-1)^2}
     ratio: float
     weights: np.ndarray
 
@@ -239,7 +237,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     se = std / math.sqrt(samples)
     buckets = max(4, min(20, samples // 25))
     mom = float(np.median([float(np.mean(b)) for b in np.array_split(powers, buckets)]))
-    norm = q ** (k / 2) * math.log(q) ** ((k - 1) ** 2)
+    norm = q ** ((2 * eta + 1) * k / 2) * math.log(q) ** ((k - 1) ** 2)
     return ModelMomentEstimate(
         q=q, k=k, eta=eta, samples=samples, seed=seed, estimate=mean,
         std_error=se, median_of_means=mom, normalization=norm,

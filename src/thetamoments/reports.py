@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__
 from .summation import chunked_sum
 
+__all__ = ["MomentReport", "ReportEnvelope", "make_envelope"]
+
 TOOL_NAME = "thetamoments"
 
 # the documented stable column set for all moment-style reports

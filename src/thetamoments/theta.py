@@ -22,7 +22,8 @@ mellin_checks compares the series against the line integral
     theta(1, chi) = (q/pi)^{1/4} 1/(2 pi) Integral L(1/2 + 2it, chi)
                     (q/pi)^{it} Gamma(1/4 + it) dt        (even primitive chi)
 
-by trapezoidal quadrature on [-H, H], for several characters mod q at once.
+by trapezoidal quadrature on [-T, T], T = m * step the grid end mellin_steps
+checks, for several characters mod q at once, against theta_all_chars' series.
 Since f_chi(-t) = conj f_chibar(t) (L(1/2 - 2it, chi) = conj L(1/2 + 2it,
 chibar), Gamma(1/4 - it) = conj Gamma(1/4 + it)), only t >= 0 is evaluated
 and the trapezoid sum folds to half-length weights on f_chi + conj f_chibar:
@@ -32,8 +33,9 @@ Hurwitz vectors in blocks of s-points, one transform over the rows), read
 off at the requested characters and their conjugates, and the Gamma kernel
 and the Gamma tail mass are one vectorised gamma_fn call each.
 Gamma(1/4 + it) decays like e^{-pi |t| / 2}, and the reported tail bound is
-the numerically integrated Gamma mass beyond H scaled by the largest sampled
-|L|.  mellin_check is the one-character case.
+the numerically integrated Gamma mass beyond m * step scaled by the largest
+sampled |L|: the truncation only, not the trapezoid rule's discretisation
+error.  mellin_check is the one-character case.
 """
 
 from __future__ import annotations
@@ -140,8 +142,6 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     """
     if q < 3:
         raise DomainError(f"q must be >= 3; got {q}")
-    if not x > 0:
-        raise DomainError("x must be positive")
     if group is None:
         group = build_group(q)
     if group.q != q:
@@ -168,8 +168,7 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
     group = build_group(q)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
     terms = np.abs(values[group.primitive_mask[group.parity_index(eta)]]) ** (2 * k)
-    half_powers = k if parity == "even" else 3 * k
-    norm = group.phi * q ** (half_powers / 2) * math.log(q) ** ((k - 1) ** 2)
+    norm = group.phi * q ** ((2 * eta + 1) * k / 2) * math.log(q) ** ((k - 1) ** 2)
     return moment_report(q, k, parity, terms, norm, eps)
 
 
@@ -202,32 +201,44 @@ def _gamma_tail_mass(height: float) -> float:
     return 2 * step * float(chunked_sum(g * _trapezoid_weights(len(g))))
 
 
+def mellin_steps(height: float, step: float, names: tuple[str, str] = ("height", "step")) -> int:
+    """m = round(height / step) grid intervals, or DomainError naming `names`
+    (the CLI passes its flags) unless height and step are positive and finite,
+    height <= MAX_SHIFT / 2 (L runs at 1/2 + 2it), 1 <= m <= MAX_MELLIN_STEPS
+    and the grid end m * step <= MAX_SHIFT / 2."""
+    h, s = names
+    for name, v in zip(names, (height, step)):
+        if not 0 < v < math.inf:
+            raise DomainError(f"{name} must be positive and finite; got {v}")
+    if height > MAX_SHIFT / 2:
+        raise DomainError(f"{h} must be <= {MAX_SHIFT / 2:g}; got {height}")
+    if height / step > MAX_MELLIN_STEPS + 0.5:  # round(height / step) > MAX_MELLIN_STEPS
+        raise DomainError(
+            f"{h} / {s} must round to <= {MAX_MELLIN_STEPS}; got {height} / {step}")
+    if (m := round(height / step)) == 0:
+        raise DomainError(f"{h} / {s} must round to >= 1; got {height} / {step}")
+    if m * step > MAX_SHIFT / 2:
+        raise DomainError(
+            f"round({h} / {s}) * {s} must be <= {MAX_SHIFT / 2:g}; got {m} * {step}")
+    return m
+
+
 def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
                   eps: float = 1e-12) -> list[MellinCheckResult]:
     """Trapezoidal quadrature of the Mellin integral vs the theta series, for
     each character in `chars`: characters mod q of the group's "even" family.
 
-    Every character and the window are validated before anything is
-    allocated: height <= MAX_SHIFT / 2 (L runs at 1/2 + 2it; past 25,
-    Gamma(1/4 + it) is below 1e-17 relative) and 1 <= m = round(height /
-    step) <= MAX_MELLIN_STEPS.  L-values come from one l_values_all_chars
-    call over t = j * step, j = 0..m, at tol 1e-10, so PrecisionError is
-    raised exactly where l_value would raise it; each mirrored t < 0 value
-    is exact, with its twin's error.
+    Every character and the window (mellin_steps) are validated before
+    anything is allocated.  L-values come from one l_values_all_chars call
+    over t = j * step, j = 0..m, at tol 1e-10, so PrecisionError is raised
+    exactly where l_value would raise it; each mirrored t < 0 value is exact,
+    with its twin's error.  The series are theta_all_chars entries.
     """
     chars = list(chars)
     for chi in chars:
         if chi.q != q:
             raise DomainError(f"character modulus {chi.q} does not match q = {q}")
-    if not (0 < height < math.inf and 0 < step < math.inf):
-        raise DomainError("height and step must be positive and finite")
-    if height > MAX_SHIFT / 2:
-        raise DomainError(f"height must be <= {MAX_SHIFT / 2:g}; got {height}")
-    if height / step > MAX_MELLIN_STEPS + 0.5:  # round(height / step) > MAX_MELLIN_STEPS
-        raise DomainError(
-            f"height / step must round to <= {MAX_MELLIN_STEPS}; got {height} / {step}")
-    if (m := int(round(height / step))) == 0:
-        raise DomainError(f"height / step must round to >= 1; got {height} / {step}")
+    m = mellin_steps(height, step)
     if not chars:
         return []
     group, idx = chars[0].group, [chi.index for chi in chars]
@@ -243,14 +254,12 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
         (lv * kern + (lv_bar * kern).conj()) * _trapezoid_weights(m + 1))
     tail_mass = _gamma_tail_mass(m * step)
     peaks = np.maximum(np.abs(lv), np.abs(lv_bar)).max(axis=1)
-    results = []
-    for chi, quad, peak in zip(chars, quads.tolist(), peaks.tolist()):
-        series = theta_value(q, chi, 1.0, eps).value
-        results.append(MellinCheckResult(
-            q=q, char_index=chi.index, series=series, quadrature=quad,
-            residual=abs(series - quad), height=m * step, step=step,
-            tail_bound=pref * peak * tail_mass))
-    return results
+    series = theta_all_chars(q, 1.0, eps, group)[0][idx]
+    return [MellinCheckResult(q=q, char_index=chi.index, series=val, quadrature=quad,
+                              residual=abs(val - quad), height=m * step, step=step,
+                              tail_bound=pref * peak * tail_mass)
+            for chi, val, quad, peak in zip(chars, series.tolist(), quads.tolist(),
+                                            peaks.tolist())]
 
 
 def mellin_check(q: int, chi: Character, height: float = 8.0, step: float = 1 / 64,

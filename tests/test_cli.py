@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +12,8 @@ import tracemalloc
 import pytest
 
 import thetamoments
-from thetamoments import cli
+from thetamoments import cli, theta
+from thetamoments.characters import build_group
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -159,11 +162,36 @@ def test_mellin_check_window_bounds_are_named(capsys, tmp_path, window, message)
     than MAX_MELLIN_STEPS intervals is refused by its flags before anything is
     allocated: exit 2 and no report, where --height 1e15 once ran out of
     memory (exit 1)."""
-    assert (cli.MAX_SHIFT / 2, cli.MAX_MELLIN_STEPS) == (25, 65536)
+    assert (theta.MAX_SHIFT / 2, theta.MAX_MELLIN_STEPS) == (25, 65536)
     code, out, err = invoke(capsys, "mellin-check", "--q", "13", *window, "--out", str(tmp_path))
     assert code == 2 and not out
     assert err == f"thetamoments: error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("height, step", [
+    (math.inf, 1 / 64), (math.nan, 1 / 64), (8.0, math.inf), (8.0, -math.inf), (8.0, 0.0),
+    (0.0, 1 / 64), (8.0, -1.0), (0.001, 1.0), (0.5, 1.0), (1 / 256, 1 / 64),
+    (1e15, 1.0), (25.5, 1 / 64), (25.5, 1.0), (1e300, 1e-300), (8.0, 1e-4), (8.0, 1e-320),
+    (8.0, 8.0 / 65537), (24.9, 1.2), (20.0, 39.0),  # refused
+    (25.0, 1.0), (0.6, 1.0),  # accepted
+])
+def test_mellin_check_and_mellin_checks_refuse_the_same_windows(capsys, tmp_path, height, step):
+    """The CLI and the library state one window rule: a window is refused by
+    both, with the same message up to the flags' -- prefix, or by neither.
+    The grid end round(height / step) * step counts, not the height asked for:
+    (24.9, 1.2) ends at 25.2 and (20, 39) at 39, past MAX_SHIFT / 2 = 25."""
+    chars = [c for c in build_group(13) if c.is_even and c.is_primitive and not c.is_trivial]
+    try:
+        lib = len(theta.mellin_checks(13, chars, height, step))
+    except DomainError as e:
+        lib = re.sub(r"\b(height|step)\b", r"--\1", str(e))
+    code, out, err = invoke(capsys, "mellin-check", "--q", "13", f"--height={height!r}",
+                            f"--step={step!r}", "--out", str(tmp_path))
+    if (height, step) in ((25.0, 1.0), (0.6, 1.0)):
+        assert code == 0 and len(out.splitlines()) == 6 + lib
+    else:
+        assert (code, out, err) == (2, "", f"thetamoments: error: {lib}\n")
 
 
 def test_rand_model_negative_seed_is_named(capsys, tmp_path):

@@ -183,6 +183,18 @@ def test_model_moment_normalization():
     assert est.median_of_means > 0
 
 
+@pytest.mark.parametrize("q", [101, 1009])
+def test_model_moment_odd_weights_normalize_like_the_odd_family(q):
+    """With weights n e^{-pi n^2 / q} the second moment sum w_n^2 grows like
+    q^{3/2} (about q^{3/2} / (8 sqrt(2) pi)), so eta = 1 normalizes by
+    q^{3k/2} (log q)^{(k-1)^2}, theta_moment's odd normalization."""
+    k = 2
+    est = model_moment(q, k, 100, seed=1, eta=1)
+    assert est.normalization == q ** (3 * k / 2) * math.log(q) ** ((k - 1) ** 2)
+    one = model_moment(q, 1, 100, seed=1, eta=1)
+    assert 0.02 < one.sum_w2 / one.normalization < 0.04
+
+
 def test_off_diagonal_correlations_vanish():
     """E f(m) conj(f(n)) = [m = n]: empirical off-diagonal mass is small."""
     count = 2000

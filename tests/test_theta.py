@@ -447,6 +447,7 @@ def test_mellin_checks_match_per_character_quadrature():
     chars = _even_primitive(q)
     results = mellin_checks(q, chars, height, step)
     assert [r.char_index for r in results] == [c.index for c in chars]
+    family = theta_all_chars(q, 1.0, 1e-12, chars[0].group)[0]
     m = int(round(height / step))
     ts = [step * j for j in range(-m, m + 1)]
     pref = (q / math.pi) ** 0.25 / (2 * math.pi)
@@ -456,7 +457,8 @@ def test_mellin_checks_match_per_character_quadrature():
              for t in ts]
         quad = pref * step * (sum(f) - (f[0] + f[-1]) / 2)
         assert abs(r.quadrature - quad) < 1e-13
-        assert r.series == theta_value(q, chi, 1.0).value
+        assert r.series == family[chi.index]
+        assert abs(r.series - theta_value(q, chi, 1.0).value) <= 2 * 1e-12
         assert r.height == height and r.step == step
     # the one-character call reads the same row of the same batched route
     assert mellin_check(q, chars[1], height, step) == results[1]
@@ -484,6 +486,31 @@ def test_mellin_checks_match_per_character_quadrature_non_cyclic(q, picks):
              * gamma_fn(complex(0.25, step * j)).value for j in range(-m, m + 1)]
         quad = pref * step * (sum(f) - (f[0] + f[-1]) / 2)
         assert abs(r.quadrature - quad) < 1e-13
+
+
+@pytest.mark.parametrize("q", [5, 13, 29, 40, 65])
+def test_mellin_series_are_the_family_step(q):
+    """Every series is the theta_all_chars entry bit for bit, within 2 eps of
+    the direct per-character sum theta_value."""
+    eps = 1e-12
+    chars = _even_primitive(q)
+    family = theta_all_chars(q, 1.0, eps, chars[0].group)[0]
+    for chi, r in zip(chars, mellin_checks(q, chars, 2.0, 1 / 8, eps)):
+        assert r.series == family[chi.index]
+        assert abs(r.series - theta_value(q, chi, 1.0, eps).value) <= 2 * eps
+
+
+def test_mellin_checks_read_one_family_transform(monkeypatch):
+    """One mellin_checks call makes one theta_all_chars call and no
+    per-character theta_value call."""
+    calls = []
+    family = theta.theta_all_chars
+    monkeypatch.setattr(theta, "theta_all_chars",
+                        lambda *a, **kw: calls.append(a) or family(*a, **kw))
+    monkeypatch.setattr(theta, "theta_value",
+                        lambda *a, **kw: pytest.fail("theta_value called"))
+    mellin_checks(13, _even_primitive(13), 4.0, 1 / 16)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [5, 13, 29])
