@@ -325,6 +325,16 @@ def build_group(q: int) -> CharacterGroup:
     return CharacterGroup(q)
 
 
+def family_group(q: int, group: CharacterGroup | None = None) -> CharacterGroup:
+    """The group mod q >= 3 that an all-character path runs in: group, its
+    modulus checked, or else build_group(q)."""
+    if q < 3:
+        raise DomainError(f"q must be >= 3; got {q}")
+    if group is not None and group.q != q:
+        raise DomainError(f"group modulus {group.q} does not match q = {q}")
+    return build_group(q) if group is None else group
+
+
 class Character:
     """One Dirichlet character mod q; cheap handle onto its group's tables."""
 

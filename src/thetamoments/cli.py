@@ -5,8 +5,8 @@ large-values, mellin-check, bound-eval, lemma-cos, rand-model.
 
 Configuration precedence is defaults < config file (--config, key=value
 lines) < THETAMOMENTS_WORKERS environment variable < flags.  Exit codes:
-0 success, 2 usage/domain error (bad flags, out-of-range parameters),
-1 computation error (unreachable precision, unexpected failure).
+0 success, 2 usage/domain error (unparsable, non-finite or out-of-range
+flags), 1 computation error (unreachable precision, unexpected failure).
 
 A subcommand takes only the flags it reads: --tol is l-moment's,
 shifted-moment's and large-values', --seed rand-model's (the config-file keys
@@ -62,8 +62,8 @@ class RunConfig:
         return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
     def validate(self) -> "RunConfig":
-        if not self.tol > 0:
-            raise DomainError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise DomainError(f"tol must be positive and finite; got {self.tol}")
         if self.workers is not None and self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -100,9 +100,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, workers=int(env))
         except ValueError:
             raise DomainError(f"{WORKERS_ENV} must be an integer; got {env!r}")
-    for key in ("tol", "workers", "format", "seed"):
+    for key in ("tol", "eps", "vmin", "vmax", "V", "workers", "format", "seed"):
         val = getattr(args, key, None)
-        if val is not None:
+        if isinstance(val, float) and not np.isfinite(val):  # refused by its flag name
+            raise DomainError(f"--{key} must be finite (not NaN or infinite); got {val}")
+        if val is not None and key in _CONFIG_KEYS:
             cfg = replace(cfg, **{key: val})
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, output_dir=args.out)
@@ -110,12 +112,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_shifts(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers; got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     a, _, b = text.partition(":")
-    return int(a), int(b)
+    try:
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers A:B; got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +178,6 @@ def _cmd_shifted_moment(args, cfg):
 def _cmd_large_values(args, cfg):
     if args.vsteps < 1:
         raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
-    for flag, v in (("--vmin", args.vmin), ("--vmax", args.vmax)):
-        if not np.isfinite(v):
-            raise DomainError(f"{flag} must be finite (not NaN or infinite); got {v}")
     if args.vmin > args.vmax:
         raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)

@@ -10,20 +10,19 @@ shared by every character, and one CharacterGroup.character_sums call per
 run of s-points turns them into all L(s, chi) and bounds the transform's
 rounding.  l_value is entry chi.index of that call, so it equals the family
 entry bit for bit; s = 1 reads the character sums of the digamma values.
-At real s the weights are real, so character_sums returns exact pairs
-L(s, conj chi) = conj L(s, chi).  The Dirichlet polynomial a^{-s} takes its
-phase t log a mod 2 pi in longdouble, with no phase work for a run of points
-at t = 0, where a^{-s} is its real magnitude; zeta(s, 1 + a/q) comes from
-specfun.hurwitz_grid_runs, with an error e_a per entry (Taylor in a from
-longdouble centres at large phi, direct Euler-Maclaurin at small phi).  The
-error of any character sum of the weights is then
+zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs with an error e_a per
+entry (Taylor in a from longdouble centres at large phi, direct
+Euler-Maclaurin at small phi); a^{-s} takes its phase t log a mod 2 pi in
+longdouble.  Runs never mix real and complex points, and a real run stays
+real up to the transform: a^{-s} is one float64 power, the Hurwitz values and
+weights are float64, and character_sums returns exact pairs L(s, conj chi)
+= conj L(s, chi).  The error of any character sum of the weights is then
 
     |q^{-s}| sum_a e_a  +  Dirichlet-polynomial rounding  +  transform rounding,
 
-each part reported when a request is refused.  Without the split the n = 0
-term of the a = 1 entry (size q^sigma) set the float model for all phi
-entries.  (No approximate functional equation: error control is
-simpler and the shared weights make moment scans cheap.)
+each part reported when a request is refused.  The split keeps the a = 1
+term (size q^sigma) out of every entry's float model; with no approximate
+functional equation, error control stays simple and moment scans cheap.
 
 Aggregates over character families:
 
@@ -36,14 +35,14 @@ Aggregates over character families:
 
 All three reach L through one family path, _family_columns: it checks q
 and the shifts, builds the group and the family mask once, and evaluates the
-distinct |t| as the s-points of one _l_rows call, keeping only |L| of each
-run (no (S, phi) complex array).  A central moment is its t = 0 column.
-Negative shifts reuse the |L| column of the matching positive shift through
-the conjugation permutation chi -> conj(chi) (the t = 0 row is exactly
-conjugate-symmetric already), and every moment is reduced by
-reports.moment_report (sorted, then the fixed-chunk sum), so a moment at
-shifts -t is bit-identical to the moment at t, and M_2(q) to the shifted
-moment at (0, 0).
+distinct |t| as the s-points of one _l_rows call (none for an empty family,
+whose sums are exactly 0), keeping only |L| of each run (no (S, phi) complex
+array).  A central moment is its t = 0 column.  Negative shifts reuse the
+|L| column of the matching positive shift through the conjugation
+permutation chi -> conj(chi) (the t = 0 row is exactly conjugate-symmetric
+already), and every moment is reduced by reports.moment_report (sorted,
+then the fixed-chunk sum), so a moment at shifts -t is bit-identical to the
+moment at t, and M_2(q) to the shifted moment at (0, 0).
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
-from .characters import Character, CharacterGroup, build_group
+from .characters import Character, CharacterGroup, family_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_report
@@ -90,14 +89,14 @@ _CHUNK = HZ_BLOCK // 8
 
 
 def _powers(s: np.ndarray, n: np.ndarray):
-    """(n^{-s}, |n^{-s}|) for integers n > 0 and a column of s-points, from
-    log n in longdouble: the phase t log n is reduced mod 2 pi there, then it
-    and -sigma log n are rounded to float64 for cos, sin and exp.  A column
-    of real points has no phase: n^{-s} is the (real) magnitude itself."""
+    """(n^{-s}, |n^{-s}|) for integers n > 0 and a column of s-points.  A real
+    column is one float64 power n^{-sigma}, its own magnitude; else log n is
+    taken in longdouble, the phase t log n reduced mod 2 pi there, and it and
+    -sigma log n rounded to float64 for cos, sin and exp."""
+    if not s.imag.any():
+        return (mag := n.astype(float) ** -s.real), mag
     ln = np.log(n.astype(np.longdouble))
     mag = np.exp((-s.real * ln).astype(float))
-    if not s.imag.any():
-        return mag, mag
     ang = s.imag * ln
     ang -= TWO_PI * np.rint(ang / TWO_PI)
     ang = ang.astype(float)
@@ -114,14 +113,14 @@ def _powers_rel(s: np.ndarray, n: int) -> np.ndarray:
 
 def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray) -> np.ndarray:
     """w[., i] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q), a = n_of_index[i],
-    one row per s-point of the column s_col, filled in slices of _CHUNK
-    units; adds each row's two error sums to sums (see _l_rows)."""
+    one row per point of the column s_col (float64 if it is real), filled in
+    slices of _CHUNK units; adds each row's two error sums to sums (see _l_rows)."""
     q = group.q
     a_all = np.array([1]) if q == 1 else group.structure.n_of_index
     qs, qs_abs = _powers(s_col, np.array([q]))
     # q^{-s} and its product with zeta(s, 1 + a/q) round within rel + eps
     qs_abs, qs_rel = qs_abs[:, 0], _powers_rel(s_col[:, 0], q) + _EPS
-    w = np.empty((len(s_col), len(a_all)), dtype=complex)
+    w = np.empty((len(s_col), len(a_all)), dtype=qs.dtype)
     for c in range(0, len(a_all), _CHUNK):
         a = a_all[c:c + _CHUNK]
         h, e = hurwitz(a)
@@ -205,12 +204,7 @@ def l_values_all_chars(q: int, s, tol: float = 1e-10, group: CharacterGroup | No
     1-D array of S points, ((S, phi) values, (S,) errs), row i equal to the
     call at s[i].
     """
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
-    if group is None:
-        group = build_group(q)
-    if group.q != q:
-        raise DomainError(f"group modulus {group.q} does not match q = {q}")
+    group = family_group(q, group)
     values = np.empty((np.size(s), group.phi), dtype=complex)
     errs = np.empty(np.size(s))
     for i, j, v, err in _l_rows(group, s, tol):
@@ -227,13 +221,13 @@ def _family_columns(q: int, shifts, tol: float, family: str):
     """The one family path of the aggregates (see the module docstring):
     (columns, errs, family size), column i holding |L(1/2 + i t, chi)| over
     the family at t = shifts[i] and errs[i] its error bound.  q and the shifts
-    are checked first; no shifts evaluate no L."""
+    are checked first; no shifts, or an empty family, evaluate no L."""
     if max(map(abs, shifts), default=0) > MAX_SHIFT:
         raise DomainError(f"shifts must satisfy |t| <= {MAX_SHIFT:g}")
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
-    group = build_group(q)
+    group = family_group(q)
     mask = group.family_mask(family)
+    if not mask.any():  # the exact empty sum: nothing to certify
+        return [np.empty(0) for _ in shifts], [0.0] * len(shifts), 0
     pos = sorted({abs(t) for t in shifts})
     absl, errs = np.empty((len(pos), group.phi)), np.empty(len(pos))
     for i, j, v, err in _l_rows(group, 0.5 + 1j * np.array(pos), tol):

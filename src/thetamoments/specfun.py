@@ -18,10 +18,10 @@ with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
 escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
 grown further.  _em_block is the one kernel: it evaluates a ladder of rungs
-s, s+1, ..., s+K-1 from one complex power (n+a)^{-s} per row, since
-(n+a)^{-s-k} = (n+a)^{-s} (n+a)^{-k} is k real multiplications away (2k eps
-more in the float model), and each tail term at N + a is one complex power
-(N+a)^{-s-k} times real powers of (N+a)^{-1}.  _em_fill is the one tiling of
+s, s+1, ..., s+K-1 from one power (n+a)^{-s} per row, since (n+a)^{-s-k} =
+(n+a)^{-s} (n+a)^{-k} is k real multiplications away (2k eps more in the
+float model), and each tail term at N + a is one power (N+a)^{-s-k} times
+real powers of (N+a)^{-1}.  _em_fill is the one tiling of
 this work, and every caller takes its (points, rungs, len(a)) values and
 errors whole: runs of s-points in input order, each run's a-values in
 balanced column tiles (equal widths +-1, so none is one column wide unless
@@ -37,7 +37,7 @@ entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
 * Taylor in a (DLMF 25.11): zeta(s, c + d) = sum_k (-1)^k (s)_k/k!
   zeta(s+k, c) d^k about J = 64 centres c_j = 1 + (j + 1/2)/J, so |d| <= 1/128.
   The J K centre values zeta(s+k, c_j) are one K-rung ladder of the block
-  code in clongdouble; each entry is then a K-term float64 Horner sum in
+  code in (c)longdouble; each entry is then a K-term float64 Horner sum in
   d = (2Ja - (2j+1)q)/(2Jq), an integer ratio rounded once, with bound
   sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps |C_k|) |d|^k plus the
   truncation bound of _taylor_terms;
@@ -105,8 +105,7 @@ def _em_tail_bound(s: complex, na: float, m: int) -> float:
     """Remainder bound after M = m correction terms, cut at N + a = na."""
     sigma = s.real
     # |B_{2m+2}/(2m+2)! * (s)_{2m+1} * (N+a)^{-s-2m-1}| * |s+2m+1|/(sigma+2m+1)
-    if m >= _MAX_M:
-        m = _MAX_M - 1
+    m = min(m, _MAX_M - 1)
     b = abs(_B2J[m])  # B_{2(m+1)}
     fact = math.factorial(2 * m + 2)
     poch = math.prod(abs(s + i) for i in range(2 * m + 1))
@@ -148,12 +147,11 @@ def _em_block(pts, nmb, a: np.ndarray):
     """(values, per-entry errs), shape (points, rungs, len(a)), of zeta(s + k, a)
     at each point s of pts and rung k, with nmb[i][k] the (N, M, bound) of
     rung k of point i: rows n >= N and Bernoulli terms j > M enter as exact
-    zeros.  One complex power (n+a)^{-s} per point, row and a-value; rung k is
-    k real multiplications by (n+a)^{-1} away.  Each rung's tail is one
-    complex power (N+a)^{-s-k} times real powers of (N+a)^{-1}.  The
-    arithmetic, and the eps of the float model, follow a's dtype (float64 or
-    longdouble)."""
-    s = np.asarray(pts, dtype=np.result_type(a, complex))[:, None]
+    zeros.  One power (n+a)^{-s} per point, row and a-value; rung k is k real
+    multiplications by (n+a)^{-1} away.  Each rung's tail is one power
+    (N+a)^{-s-k} times real powers of (N+a)^{-1}.  The arithmetic is in
+    result_type(a, pts), real for real pts; the float model takes a's eps."""
+    s = np.asarray(pts, dtype=np.result_type(a, np.asarray(pts)))[:, None]
     eps, bern = np.finfo(a.dtype).eps, _B2J_FACT[a.dtype.type]
     ns, ms, analytic = (np.array([[r[i] for r in rungs] for rungs in nmb]) for i in range(3))
     ks = np.arange(ns.shape[1])
@@ -219,7 +217,7 @@ def _em_fill(pts, nmb, a: np.ndarray):
     point always fits; its rungs share one term array).  numpy reduces a
     one-column term array in another order, so a one-column tile would move
     that entry's last bits."""
-    vals = np.empty((len(pts), len(nmb[0]), a.size), dtype=np.result_type(a, complex))
+    vals = np.empty((len(pts), len(nmb[0]), a.size), dtype=np.result_type(a, np.asarray(pts)))
     errs = np.empty(vals.shape)
     i = 0
     while i < len(pts):
@@ -299,20 +297,20 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     """Evaluator a -> (values, errs) of the K-term Taylor sum of zeta(s, c_j + d)
     = sum_k (-1)^k (s)_k/k! zeta(s+k, c_j) d^k (DLMF 25.11) at the integers a.
 
-    The J*K centre values are one K-rung ladder of _em_block in clongdouble.
-    Each entry's bound is sum_k B[k, j] |d|^k + the truncation bound, with
-    B[k, j] the centre error weighted by |(s)_k/k!| plus 2K + 5 eps per |C_k|:
-    the float64 Horner sum, the rounding of C_k to complex128 and of d.
+    The J*K centre values are one K-rung ladder of _em_block in longdouble, real
+    at real s, as the float64 Horner sum then is.  Each entry's bound is sum_k
+    B[k, j] |d|^k + the truncation bound, B[k, j] the centre error weighted by
+    |(s)_k/k!| plus 2K + 5 eps per |C_k| (the Horner sum, C_k's and d's rounding).
     """
     centres = 1 + (np.arange(TAYLOR_J, dtype=np.longdouble) + 0.5) / TAYLOR_J
     ks = np.arange(k_terms)
-    pts = np.clongdouble(s) + ks  # exact in longdouble
+    pts = s + ks.astype(np.longdouble)  # exact in longdouble, real at real s
     nmb = [_em_choose(complex(z), 1 + 0.5 / TAYLOR_J, tol) for z in pts.tolist()]
     zeta, zerr = (x[0] for x in _em_fill(pts[:1], [nmb], centres))
     # (-1)^k (s)_k / k! as one running product
     r = np.cumprod(np.concatenate([[1], -pts[:-1] / ks[1:]]))[:, None]
     coef = r * zeta
-    c64 = coef.astype(complex)
+    c64 = coef.astype(np.result_type(s, float))
     bound = ((np.abs(r).astype(float) * zerr + (2 * k_terms + 5) * _EPS * np.abs(coef).astype(float))
              * (1 + 4 * k_terms * _EPS))
 
@@ -357,24 +355,22 @@ def hurwitz_grid_runs(s, q: int, count: int, tols):
     (count N), N the Euler-Maclaurin rows.  Yields (i, j, evaluate) in input
     order: points i..j-1 share the evaluator, a -> ((j-i, len(a)) values,
     per-entry errors).  Consecutive direct points run together, at most
-    HZ_BLOCK / 16 entries' worth; a Taylor point runs alone.
+    HZ_BLOCK / 16 entries' worth and all real (real arithmetic, so a row is the
+    same alone or in a run) or all complex; a Taylor point runs alone.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     _check_s(s)
-    pts = s.tolist()
+    pts = [z if z.imag else z.real for z in s.tolist()]
     nmb = [_em_choose(z, 1 + 1 / q, t) for z, t in zip(pts, tols)]
     # Taylor wins while J K N + count K < count N
     terms = [_taylor_terms(z, t, min(_TAYLOR_MAX_K, -(-count * n // (TAYLOR_J * n + count)) - 1))
              for z, t, (n, _, _) in zip(pts, tols, nmb)]
     i = 0
-    while i < len(pts):
-        if terms[i] is not None:
-            yield i, i + 1, _taylor(pts[i], *terms[i], tols[i], q)
-            i += 1
-            continue
-        j = next((j for j in range(i, len(pts)) if terms[j] is not None), len(pts))
-        j = min(j, i + max(1, HZ_BLOCK // (16 * count)))
-        yield i, j, _direct(pts[i:j], nmb[i:j], q)
+    while i < len(pts):  # a direct run ends at a Taylor point or a change of type
+        end = i + 1 if terms[i] else min(len(pts), i + max(1, HZ_BLOCK // (16 * count)))
+        j = next((j for j in range(i + 1, end) if terms[j] or type(pts[j]) is not type(pts[i])), end)
+        run = _taylor(pts[i], *terms[i], tols[i], q) if terms[i] else _direct(pts[i:j], nmb[i:j], q)
+        yield i, j, run
         i = j
 
 

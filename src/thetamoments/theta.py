@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group
+from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group, family_group
 from .errors import DomainError
 from .lfunc import MAX_SHIFT, l_values_all_chars
 from .reports import MomentReport, moment_report
@@ -140,12 +140,7 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     One residue-class weight vector per parity, one transform each; matches
     the naive per-character series within 2 eps.  Returns (values, err).
     """
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
-    if group is None:
-        group = build_group(q)
-    if group.q != q:
-        raise DomainError(f"group modulus {group.q} does not match q = {q}")
+    group = family_group(q, group)
     values = np.zeros(len(group), dtype=complex)
     err = 0.0
     for eta in (0, 1):

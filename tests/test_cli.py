@@ -220,6 +220,90 @@ def test_precision_refusal_names_the_requested_tol(capsys, tmp_path):
     assert "1e-14" in err and "100003" in err
 
 
+@pytest.mark.parametrize("argv", [("l-moment", "--q", "30030", "--k", "1"),
+                                  ("shifted-moment", "--q", "30030", "--shifts", "0,3")])
+def test_empty_family_is_the_exact_empty_sum_at_any_tol(capsys, tmp_path, argv):
+    """2 || 30030, so no character is primitive: the star moment is the
+    exact empty sum 0, reported at a tol no L-value could meet."""
+    code, out, err = invoke(capsys, *argv, "--tol", "1e-16", "--out", str(tmp_path))
+    assert code == 0 and not err
+    row = dict(zip(*[line.split(",") for line in out.splitlines() if not line.startswith("#")]))
+    assert (row["raw"], row["family_size"], row["eps"]) == ("0.0", "0", "1e-16")
+
+
+def test_nonempty_family_at_30030_still_refuses(capsys, tmp_path):
+    """The nonquadratic family mod 30030 is not empty, so its L-values are
+    evaluated and an unreachable tol is still refused."""
+    code, out, err = invoke(capsys, "large-values", "--q", "30030", "--shifts", "0,0",
+                            "--vmin", "-1", "--vmax", "1", "--vsteps", "2",
+                            "--tol", "1e-16", "--out", str(tmp_path))
+    assert code == 1 and not out
+    assert err.startswith("thetamoments: precision:") and "1e-16" in err
+
+
+@pytest.mark.parametrize("argv", [("l-moment", "--q", "101", "--k", "1", "--format", "json"),
+                                  ("shifted-moment", "--q", "101", "--shifts", "0,1"),
+                                  ("large-values", "--q", "101", "--shifts", "0,0",
+                                   "--vmin", "-1", "--vmax", "1", "--vsteps", "2")])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_tol_is_named(capsys, tmp_path, argv, value):
+    """A non-finite --tol is refused by its flag: exit 2 and no report (an
+    infinite tol wrote Infinity, which is not JSON, into the envelope)."""
+    code, out, err = invoke(capsys, *argv, f"--tol={value}", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --tol must be finite (not NaN or infinite); got {float(value)}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("theta-moment", "--q", "101", "--k", "1", "--parity", "even"),
+                                  ("theta-scan", "--prime-range", "3:11", "--k", "1"),
+                                  ("rand-model", "--q", "101", "--k", "1", "--samples", "10"),
+                                  ("bound-eval", "--q", "101", "--shifts", "0,1")])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_eps_is_named(capsys, tmp_path, argv, value):
+    """A non-finite --eps is refused by its flag: exit 2 and no report (an
+    infinite eps truncated the theta series to no terms and reported 0)."""
+    code, out, err = invoke(capsys, *argv, f"--eps={value}", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --eps must be finite (not NaN or infinite); got {float(value)}\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_v_is_named(capsys, tmp_path, value):
+    """bound-eval's --V is refused by its flag when not finite (an infinite V
+    wrote Infinity into the JSON report)."""
+    code, out, err = invoke(capsys, "bound-eval", "--q", "101", "--shifts", "0,1",
+                            f"--V={value}", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --V must be finite (not NaN or infinite); got {float(value)}\n"
+
+
+def test_non_finite_config_tol_is_refused(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("tol=inf\n")
+    with pytest.raises(DomainError, match="tol must be positive and finite; got inf"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("argv, flag, form", [
+    (("shifted-moment", "--q", "101", "--shifts", ""), "--shifts", "comma-separated numbers"),
+    (("large-values", "--q", "101", "--shifts", "0,x", "--vmin", "0", "--vmax", "1",
+      "--vsteps", "2"), "--shifts", "comma-separated numbers"),
+    (("bound-eval", "--q", "101", "--shifts", "0;1"), "--shifts", "comma-separated numbers"),
+    (("lemma-cos", "--z", "100", "--a", "x"), "--a", "comma-separated numbers"),
+    (("theta-scan", "--prime-range", "abc", "--k", "1"), "--prime-range", "integers A:B"),
+    (("theta-scan", "--prime-range", "3:", "--k", "1"), "--prime-range", "integers A:B"),
+])
+def test_unparsable_list_flag_names_the_expected_form(capsys, tmp_path, argv, flag, form):
+    """A list or range flag that does not parse is a usage error (exit 2)
+    whose message names the flag and the expected form, not a parser helper."""
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out
+    last = err.strip().splitlines()[-1]
+    assert f"error: argument {flag}: expected {form}; got " in last
+    assert "_parse" not in err and "invalid" not in err
+
+
 # ---------------------------------------------------------------------------
 # flags: each subcommand takes only the settings it reads
 

@@ -222,7 +222,7 @@ def test_l_value_is_the_family_entry(q):
                                                  family.value.best.abs_error)
 
 
-@pytest.mark.parametrize("q", [1009, 10007, 5040])
+@pytest.mark.parametrize("q", [1009, 10007, 5040, 100003])
 def test_real_s_rows_are_exact_conjugate_pairs(q):
     """At real s every row of l_values_all_chars pairs exactly: L(s, conj chi)
     = conj L(s, chi) bit for bit and real characters take real values, in a
@@ -238,6 +238,54 @@ def test_real_s_rows_are_exact_conjugate_pairs(q):
     idx += [int(g.conjugation[i]) for i in idx]
     for i, ref in zip(idx, mp_l_values_taylor(q, [g.char(i) for i in idx], 0.5)):
         assert abs(vals[0, i] - ref) <= errs[0], (i, abs(vals[0, i] - ref), errs[0])
+
+
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_real_points_hand_the_transform_real_weights(monkeypatch, q):
+    """Every run of real s-points reaches character_sums as float64 weights,
+    and every run with a complex point as complex128 weights, on the direct
+    route (q = 1009) and the Taylor route (q = 10007); runs never mix the two."""
+    g = build_group(q)
+    seen, character_sums = [], g.character_sums
+
+    def recording(w, *args):
+        seen.append((len(w), w.dtype))
+        return character_sums(w, *args)
+
+    monkeypatch.setattr(g, "character_sums", recording)
+    for s, want in [([0.5, 2.0], [np.float64]), ([0.5, 0.5 + 3j, 2.0], [np.float64, complex])]:
+        seen.clear()
+        for _ in lfunc._l_rows(g, np.array(s), 1e-8):
+            pass
+        assert sum(n for n, _ in seen) == len(s)
+        assert {dtype for _, dtype in seen} == set(map(np.dtype, want)), seen
+
+
+def test_real_powers_within_their_bound_of_longdouble():
+    """_powers on a real column is one float64 power per entry, within the
+    _powers_rel bound of a longdouble reference; the magnitude is the value."""
+    n = np.concatenate([np.arange(1, 2000), np.arange(99000, 100004)])
+    s = np.array([[0.5], [0.75], [2.0]])
+    val, mag = lfunc._powers(s, n)
+    assert val.dtype == np.float64 and val is mag
+    ref = np.exp(-s.astype(np.longdouble) * np.log(n.astype(np.longdouble)))
+    rel = np.abs((val - ref) / ref).astype(float)
+    assert np.all(rel <= lfunc._powers_rel(s[:, 0], int(n.max()))[:, None])
+    assert np.array_equal(lfunc._powers(s + 0j, n)[0], val)
+
+
+def test_real_points_keep_complex_public_values():
+    """The real route is internal: hurwitz_zeta_vector, l_values_all_chars
+    and l_value still return complex values at real s."""
+    from thetamoments.specfun import hurwitz_zeta_vector
+
+    vals, _ = hurwitz_zeta_vector(0.5, np.array([0.25, 0.5, 1.0]))
+    assert vals.dtype == complex
+    for q in (13, 10007):
+        g = build_group(q)
+        assert l_values_all_chars(q, 0.5, group=g)[0].dtype == complex
+        assert l_values_all_chars(q, np.array([0.5, 2.0]), group=g)[0].dtype == complex
+        assert type(l_value(q, g.char(1), 0.5).value) is complex
 
 
 def test_refusal_carries_the_best_effort_value():
@@ -396,6 +444,10 @@ def test_shift_columns_are_one_call(monkeypatch):
     calls.clear()
     central_moment(19, 0)
     assert calls == [[]]  # k = 0 evaluates no L
+    calls.clear()
+    central_moment(30030, 1)  # 2 || q: no primitive character
+    shifted_moment(30030, (0, 3))
+    assert calls == []  # an empty family evaluates no L
 
 
 def test_shifted_moment_memory_at_q_100003():
