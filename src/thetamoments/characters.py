@@ -33,7 +33,8 @@ of `transform` plus, per row, one bound on their rounding and the weights'
 own, rounding_bound(phi, sum |w|) + eps sum |w|.  Without a parity it also
 makes each row of real weights exactly conjugate-symmetric, v[conjugation]
 = conj v, by a mean charged eps max |v|, since a multi-axis FFT of real
-input is not.
+input is not; with a parity it makes the real characters' values of real
+weights exactly real.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -270,18 +271,25 @@ class CharacterGroup:
         float for 1-D w.  Without a parity, rows of real weights come
         back as exact conjugate pairs, v[conjugation] = conj v (a multi-axis FFT
         of real input is not), by their mean with the conjugated permutation,
-        charged eps max |v|.  transform receives the only reference to w, so
-        temporary weights are freed once read.
+        charged eps max |v|.  With a parity, weights of real dtype get their
+        real characters' (order <= 2) values exactly real, a projection onto
+        the true value's line that adds no error.  transform receives the
+        only reference to w, so temporary weights are freed once read.
         """
         w = np.asarray(w)
         mass = np.abs(w).sum(axis=-1).reshape(-1)
+        real_dtype = not np.iscomplexobj(w)
         paired = () if parity is not None else (
-            np.flatnonzero(~np.any(w.imag, axis=-1)) if np.iscomplexobj(w) else range(mass.size))
+            range(mass.size) if real_dtype else np.flatnonzero(~np.any(w.imag, axis=-1)))
         hand = [w]
         del w
         values = self.transform(hand.pop(), parity)
         err = rounding_bound(self.phi, mass) + _EPS * mass
         rows = values.reshape(-1, values.shape[-1])
+        if parity is not None and real_dtype:  # on a cyclic group chi_0 and chi_{phi/2}
+            at = ([j // 2 for j in (0, self.phi // 2) if j % 2 == parity] if len(self._dims) == 1
+                  else self.quadratic_or_trivial_mask[self.parity_index(parity)])
+            rows.imag[:, at] = 0.0
         for k in paired:
             conj = self.conjugate(rows[k])
             rows[k] += np.conjugate(conj, out=conj)

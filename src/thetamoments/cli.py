@@ -44,6 +44,7 @@ from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
 from .theta import mellin_checks, mellin_steps, theta_moment
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
+MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row; checked before the grid
 
 _CONFIG_KEYS = ("tol", "workers", "output_dir", "format", "seed")
 
@@ -100,10 +101,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, workers=int(env))
         except ValueError:
             raise DomainError(f"{WORKERS_ENV} must be an integer; got {env!r}")
-    for key in ("tol", "eps", "vmin", "vmax", "V", "workers", "format", "seed"):
+    for key in ("tol", "eps", "vmin", "vmax", "V", "a", "workers", "format", "seed"):
         val = getattr(args, key, None)
-        if isinstance(val, float) and not np.isfinite(val):  # refused by its flag name
-            raise DomainError(f"--{key} must be finite (not NaN or infinite); got {val}")
+        for x in val if isinstance(val, tuple) else (val,):  # refused by its flag name
+            if isinstance(x, float) and not np.isfinite(x):
+                raise DomainError(f"--{key} must be finite (not NaN or infinite); got {x}")
         if val is not None and key in _CONFIG_KEYS:
             cfg = replace(cfg, **{key: val})
     if getattr(args, "out", None) is not None:
@@ -178,6 +180,8 @@ def _cmd_shifted_moment(args, cfg):
 def _cmd_large_values(args, cfg):
     if args.vsteps < 1:
         raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
+    if args.vsteps > MAX_VSTEPS:
+        raise DomainError(f"--vsteps must be <= {MAX_VSTEPS}; got {args.vsteps}")
     if args.vmin > args.vmax:
         raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)

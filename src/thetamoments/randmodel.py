@@ -16,13 +16,14 @@ generator object is built: _uniform_angles runs numpy's SeedSequence and
 PCG64 (XSL-RR output, next_double) in uint64 lanes, one lane per sample, and
 a test pins it against the installed numpy.  model_moment draws a block of
 SAMPLE_BLOCK samples at a time: the kernel fills a (block x primes) angle
-array, the additive angle table arg f(m) = sum_p v_p(m) angle_p is built for
-the whole block with one strided update per prime power, and the weighted
-sums are row reductions.  Each row is bit-identical to
-sample(N, seed + index), which is the one-row case of the same helper, so
-working memory is O(block N) for any sample count and an estimate replays
-bit for bit.  k >= 2 powers are heavy-tailed, so the estimate record carries
-a median-of-means value alongside the plain mean.
+array, only the pi(N) prime values take a cos and a sin, and complete
+multiplicativity fills each composite with one product per sample,
+f(m) = f(p) f(m / p) for the smallest prime factor p of m; the weighted sums
+are row reductions.  Each row is bit-identical to sample(N, seed + index),
+which is the one-row case of the same helper, so working memory is
+O(block N) for any sample count and an estimate replays bit for bit.  k >= 2
+powers are heavy-tailed, so the estimate record carries a median-of-means
+value, the middle of the sorted bucket means, alongside the plain mean.
 """
 
 from __future__ import annotations
@@ -82,25 +83,34 @@ def sample(n: int, seed: int) -> SteinhausSample:
     if n < 2:
         raise DomainError("sample support must be >= 2")
     primes = sieve(n).primes_in(2, n)
-    angles, values = _draw(n, primes, [_check_seed(seed)])
+    values = _draw(n, primes, [_check_seed(seed)])[0]
     return SteinhausSample(n=n, seed=seed, primes=primes,
-                           prime_values=np.exp(1j * angles[0]), values=values[0])
+                           prime_values=values[primes], values=values)
 
 
-def _draw(n: int, primes: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """(angles, values) for one sample per seed: row r of values is f(0..N)
-    drawn from the stream of default_rng(seeds[r]), with values[:, 0] = 0."""
+def _draw(n: int, primes: np.ndarray, seeds) -> np.ndarray:
+    """values with row r = f(0..N) of the sample drawn from the stream of
+    default_rng(seeds[r]), values[:, 0] = 0: f(p) = cos + i sin of p's angle
+    (bit for bit exp(1j angle)), and each composite m, in increasing order,
+    f(m) = f(p) f(m / p) for its smallest prime factor p."""
     angles = _uniform_angles(seeds, len(primes))
-    # additive angle table: arg f(m) = sum_p v_p(m) angle_p
-    acc = np.zeros((len(angles), n + 1))
-    for p, a in zip(primes, angles.T):
-        pj = int(p)
-        while pj <= n:
-            acc[:, pj::pj] += a[:, None]
-            pj *= int(p)
-    values = np.exp(1j * acc)
-    values[:, 0] = 0.0
-    return angles, values
+    # table[m] = f(m) over the samples: each product reads and writes whole
+    # rows, which numpy multiplies alike at any sample count (columns of one
+    # array would take its scalar loop and differ from a one-row draw)
+    table = np.empty((n + 1, len(angles)), dtype=complex)
+    table[:2] = [[0.0], [1.0]]
+    prime_values = np.empty(angles.T.shape, dtype=complex)
+    np.cos(angles.T, out=prime_values.real)
+    np.sin(angles.T, out=prime_values.imag)
+    table[primes] = prime_values
+    del angles, prime_values
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in primes[primes <= math.isqrt(n)][::-1].tolist():  # the smallest is written last
+        spf[p * p::p] = p
+    composites = np.flatnonzero(spf)
+    for m, p in zip(composites.tolist(), spf[composites].tolist()):
+        np.multiply(table[p], table[m // p], out=table[m])
+    return np.ascontiguousarray(table.T)  # C order: a block row sums as one sample does
 
 
 def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -212,9 +222,17 @@ def _model_thetas(w: np.ndarray, samples: int, seed: int) -> np.ndarray:
     out = np.empty(samples, dtype=complex)
     for i0 in range(0, samples, SAMPLE_BLOCK):
         i1 = min(i0 + SAMPLE_BLOCK, samples)
-        _, values = _draw(support, primes, range(seed + i0, seed + i1))
+        values = _draw(support, primes, range(seed + i0, seed + i1))
         out[i0:i1] = chunked_sum(values[:, 1:n + 1] * w)
     return out
+
+
+def _median(xs: list[float]) -> float:
+    """np.median(xs), bit for bit, without the numpy.ma import that
+    np.median's first call costs a fresh process."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
 def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
@@ -236,7 +254,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     std = float(np.sqrt(chunked_sum((powers - mean) ** 2) / (samples - 1)))
     se = std / math.sqrt(samples)
     buckets = max(4, min(20, samples // 25))
-    mom = float(np.median([float(np.mean(b)) for b in np.array_split(powers, buckets)]))
+    mom = _median([float(np.mean(b)) for b in np.array_split(powers, buckets)])
     norm = q ** ((2 * eta + 1) * k / 2) * math.log(q) ** ((k - 1) ** 2)
     return ModelMomentEstimate(
         q=q, k=k, eta=eta, samples=samples, seed=seed, estimate=mean,

@@ -413,6 +413,24 @@ def test_character_sums_pair_rows_of_real_weights(q):
                 assert np.array_equal(row, g.transform(wr, parity)) and err[k] == bound
 
 
+@pytest.mark.parametrize("q", [29, 1009, 40, 5040])
+def test_character_sums_real_characters_are_real_under_a_parity(q):
+    """With a parity, real weights give the real characters (order <= 2) an
+    imaginary part of exactly 0 (on a cyclic group chi_0 and chi_{phi/2});
+    every other value is transform's bit for bit, and err is the bound that
+    the same weights in complex dtype, which are not projected, get."""
+    g = build_group(q)
+    w = np.random.default_rng(q).normal(size=(2, g.phi))
+    for parity in (0, 1):
+        values, err = g.character_sums(w, parity)
+        raw = g.transform(w, parity)
+        real = g.quadratic_or_trivial_mask[g.parity_bits == parity]
+        assert np.all(values[:, real].imag == 0.0)
+        assert np.array_equal(values[:, real].real, raw[:, real].real)
+        assert np.array_equal(values[:, ~real], raw[:, ~real])
+        assert np.array_equal(err, g.character_sums(w + 0j, parity)[1])
+
+
 def _mp(x):
     """A longdouble as an exact mpmath number."""
     num, den = x.as_integer_ratio()

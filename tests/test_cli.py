@@ -91,6 +91,22 @@ def test_large_values_vsteps_below_one_is_a_usage_error(capsys, tmp_path, vsteps
     assert err == f"thetamoments: error: --vsteps must be >= 1; got {vsteps}\n"
 
 
+def test_large_values_vsteps_above_the_cap_is_refused_before_the_grid(capsys, tmp_path,
+                                                                    monkeypatch):
+    """--vsteps sizes the V grid, the counts and the CSV, so a value above
+    MAX_VSTEPS is refused by its flag before np.linspace allocates."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("V grid built")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    vsteps = cli.MAX_VSTEPS + 1
+    code, out, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0",
+                            "--vmin", "-5", "--vmax", "1", "--vsteps", str(vsteps),
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --vsteps must be <= {cli.MAX_VSTEPS}; got {vsteps}\n"
+
+
 def test_large_values_nan_vmin_is_a_usage_error(capsys, tmp_path):
     code, out, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0",
                             "--vmin", "nan", "--vmax", "1", "--vsteps", "3",
@@ -276,6 +292,16 @@ def test_non_finite_v_is_named(capsys, tmp_path, value):
                             f"--V={value}", "--out", str(tmp_path))
     assert code == 2 and not out
     assert err == f"thetamoments: error: --V must be finite (not NaN or infinite); got {float(value)}\n"
+
+
+@pytest.mark.parametrize("a, bad", [("inf", "inf"), ("1,nan", "nan"), ("0,-inf,2", "-inf")])
+def test_non_finite_a_is_named(capsys, tmp_path, recwarn, a, bad):
+    """lemma-cos refuses a non-finite --a by its flag: exit 2, no report and
+    no numpy warning (it wrote the row inf,nan,inf,nan)."""
+    code, out, err = invoke(capsys, "lemma-cos", "--z", "100", f"--a={a}", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --a must be finite (not NaN or infinite); got {float(bad)}\n"
+    assert not recwarn.list and not list(tmp_path.iterdir())
 
 
 def test_non_finite_config_tol_is_refused(tmp_path):
@@ -599,6 +625,43 @@ def test_library_runs_without_importing_mpmath():
     done = subprocess.run([sys.executable, "-c", _NO_MPMATH_CHILD], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split()[-1] == "False", done.stdout
+
+
+_IMPORTS_CHILD = """
+import json, sys, tempfile
+from thetamoments import cli
+requests = {
+    "char-table": ["--q", "7"],
+    "theta-moment": ["--q", "13", "--k", "1", "--parity", "even"],
+    "theta-scan": ["--prime-range", "5:13", "--k", "1"],
+    "l-moment": ["--q", "13", "--k", "1"],
+    "shifted-moment": ["--q", "13", "--shifts", "0,0.5"],
+    "large-values": ["--q", "13", "--shifts", "0,0", "--vmin", "-5", "--vmax", "5", "--vsteps", "3"],
+    "mellin-check": ["--q", "13", "--height", "2", "--step", "0.5"],
+    "bound-eval": ["--q", "101", "--shifts", "0,1"],
+    "lemma-cos": ["--z", "100", "--a", "0,1"],
+    "rand-model": ["--q", "101", "--k", "1", "--samples", "100"],
+}
+before = set(sys.modules)
+out = tempfile.mkdtemp()
+codes = {cmd: cli.run([cmd, *argv, "--out", out]) for cmd, argv in requests.items()}
+added = sorted(m for m in set(sys.modules) - before if m == "numpy" or m.startswith("numpy."))
+print(json.dumps({"codes": codes, "handlers": sorted(cli._HANDLERS), "added": added}))
+"""
+
+
+def test_requests_import_no_numpy_submodule_but_fft():
+    """A fresh child imports the CLI and runs one tiny request of every
+    subcommand: the only numpy submodule they load is numpy.fft (so no
+    request pays for numpy.ma, which np.median would import)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetamoments.__file__))}
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(got["codes"]) == got["handlers"]
+    assert set(got["codes"].values()) == {0}, got["codes"]
+    assert got["added"] and all(m == "numpy.fft" or m.startswith("numpy.fft.")
+                                for m in got["added"]), got["added"]
 
 
 _RSS_CHILD = """

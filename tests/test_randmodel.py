@@ -8,9 +8,12 @@ import pytest
 
 from thetamoments import randmodel
 from thetamoments.errors import DomainError
+from thetamoments.numtheory import factorize, sieve
 from thetamoments.randmodel import (
     SAMPLE_BLOCK,
     SteinhausSample,
+    _draw,
+    _median,
     _model_thetas,
     _uniform_angles,
     model_moment,
@@ -30,6 +33,36 @@ def test_sample_unit_modulus_and_multiplicative():
     assert s.value(8) == pytest.approx(s.value(2) ** 3, abs=1e-13)
     assert len(s.primes) == 46  # pi(200)
     assert np.allclose(np.abs(s.prime_values), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 29, 200])
+def test_block_rows_equal_one_row_draws_bit_for_bit(n):
+    """Row r of a block is sample(N, seeds[r]) bit for bit at any block size."""
+    primes = sieve(n).primes_in(2, n)
+    for count in (1, 3, 17, 64):
+        seeds = range(900 + count, 900 + 2 * count)
+        block = _draw(n, primes, seeds)
+        assert block.flags.c_contiguous and block.shape == (count, n + 1)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, sample(n, seed).values)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 1])
+def test_steinhaus_values_at_large_support(seed):
+    """At N = 1000 each f(m) is within 12 Omega(m) eps of e^{i theta_m},
+    theta_m the math.fsum of m's prime angles with multiplicity, and so is
+    |f(m)| - 1.  Per prime factor the cos/sin rounding is below sqrt(2) eps
+    and one complex product below sqrt(5) eps; the reference's rounded
+    angle sum, |theta_m| < 2 pi Omega(m), is off by below 2 pi Omega(m) eps."""
+    n, eps = 1000, np.finfo(float).eps
+    s = sample(n, seed)
+    angle = dict(zip(s.primes.tolist(), _uniform_angles([seed], len(s.primes))[0].tolist()))
+    for m in range(2, n + 1):
+        parts = [angle[p] for p, e in factorize(m).factors for _ in range(e)]
+        theta = math.fsum(parts)
+        bound = 12 * len(parts) * eps
+        assert abs(s.values[m] - complex(math.cos(theta), math.sin(theta))) <= bound, m
+        assert abs(abs(s.values[m]) - 1.0) <= bound, m
 
 
 def test_sample_replay_and_seed_sensitivity():
@@ -173,6 +206,24 @@ def test_model_moment_deterministic_across_workers(cli_at_workers):
         "rand-model", "--q", "101", "--k", "2", "--samples", "300", "--seed", "11"))
     assert one == five
     assert (one["estimate"], one["std_error"]) == (a.estimate, a.std_error)
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for b in range(4, 21):
+        for _ in range(50):
+            means = rng.lognormal(0.0, 3.0, b).tolist()
+            assert _median(means) == np.median(means)
+
+
+@pytest.mark.parametrize("buckets", [4, 5, 19, 20])
+def test_median_of_means_is_numpys_median_of_the_bucket_means(buckets):
+    q, k, seed = 101, 2, 3
+    samples = 25 * buckets
+    est = model_moment(q, k, samples, seed)
+    powers = np.array([abs(z) ** (2 * k) for z in _model_thetas(est.weights, samples, seed).tolist()])
+    means = [float(np.mean(b)) for b in np.array_split(powers, buckets)]
+    assert est.median_of_means == np.median(means)
 
 
 def test_model_moment_normalization():

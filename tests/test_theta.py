@@ -255,6 +255,16 @@ def test_batch_rejects_a_group_of_another_modulus():
         theta_all_chars(7, 1.0, group=build_group(11))
 
 
+@pytest.mark.parametrize("q", [29, 101, 1009])
+def test_real_characters_have_real_theta_values(q):
+    """theta(1, chi) of the trivial and the quadratic character is exactly
+    real, though the all-characters path transforms one parity at a time."""
+    g = build_group(q)
+    vals, _ = theta_all_chars(q, 1.0)
+    assert np.flatnonzero(g.quadratic_or_trivial_mask).tolist() == [0, (q - 1) // 2]
+    assert np.all(vals[g.quadratic_or_trivial_mask].imag == 0.0)
+
+
 @pytest.mark.parametrize("q", [5, 7, 12, 16, 29, 45])
 def test_conjugate_modulus_symmetry(q):
     """|theta(1, chi)| = |theta(1, conj chi)| for primitive chi (functional
