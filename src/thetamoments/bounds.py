@@ -31,6 +31,7 @@ from .numtheory import PrimeTable, euler_phi, sieve
 
 __all__ = [
     "CLOSE_THRESHOLD",
+    "MAX_COS_A",
     "ShiftTuple",
     "as_shift_tuple",
     "PairTerm",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 CLOSE_THRESHOLD = 1 / 100
+MAX_COS_A = 1e15  # |a| in cos(a log p): past it the phase's rounding nears a radian
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,11 @@ def shifted_moment_bound(q, t, eps: float = 0.1) -> float:
 def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[float, float, float]:
     """(lhs, rhs, margin): lhs = sum_{p<=z} cos(a log p)/p by direct prime sum,
     rhs the Mertens-type main term (close: log(min(1/|a|, log z)), a=0 giving
-    loglog z; far: loglog(2+|a|)), margin = lhs - rhs."""
+    loglog z; far: loglog(2+|a|)), margin = lhs - rhs.  |a| <= MAX_COS_A."""
     if z < 3:
         raise DomainError("z must be >= 3")
+    if not abs(a) <= MAX_COS_A:
+        raise DomainError(f"a must satisfy |a| <= {MAX_COS_A:g}; got {a}")
     if table is None or table.limit < z:
         table = sieve(int(z))
     p = table.primes_in(2, int(z)).astype(float)

@@ -14,19 +14,22 @@ any array without the table), the character families every moment sums over
     transform(w)[j] = sum_i chi_j(u_i) w[i]   (weights on the units u = n_of_index),
 
 computed for all phi(q) characters at once by one in-place inverse FFT in
-one phi-wide buffer.  Real w with a parity on a cyclic group of order d = 2h
-(q prime, p^e, 2 p^e or 4) is folded in front of it: u_m = g^m, -1 = g^h and
-chi_j has parity j mod 2, so chi_{2k+eta} is entry k of the unsplit length-h
-inverse DFT of (w_m + (-1)^eta w_{m+h}) e^{2 pi i eta m / d} (for eta = 1 an
-odd-frequency DFT, by a twiddle twist).  All else runs over the group's grid:
-the cyclic components, each of order d >= 50 with a prime factor above
-sqrt(d) (a length numpy's pocketfft may run by Bluestein) split into its
-prime-power factors by Good-Thomas (q = 100003 transforms a (2, 3, 7, 2381)
-array); a parity is read off its output by `parity_index` (eta::2 on a
-cyclic group).
+one phi-wide buffer, one `np.fft.ifft` call per grid axis.  Real w with a
+parity on a cyclic group of order d = 2h (q prime, p^e, 2 p^e or 4) is folded
+in front of it: u_m = g^m, -1 = g^h and chi_j has parity j mod 2, so
+chi_{2k+eta} is entry k of the length-h inverse DFT of
+(w_m + (-1)^eta w_{m+h}) e^{2 pi i eta m / d} (for eta = 1 an odd-frequency
+DFT, by a twiddle twist).  All else runs over the group's grid, its cyclic
+components.  Each cyclic length L, a component's order or the fold's h, runs
+on the Good-Thomas grid (L / p, p) when L >= SPLIT_FLOOR is not a prime power
+and its largest prime p has p^2 > L (a length numpy's pocketfft may run by
+Bluestein), else unsplit: q = 100003 transforms a (42, 2381) array, its fold
+a (21, 2381) one.  A parity is read off the grid's output by `parity_index`
+(eta::2 on a cyclic group).
 
-Tables are built by broadcasting per-component exponent ranges, never as a
-phi x r matrix, and none reads a length-q table.
+Tables are built by broadcasting per-component exponent ranges, the family
+masks as an outer AND of one 1-D mask per component, never as a phi x r
+matrix, and none reads a length-q table.
 
 `character_sums(w, parity)` is the step both theta and L take: the values
 of `transform` plus, per row, one bound on their rounding and the weights'
@@ -161,22 +164,25 @@ class CharacterGroup:
     def primitive_mask(self) -> np.ndarray:
         """conductors == q, as one condition per p^e || q that its local
         conductor is p^e (see the module docstring), with no product formed."""
-        out = np.ones(self._dims, dtype=bool)
-        ranges = iter(self._ranges)
+        masks, dims = [], iter(self._dims)
         for p, e in self.structure.factorization.factors:
             if p != 2:  # j prime to p, which for e = 1 (j < p - 1) is j > 0
-                j = next(ranges)
-                out &= j % p != 0 if e > 1 else j > 0
-            elif e <= 2:  # 2 || q: every character is induced from q / 2
-                out &= e == 2 and next(ranges) > 0
+                j = np.arange(next(dims))
+                masks.append(j % p != 0 if e > 1 else j > 0)
+            elif e == 1:  # 2 || q: every character is induced from q / 2
+                return np.zeros(self.phi, dtype=bool)
+            elif e == 2:
+                masks.append(np.arange(next(dims)) > 0)
             else:  # the exponent of chi(-3), s 2^{e-3} + j mod 2^{e-2}, is odd
-                out &= (next(ranges) * 2 ** (e - 3) + next(ranges)) % 2 == 1
-        return out.reshape(-1)
+                s, j = np.ix_(np.arange(next(dims)), np.arange(next(dims)))
+                masks.append(((s * 2 ** (e - 3) + j) % 2 == 1).reshape(-1))
+        return _outer_and(masks)
 
     @cached_property
     def quadratic_or_trivial_mask(self) -> np.ndarray:
-        """chi^2 = trivial character (order 1 or 2)."""
-        return self.orders <= 2
+        """chi^2 = trivial character (order 1 or 2): 2 j_l = 0 mod d_l on
+        every component."""
+        return _outer_and([2 * np.arange(d) % d == 0 for d in self._dims])
 
     def conjugate(self, values: np.ndarray) -> np.ndarray:
         """values[..., conjugation] for a last axis in index order: exponents
@@ -229,10 +235,11 @@ class CharacterGroup:
 
         w has length phi along its last axis, leading axes being a batch.  Real
         w with a parity on a cyclic group is folded (odd: and twisted) to length
-        phi / 2 as in the module docstring; all else runs over _grid, a parity
-        read off its output map, so there transform(w, eta) ==
-        transform(w)[parity_index(eta)] bit for bit.  The one inverse DFT runs
-        in w's own complex dtype: longdouble weights come back as clongdouble.
+        phi / 2 as in the module docstring and runs over _fold; all else runs
+        over _grid, a parity read off its output map, so there transform(w, eta)
+        == transform(w)[parity_index(eta)] bit for bit.  The one inverse DFT,
+        one `ifft` per grid axis, runs in w's own complex dtype: longdouble
+        weights come back as clongdouble.
         """
         w = np.asarray(w)
         if w.shape[-1:] != (self.phi,):
@@ -241,14 +248,14 @@ class CharacterGroup:
             raise DomainError(f"parity must be 0, 1 or None; got {parity!r}")
         batch = w.shape[:-1]
         if parity is not None and len(self._dims) == 1 and not np.iscomplexobj(w):
-            h = self.phi // 2  # chi_j(g^{m+h}) = (-1)^j chi_j(g^m): fold, unsplit length h
+            h = self.phi // 2  # chi_j(g^{m+h}) = (-1)^j chi_j(g^m): fold to length h
             w = w[..., :h] - w[..., h:] if parity else w[..., :h] + w[..., h:]
             if parity:  # chi_{2k+1}(g^m) = e^{2 pi i m / phi} e^{2 pi i k m / h}, m = b i + j
                 b = int(np.sqrt(h)) + 1  # so the twist is an outer product of 2b roots
                 e = np.exp(1j * (TWO_PI / self.phi * np.arange(b)[:, None] * [b, 1]).astype(
                     np.result_type(w, float)))
                 w = w * np.outer(e[:, 0], e[:, 1]).reshape(-1)[:h]
-            perm, dims, out = None, (h,), None
+            perm, dims, out = self._fold
         else:
             perm, dims, out = self._grid
             if parity is not None:
@@ -258,8 +265,8 @@ class CharacterGroup:
         z = w.astype(dtype) if perm is None else w[..., perm].astype(dtype, copy=False)
         del w
         z = z.reshape(batch + dims)
-        if dims:  # in place, one phi-wide buffer (out= needs numpy >= 2.0)
-            np.fft.ifftn(z, axes=range(-len(dims), 0), norm="forward", out=z)
+        for axis in range(-1, -len(dims) - 1, -1):  # in place, last axis first as ifftn
+            np.fft.ifft(z, axis=axis, norm="forward", out=z)  # (out= needs numpy >= 2.0)
         return z.reshape(batch + (-1,)) if out is None else z.reshape(batch + (-1,))[..., out]
 
     def character_sums(self, w: np.ndarray, parity: int | None = None
@@ -300,32 +307,63 @@ class CharacterGroup:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray | None, tuple[int, ...], np.ndarray | None]:
-        """(perm, dims, out): the transform's grid, perm and out None if it is
-        the exponent grid.  A cyclic component of order d >= 50 whose largest
-        prime factor exceeds sqrt(d), a length numpy's pocketfft may run by
-        Bluestein, is split into its prime-power factors P (d = prod P).
+        """The transform's grid over the cyclic components: _good_thomas."""
+        return _good_thomas(self._dims)
 
-        On the input side component l's exponent is m = sum_P (d/P) m_P mod d,
-        so perm[flat (m_P)] is the unit index of prod_l g_l^{m_l}; then
-        exp(2 pi i j m / d) = prod_P exp(2 pi i (j mod P) m_P / P), and
-        character j's value sits at the flat position of (j_l mod P) over
-        every factor: out[j].
-        """
-        comps = [[p ** e for p, e in fs] if d >= 50 and fs[-1][0] ** 2 > d else [d]
-                 for d, fs in ((d, factorize(d).factors) for d in self._dims)]
-        dims = tuple(P for ps in comps for P in ps)
-        if dims == self._dims:
-            return None, dims, None
-        # int32 maps built from broadcast int32 ranges: phi < q < 2^31
-        split = iter(np.ix_(*(np.arange(P, dtype=np.int32) for P in dims)))
-        perm = 0
-        for d, ps in zip(self._dims, comps):
-            perm = perm * d + sum(d // P * next(split) for P in ps) % d
-        out = 0
-        for j, ps in zip(np.ix_(*(np.arange(d, dtype=np.int32) for d in self._dims)), comps):
-            for P in ps:
-                out = out * P + j % P
-        return perm.reshape(-1), dims, out.reshape(-1)
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray | None, tuple[int, ...], np.ndarray | None]:
+        """The grid of a cyclic group's length-phi/2 fold: _good_thomas."""
+        return _good_thomas((self.phi // 2,))
+
+
+SPLIT_FLOOR = 4096  # shortest cyclic length split: below it a prime scan's maps cost more
+
+
+def _split(n: int) -> tuple[int, ...]:
+    """The grid of a cyclic length n: (n / p, p) when n >= SPLIT_FLOOR is not
+    a prime power and its largest prime p has p^2 > n, a length numpy's
+    pocketfft may run by Bluestein; else (n,)."""
+    if n < SPLIT_FLOOR:
+        return (n,)
+    fs = factorize(n).factors
+    p = fs[-1][0]
+    return (n // p, p) if len(fs) > 1 and p * p > n else (n,)
+
+
+def _good_thomas(comps: tuple[int, ...]) -> tuple[np.ndarray | None, tuple[int, ...],
+                                                  np.ndarray | None]:
+    """(perm, dims, out): the grid of cyclic lengths comps, each split by
+    _split, perm and out None if none is.
+
+    On the input side length d's index is m = sum_P (d/P) m_P mod d over its
+    factors P, so perm[flat (m_P)] is the C-order index of (m_l) over comps;
+    then exp(2 pi i j m / d) = prod_P exp(2 pi i (j mod P) m_P / P), and
+    entry j's value sits at the flat position of (j_l mod P) over every
+    factor: out[j].
+    """
+    splits = [_split(d) for d in comps]
+    dims = tuple(P for ps in splits for P in ps)
+    if dims == comps:
+        return None, dims, None
+    # int32 maps built from broadcast int32 ranges: phi < q < 2^31
+    split = iter(np.ix_(*(np.arange(P, dtype=np.int32) for P in dims)))
+    perm = 0
+    for d, ps in zip(comps, splits):
+        perm = perm * d + sum(d // P * next(split) for P in ps) % d
+    out = 0
+    for j, ps in zip(np.ix_(*(np.arange(d, dtype=np.int32) for d in comps)), splits):
+        for P in ps:
+            out = out * P + j % P
+    return perm.reshape(-1), dims, out.reshape(-1)
+
+
+def _outer_and(masks: list[np.ndarray]) -> np.ndarray:
+    """The C-order flat outer AND of 1-D masks, one per component; [True]
+    for none."""
+    out = masks[0] if masks else np.ones(1, dtype=bool)
+    for m in masks[1:]:
+        out = np.logical_and.outer(out, m).reshape(-1)
+    return out
 
 
 def build_group(q: int) -> CharacterGroup:

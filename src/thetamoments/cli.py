@@ -34,14 +34,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__  # noqa: F401  (version surfaced via --version)
-from .bounds import bound_profile, cos_sum_check, cutoff_exponent, large_value_bound
+from .bounds import (MAX_COS_A, bound_profile, cos_sum_check, cutoff_exponent,
+                     large_value_bound)
 from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
 from .lfunc import central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
 from .randmodel import model_moment
 from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
-from .theta import mellin_checks, mellin_steps, theta_moment
+from .theta import mellin_checks, mellin_steps, theta_moment, theta_normalization
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
 MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row; checked before the grid
@@ -106,6 +107,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         for x in val if isinstance(val, tuple) else (val,):  # refused by its flag name
             if isinstance(x, float) and not np.isfinite(x):
                 raise DomainError(f"--{key} must be finite (not NaN or infinite); got {x}")
+            if key == "a" and val is not None and abs(x) > MAX_COS_A:  # before the sieve
+                raise DomainError(f"--a must satisfy |a| <= {MAX_COS_A:g}; got {x}")
         if val is not None and key in _CONFIG_KEYS:
             cfg = replace(cfg, **{key: val})
     if getattr(args, "out", None) is not None:
@@ -155,9 +158,10 @@ def _cmd_theta_scan(args, cfg):
     lo, hi = args.prime_range
     if not 3 <= lo <= hi:
         raise DomainError("prime range must satisfy 3 <= A <= B")
-    table = sieve(hi)
-    reps = [theta_moment(int(p), args.k, args.parity, args.eps)
-            for p in table.primes_in(lo, hi)]
+    primes = sieve(hi).primes_in(lo, hi)
+    if primes.size:  # the normalization grows with q: refused at the largest prime first
+        theta_normalization(int(primes[-1]), args.k, args.parity)
+    reps = [theta_moment(int(p), args.k, args.parity, args.eps) for p in primes]
     meta = {"command": "theta-scan", "prime_range": f"{lo}:{hi}", "k": args.k,
             "parity": args.parity, "eps": args.eps}
     return moment_csv(reps, meta), reps, meta

@@ -60,7 +60,7 @@ from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
 from .characters import Character, CharacterGroup, family_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
-from .reports import MomentReport, moment_report
+from .reports import MomentReport, moment_normalization, moment_report
 from .specfun import HZ_BLOCK, TWO_PI, ComplexApprox, digamma_vector, hurwitz_grid_runs
 
 __all__ = [
@@ -242,12 +242,16 @@ def _family_columns(q: int, shifts, tol: float, family: str):
 
 def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     """M_{2k}(q) = sum over primitive chi of |L(1/2, chi)|^{2k}, with the
-    q (log q)^{k^2} normalization: the t = 0 column of the family path."""
+    q (log q)^{k^2} normalization, checked before the group is built: the
+    t = 0 column of the family path."""
     if k < 0:
         raise DomainError("k must be >= 0")
+    if q < 3:
+        raise DomainError(f"q must be >= 3; got {q}")
+    norm = moment_normalization(q, k, q, 0, k * k)
     cols, _, size = _family_columns(q, (0.0,) if k else (), tol, "star")
     terms = cols[0] ** (2 * k) if k else np.ones(size)
-    return moment_report(q, k, "star", terms, q * math.log(q) ** (k * k), tol)
+    return moment_report(q, k, "star", terms, norm, tol)
 
 
 def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star") -> MomentReport:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numtheory import sieve
+from .reports import moment_normalization
 from .summation import chunked_sum
 from .theta import _series_terms, truncation_length
 
@@ -245,6 +246,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     if samples < 100:
         raise DomainError("at least 100 samples required")
     seed = _check_seed(seed)  # seed + i only grows
+    norm = moment_normalization(q, k, 1, (2 * eta + 1) * k / 2, (k - 1) ** 2)
     n = truncation_length(q, 1.0, eta, eps)
     w = _series_terms(q, 1.0, eta, n)[1]
     # scalar abs and pow: numpy's vector abs and power differ in the last bit
@@ -255,7 +257,6 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     se = std / math.sqrt(samples)
     buckets = max(4, min(20, samples // 25))
     mom = _median([float(np.mean(b)) for b in np.array_split(powers, buckets)])
-    norm = q ** ((2 * eta + 1) * k / 2) * math.log(q) ** ((k - 1) ** 2)
     return ModelMomentEstimate(
         q=q, k=k, eta=eta, samples=samples, seed=seed, estimate=mean,
         std_error=se, median_of_means=mom, normalization=norm,

@@ -11,6 +11,8 @@ repr-formatted floats parse back to the same binary value.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable
@@ -18,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
+from .errors import DomainError
 from .summation import chunked_sum
 
 __all__ = ["MomentReport", "ReportEnvelope", "make_envelope"]
@@ -49,6 +52,22 @@ class MomentReport:
     def row(self) -> tuple:
         return (self.q, self.k, self.family, self.raw, self.normalization,
                 self.ratio, self.eps, self.family_size)
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def moment_normalization(q: int, k: int, scale: int, q_exp: float, log_exp: int) -> float:
+    """scale q^q_exp (log q)^log_exp, the closed form a k-th moment mod q >= 3
+    divides by, or DomainError naming k unless it is a finite float.  Every
+    factor is >= 1, so that is decided on the sum of their logs before any
+    power is taken, 1e-9 short of the float range for the logs' rounding."""
+    lq = math.log(q)
+    log_norm = math.log(scale) + q_exp * lq + log_exp * math.log(lq)
+    if log_norm > _LOG_FLOAT_MAX - 1e-9:
+        raise DomainError(f"k = {k} is too large at q = {q}: the normalization overflows a "
+                          f"float (log {log_norm:.1f} > {_LOG_FLOAT_MAX:.1f})")
+    return scale * q ** q_exp * lq ** log_exp
 
 
 def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization: float,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from thetamoments import numtheory
-from thetamoments.characters import FAMILIES, CharacterGroup, build_group, gauss_sum
+from thetamoments.characters import (FAMILIES, SPLIT_FLOOR, CharacterGroup, build_group,
+                                     gauss_sum)
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import euler_phi, factorize
 from thetamoments.summation import rounding_bound
@@ -245,27 +246,25 @@ def test_transform_matches_naive(q):
         assert abs(fast[i] - naive) < 1e-11, (q, i)
 
 
-# cyclic orders d >= 50 whose largest prime factor exceeds sqrt(d), which
-# pocketfft may run by Bluestein: 58 = 2 * 29, 52 = 4 * 13, 1018 = 2 * 509,
-# 10006 = 2 * 5003, 100002 = 2 * 3 * 7 * 2381 and 40028 = 4 * 10007's 10006
-GOOD_THOMAS = {59: (2, 29), 53: (4, 13), 1019: (2, 509), 10007: (2, 5003),
-               100003: (2, 3, 7, 2381), 4 * 10007: (2, 2, 5003)}
+# cyclic orders d >= SPLIT_FLOOR, not prime powers, whose largest prime p has
+# p^2 > d (a length pocketfft may run by Bluestein) run on (d / p, p):
+# 10006 = 2 * 5003, 100002 = 42 * 2381 and 40028 = 4 * 10007's 10006
+GOOD_THOMAS = {10007: (2, 5003), 100003: (42, 2381), 4 * 10007: (2, 2, 5003)}
 
 
 @pytest.mark.parametrize("q", [29, 47, 53, 59, 1009, 1019, 10007, 100003, 4 * 10007,
                                5040, 30030, 2 * 3 ** 7])
 def test_prime_power_split_transform_against_direct_sums(q):
-    """A cyclic component of order d is split into its prime-power factors
-    (Good-Thomas) exactly when d >= 50 and its largest prime factor exceeds
-    sqrt(d); smooth orders (1008, 1458, 5040's and 30030's components) and
-    short ones (28, 46) keep the exponent grid with no index maps.  Sampled
-    characters, in index order, match their direct sums
+    """A cyclic component of order d >= SPLIT_FLOOR that is not a prime power
+    and whose largest prime p exceeds sqrt(d) runs on the Good-Thomas grid
+    (d / p, p); smooth orders (1008, 1458, 5040's and 30030's components) and
+    short ones (28, 46, 52, 58, 1018) keep the exponent grid with no index
+    maps.  Sampled characters, in index order, match their direct sums
     sum_i chi(u_i) w[i] over the units u = n_of_index."""
     g = build_group(q)
     perm, dims, out = g._grid
     if q in GOOD_THOMAS:
         assert dims == GOOD_THOMAS[q]
-        assert all(len(factorize(P).factors) == 1 for P in dims)
         assert perm.shape == out.shape == (g.phi,)
     else:
         assert perm is None and out is None and dims == g.structure.dims
@@ -275,6 +274,51 @@ def test_prime_power_split_transform_against_direct_sums(q):
     for i in {0, 1, len(g) // 3, len(g) // 2, len(g) - 1}:
         naive = np.dot(g.value_table(i)[g.structure.n_of_index], w)
         assert abs(fast[i] - naive) <= rounding_bound(len(g), float(np.sum(np.abs(w)))), (q, i)
+
+
+def test_short_orders_run_unsplit():
+    """q = 107: the order 106 = 2 * 53 is below SPLIT_FLOOR, where the unsplit
+    length-106 FFT is faster than the (2, 53) grid and its maps."""
+    assert SPLIT_FLOOR > 106
+    perm, dims, out = build_group(107)._grid
+    assert perm is None and out is None and dims == (106,)
+
+
+def test_fold_grid():
+    """The fold of a cyclic group runs its length phi / 2 on the same rule:
+    50001 = 21 * 2381 at q = 100003 is split, and every fold of a prime scan
+    over 1009..6007 (h <= 3003 < SPLIT_FLOOR) runs unsplit with no maps."""
+    perm, dims, out = build_group(100003)._fold
+    assert dims == (21, 2381) and perm.shape == out.shape == (50001,)
+    assert 3003 < SPLIT_FLOOR <= 4782
+    for p in numtheory.sieve(6007).primes_in(1009, 6007):
+        assert build_group(int(p))._fold == (None, ((int(p) - 1) // 2,), None), p
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_split_fold_against_direct_sums(parity):
+    """Both parities of real weights through the split fold at q = 100003,
+    (21, 2381), at the first, middle and last entries against direct sums."""
+    q = 100003
+    g = build_group(q)
+    units = g.structure.n_of_index
+    w = np.random.default_rng(parity).random(q)[units]
+    chars = np.flatnonzero(g.parity_bits == parity)
+    got = g.transform(w, parity)
+    bound = rounding_bound(g.phi, float(np.sum(np.abs(w))))
+    for pos in (0, len(chars) // 2, len(chars) - 1):
+        assert abs(got[pos] - np.dot(g.value_table(int(chars[pos]))[units], w)) <= bound, pos
+
+
+@pytest.mark.parametrize("q", [8, 16, 32 * 3, 2 * 3 ** 7, 4 * 2381, 5040, 30030, 4 * 10007,
+                               100003])
+def test_family_masks_against_tables(q):
+    """The masks built from one 1-D mask per component equal their table
+    definitions: primitive is conductor q, quadratic-or-trivial is order <= 2;
+    the coupled (-1, 3) pair of 2^e (e >= 3), 2 || q and rank 1 included."""
+    g = build_group(q)
+    assert np.array_equal(g.primitive_mask, g.conductors == q)
+    assert np.array_equal(g.quadratic_or_trivial_mask, g.orders <= 2)
 
 
 @pytest.mark.parametrize("q", [5040, 4 * 10007, 1009])
@@ -341,9 +385,9 @@ def test_transform_parity_matches_full_selection(q):
 def test_transform_odd_fold_against_direct_sums(q):
     """Odd characters through the fold, at both ends and across the middle of
     the half-length output, against direct sums; a missing or wrong twist
-    e^{2 pi i m / phi} moves every one of them.  At q = 100003 the unsplit
-    half length is 50001 = 3 * 7 * 2381, a length pocketfft may run by
-    Bluestein."""
+    e^{2 pi i m / phi} moves every one of them.  At q = 100003 the half
+    length 50001 = 3 * 7 * 2381, a length pocketfft may run by Bluestein,
+    runs on the Good-Thomas grid (21, 2381)."""
     g = build_group(q)
     units = g.structure.n_of_index
     w = np.random.default_rng(7).random(q)[units]
@@ -439,11 +483,12 @@ def _mp(x):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is no wider than float64 here")
-@pytest.mark.parametrize("q", [1009, 1019, 5040])
+@pytest.mark.parametrize("q", [1009, 1019, 5040, 4783])
 def test_transform_keeps_longdouble_weights(q):
     """Real longdouble and clongdouble weights come back as clongdouble on a
-    cyclic exponent grid (q = 1009), on the Good-Thomas split (q = 1019) and on
-    the non-cyclic grid, with or without a parity (q = 5040), and sampled entries match an mpmath sum within the
+    cyclic exponent grid (q = 1009, 1019), on the Good-Thomas split (q = 4783,
+    (6, 797)) and on the non-cyclic grid, with or without a parity (q = 5040),
+    and sampled entries match an mpmath sum within the
     longdouble rounding bound eps_ld (log2 phi + 8) sum |w|.  The weights are
     63-bit integers over 2^63, exact in longdouble and in mpmath."""
     g = build_group(q)

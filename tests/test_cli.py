@@ -14,6 +14,7 @@ import pytest
 import thetamoments
 from thetamoments import cli, theta
 from thetamoments.characters import build_group
+from thetamoments.bounds import MAX_COS_A, cos_sum_check
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -302,6 +303,54 @@ def test_non_finite_a_is_named(capsys, tmp_path, recwarn, a, bad):
     assert code == 2 and not out
     assert err == f"thetamoments: error: --a must be finite (not NaN or infinite); got {float(bad)}\n"
     assert not recwarn.list and not list(tmp_path.iterdir())
+
+
+def test_huge_a_is_named(capsys, tmp_path, recwarn):
+    """A finite --a past MAX_COS_A is refused by its flag before the sieve:
+    exit 2, no report and no numpy warning (--a 1e308 wrote the row
+    1e+308,nan,6.56413222822153,nan).  cos_sum_check refuses it too."""
+    a = MAX_COS_A + 1
+    code, out, err = invoke(capsys, "lemma-cos", "--z", "100", f"--a=0,{a!r}", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"thetamoments: error: --a must satisfy |a| <= 1e+15; got {a!r}\n"
+    assert not recwarn.list and not list(tmp_path.iterdir())
+    with pytest.raises(DomainError, match="a must satisfy"):
+        cos_sum_check(100, -a)
+
+
+# the largest k whose normalization is a finite float, and refused ks above it: at
+# q = 1009, k = 20 even and k = 18..20 odd wrote normalization inf and ratio 0.0, and
+# k = 21 (both), the L moment's k = 20 and the last three failed with OverflowError
+K_ENVELOPE = [(("theta-moment", "--q", "1009", "--parity", "even"), 19, (20, 21, 400)),
+              (("theta-moment", "--q", "1009", "--parity", "odd"), 17, (18, 21)),
+              (("theta-scan", "--prime-range", "1000:1013"), 19, (20,)),
+              (("l-moment", "--q", "1009"), 19, (20, 200)),
+              (("rand-model", "--q", "101", "--samples", "100"), 21, (22, 300))]
+
+
+@pytest.mark.parametrize("argv, k_max, refused", K_ENVELOPE)
+def test_overflowing_normalization_is_refused_by_k(capsys, tmp_path, recwarn, argv, k_max, refused):
+    """A moment whose closed-form normalization is no finite float is refused
+    by k (exit 2, no report, no numpy warning), decided in log space before
+    any group or sample is built; a scan decides at its largest prime.  The
+    largest k left exits 0 with a finite normalization and a positive ratio."""
+    q = "1013" if argv[0] == "theta-scan" else argv[2]
+    for k in refused:
+        code, out, err = invoke(capsys, *argv, "--k", str(k), "--out", str(tmp_path))
+        assert code == 2 and not out, k
+        assert err.startswith(f"thetamoments: error: k = {k} is too large at q = {q}: "), err
+    assert not recwarn.list and not list(tmp_path.iterdir())
+    code, out, _ = invoke(capsys, *argv, "--k", str(k_max), "--out", str(tmp_path))
+    assert code == 0
+    rows = [json.loads(out)["payload"]] if argv[0] == "rand-model" else _csv_rows(out)
+    for row in rows:
+        norm, ratio = float(row["normalization"]), float(row["ratio"])
+        assert math.isfinite(norm) and 0 < ratio < math.inf, row
+
+
+def _csv_rows(text: str) -> list[dict]:
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
 
 
 def test_non_finite_config_tol_is_refused(tmp_path):
@@ -709,9 +758,10 @@ def test_certified_l_request_peak_rss(args, rows):
 def test_theta_moment_peak_rss(parity):
     """A q = 100003 theta moment of either parity, in a child process, stays
     within 6.5 MB of the same base child (one complex output row).  Both
-    parities run one unsplit length-50001 inverse FFT of folded weights; the
-    odd one's former zero-padded length-100002 real FFT took pocketfft's
-    Bluestein path and its native buffers, about 12 MB above the base."""
+    parities run one length-50001 inverse FFT of folded weights, on the
+    Good-Thomas grid (21, 2381); the odd one's former zero-padded
+    length-100002 real FFT took pocketfft's Bluestein path and its native
+    buffers, about 12 MB above the base."""
     q = 100003
     base = _child_peak_mb("base", q, 1)
     peak = _child_peak_mb("request", q, 1, "theta-moment", "--k", "2", "--parity", parity)
