@@ -160,7 +160,8 @@ def _cmd_theta_scan(args, cfg):
         raise DomainError("prime range must satisfy 3 <= A <= B")
     primes = sieve(hi).primes_in(lo, hi)
     if primes.size:  # the normalization grows with q: refused at the largest prime first
-        theta_normalization(int(primes[-1]), args.k, args.parity)
+        p = int(primes[-1])
+        theta_normalization(p, args.k, args.parity, p - 1)
     reps = [theta_moment(int(p), args.k, args.parity, args.eps) for p in primes]
     meta = {"command": "theta-scan", "prime_range": f"{lo}:{hi}", "k": args.k,
             "parity": args.parity, "eps": args.eps}

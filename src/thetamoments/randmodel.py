@@ -246,7 +246,7 @@ def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
     if samples < 100:
         raise DomainError("at least 100 samples required")
     seed = _check_seed(seed)  # seed + i only grows
-    norm = moment_normalization(q, k, 1, (2 * eta + 1) * k / 2, (k - 1) ** 2)
+    norm = moment_normalization(q, k, 1, (2 * eta + 1) * k, (k - 1) ** 2)
     n = truncation_length(q, 1.0, eta, eps)
     w = _series_terms(q, 1.0, eta, n)[1]
     # scalar abs and pow: numpy's vector abs and power differ in the last bit

@@ -57,17 +57,22 @@ class MomentReport:
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def moment_normalization(q: int, k: int, scale: int, q_exp: float, log_exp: int) -> float:
-    """scale q^q_exp (log q)^log_exp, the closed form a k-th moment mod q >= 3
-    divides by, or DomainError naming k unless it is a finite float.  Every
-    factor is >= 1, so that is decided on the sum of their logs before any
-    power is taken, 1e-9 short of the float range for the logs' rounding."""
+def moment_normalization(q: int, k: int, scale: int, q_exp2: int, log_exp: int) -> float:
+    """scale q^{q_exp2 / 2} (log q)^log_exp, the closed form a k-th moment mod
+    q >= 3 divides by, or DomainError naming k unless it is a finite float.
+    Every factor is >= 1, so that is decided on the sum of their logs before
+    any power is taken, 1e-9 short of the float range for the logs' rounding.
+    The exponents come in as ints: one too large for a float (a huge k) is
+    refused the same way."""
     lq = math.log(q)
-    log_norm = math.log(scale) + q_exp * lq + log_exp * math.log(lq)
+    try:
+        log_norm = math.log(scale) + q_exp2 / 2 * lq + log_exp * math.log(lq)
+    except OverflowError:
+        log_norm = math.inf
     if log_norm > _LOG_FLOAT_MAX - 1e-9:
         raise DomainError(f"k = {k} is too large at q = {q}: the normalization overflows a "
                           f"float (log {log_norm:.1f} > {_LOG_FLOAT_MAX:.1f})")
-    return scale * q ** q_exp * lq ** log_exp
+    return scale * q ** (q_exp2 / 2) * lq ** log_exp
 
 
 def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization: float,

@@ -48,7 +48,6 @@ import numpy as np
 from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group, family_group
 from .errors import DomainError
 from .lfunc import MAX_SHIFT, l_values_all_chars
-from .numtheory import euler_phi
 from .reports import MomentReport, moment_normalization, moment_report
 from .specfun import ComplexApprox, gamma_fn
 from .summation import chunked_sum, rounding_bound
@@ -151,42 +150,37 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     return values, err
 
 
-def _theta_exponents(q: int, k: int, parity: str) -> tuple[float, int]:
-    """((2 eta + 1) k / 2, (k-1)^2), the exponents of q and log q in the
-    normalization of S_2k(q) over the parity-eta family, its arguments checked."""
+def _theta_eta(q: int, k: int, parity: str) -> int:
+    """eta of the parity-eta family, the theta moment's arguments checked."""
     if q < 3:
         raise DomainError(f"q must be >= 3; got {q}")
     if k < 1:
         raise DomainError("k must be >= 1")
     if parity not in THETA_FAMILIES:
         raise DomainError(f"parity must be 'even' or 'odd'; got {parity!r}")
-    return (2 * THETA_FAMILIES.index(parity) + 1) * k / 2, (k - 1) ** 2
+    return THETA_FAMILIES.index(parity)
 
 
-def theta_normalization(q: int, k: int, parity: str) -> float:
-    """phi(q) q^{(2 eta + 1) k / 2} (log q)^{(k-1)^2}, the normalization of
-    S_2k(q) over the parity-eta family; DomainError naming k where it
-    overflows a float (moment_normalization)."""
-    return moment_normalization(q, k, euler_phi(q), *_theta_exponents(q, k, parity))
+def theta_normalization(q: int, k: int, parity: str, phi: int) -> float:
+    """phi q^{(2 eta + 1) k / 2} (log q)^{(k-1)^2}, the normalization of
+    S_2k(q) over the parity-eta family, with phi = phi(q) as the caller has it
+    (q - 1 at a prime); DomainError naming k where it overflows a float
+    (moment_normalization)."""
+    eta = _theta_eta(q, k, parity)
+    return moment_normalization(q, k, phi, (2 * eta + 1) * k, (k - 1) ** 2)
 
 
 def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentReport:
     """S_2k(q) = sum |theta(1, chi)|^{2k} over the even-primitive or
     odd-primitive family, with the matching normalization.  Only the series
-    of that parity is folded and transformed.  A normalization that
-    overflows is refused before the group is built, on the bound
-    phi(q) <= q - 1 (equal at prime q): q is factorized a second time only
-    where that bound overflows."""
-    exps = _theta_exponents(q, k, parity)
-    try:
-        moment_normalization(q, k, q - 1, *exps)
-    except DomainError:
-        moment_normalization(q, k, euler_phi(q), *exps)
-    eta = THETA_FAMILIES.index(parity)
+    of that parity is folded and transformed.  The normalization takes phi(q)
+    from the group's structure, so q is factorized once, and is checked
+    before any table or transform is built."""
+    eta = _theta_eta(q, k, parity)
     group = build_group(q)
+    norm = theta_normalization(q, k, parity, group.phi)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
     terms = np.abs(values[group.primitive_mask[group.parity_index(eta)]]) ** (2 * k)
-    norm = moment_normalization(q, k, group.phi, *exps)
     return moment_report(q, k, parity, terms, norm, eps)
 
 

@@ -320,12 +320,14 @@ def test_huge_a_is_named(capsys, tmp_path, recwarn):
 
 # the largest k whose normalization is a finite float, and refused ks above it: at
 # q = 1009, k = 20 even and k = 18..20 odd wrote normalization inf and ratio 0.0, and
-# k = 21 (both), the L moment's k = 20 and the last three failed with OverflowError
-K_ENVELOPE = [(("theta-moment", "--q", "1009", "--parity", "even"), 19, (20, 21, 400)),
-              (("theta-moment", "--q", "1009", "--parity", "odd"), 17, (18, 21)),
-              (("theta-scan", "--prime-range", "1000:1013"), 19, (20,)),
-              (("l-moment", "--q", "1009"), 19, (20, 200)),
-              (("rand-model", "--q", "101", "--samples", "100"), 21, (22, 300))]
+# k = 21 (both), the L moment's k = 20 and the last three failed with OverflowError;
+# HUGE_K's exponents are ints too large to convert to a float at all
+HUGE_K = 10 ** 155
+K_ENVELOPE = [(("theta-moment", "--q", "1009", "--parity", "even"), 19, (20, 21, 400, HUGE_K)),
+              (("theta-moment", "--q", "1009", "--parity", "odd"), 17, (18, 21, HUGE_K)),
+              (("theta-scan", "--prime-range", "1000:1013"), 19, (20, HUGE_K)),
+              (("l-moment", "--q", "1009"), 19, (20, 200, HUGE_K)),
+              (("rand-model", "--q", "101", "--samples", "100"), 21, (22, 300, HUGE_K))]
 
 
 @pytest.mark.parametrize("argv, k_max, refused", K_ENVELOPE)

@@ -373,9 +373,9 @@ def test_moment_normalization_exponent():
 
 
 def test_moment_normalization_at_the_float_edge_uses_phi():
-    """q = 1218 = 2 3 7 29, phi = 336, k = 19 even: the bound phi <= q - 1 puts
-    the normalization past the float range, phi(q) itself keeps it finite, so
-    the moment is computed; k = 20 is refused by k before the group is built."""
+    """q = 1218 = 2 3 7 29, phi = 336, k = 19 even: q - 1 in place of phi(q)
+    would put the normalization past the float range, phi(q) itself keeps it
+    finite, so the moment is computed; k = 20 is refused by k."""
     m = theta_moment(1218, 19, "even")
     assert m.normalization == 336 * 1218 ** 9.5 * math.log(1218) ** 324
     assert math.isfinite(m.normalization) and 1217 * m.normalization / 336 > 1.7e308
