@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numtheory import PrimeTable, euler_phi, sieve
+from .reports import check_float_range
 
 __all__ = [
     "CLOSE_THRESHOLD",
@@ -185,13 +186,22 @@ def large_value_bound(q, v: float, w: float, k: int) -> RegimeBound:
 
 
 def shifted_moment_bound(q, t, eps: float = 0.1) -> float:
-    """Product bound phi(q) (log q)^{k/2+eps} prod_{i<j} E_{i,j}.  q >= 16."""
+    """Product bound phi(q) (log q)^{k/2+eps} prod_{i<j} E_{i,j}.  q >= 16.
+
+    DomainError naming the shift count unless it is a finite float, decided
+    first on the sum of the factors' logs (each factor is >= 1 for eps >= 0),
+    as reports.moment_normalization decides k."""
     t = as_shift_tuple(t)
     _require_q(q, 16, "log log q must be positive")
+    phi, lq = euler_phi(q), math.log(q)
+    scales = [_pair_scale(t[i], t[j], q) for i, j, _ in t.pairs()]
+    log_bound = (math.log(phi) + (t.k / 2 + eps) * math.log(lq)
+                 + math.fsum(map(math.log, scales)) / 2)
+    check_float_range(log_bound, f"{len(t)} shifts are too many at q = {q}: the moment bound")
     prod = 1.0
-    for i, j, _ in t.pairs():
-        prod *= pair_factor(t[i], t[j], q)
-    return euler_phi(q) * math.log(q) ** (t.k / 2 + eps) * prod
+    for scale in scales:  # E = sqrt(scale), as pair_factor
+        prod *= math.sqrt(scale)
+    return phi * lq ** (t.k / 2 + eps) * prod
 
 
 def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[float, float, float]:

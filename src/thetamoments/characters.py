@@ -37,7 +37,10 @@ own, rounding_bound(phi, sum |w|) + eps sum |w|.  Without a parity it also
 makes each row of real weights exactly conjugate-symmetric, v[conjugation]
 = conj v, by a mean charged eps max |v|, since a multi-axis FFT of real
 input is not; with a parity it makes the real characters' values of real
-weights exactly real.
+weights exactly real.  The Gauss sums of all characters are one such step,
+cached as `gauss_sums`: the character sums of e(u / q) on the units, whose
+bound adds the weights' phase rounding, 4 eps phi, to character_sums' own;
+`gauss_sum(chi)` is entry chi.index of it.
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
@@ -306,6 +309,19 @@ class CharacterGroup:
         return values, err.reshape(values.shape[:-1]) if values.ndim > 1 else float(err[0])
 
     @cached_property
+    def gauss_sums(self) -> tuple[np.ndarray, float]:
+        """(values, err): tau(chi_j) = sum_a chi_j(a) e^{2 pi i a / q} for
+        every character j in index order, the character_sums of the weights
+        e(u / q) on the units u = n_of_index.  Each phase 2 pi u / q < 2 pi is
+        formed in longdouble and rounded once to float64, off by at most
+        pi eps; cos and sin add about eps each, so a weight is off by at most
+        (pi + sqrt 2) eps < 5 eps.  character_sums charges eps sum |w| of
+        that, and err adds the other 4 eps phi."""
+        phase = (TWO_PI * self.structure.n_of_index / self.q).astype(float)
+        values, err = self.character_sums(np.exp(1j * phase))
+        return values, err + 4 * _EPS * self.phi
+
+    @cached_property
     def _grid(self) -> tuple[np.ndarray | None, tuple[int, ...], np.ndarray | None]:
         """The transform's grid over the cyclic components: _good_thomas."""
         return _good_thomas(self._dims)
@@ -450,7 +466,13 @@ class Character:
 
 
 def gauss_sum(chi: Character) -> ComplexApprox:
-    """Gauss sum tau(chi) = sum_a chi(a) e^{2 pi i a / q}."""
-    q = chi.q
-    v = complex(np.dot(chi.value_table(), np.exp(2j * np.pi * np.arange(q) / q)))
-    return ComplexApprox(v, 8 * _EPS * max(q, 1))
+    """Gauss sum tau(chi) = sum_a chi(a) e^{2 pi i a / q}: entry chi.index of
+    the group's gauss_sums, with their bound."""
+    values, err = chi.group.gauss_sums
+    return ComplexApprox(complex(values[chi.index]), err)
+
+
+def check_modulus(q: int, chi: Character) -> None:
+    """DomainError unless chi is a character mod q."""
+    if chi.q != q:
+        raise DomainError(f"character modulus {chi.q} does not match q = {q}")

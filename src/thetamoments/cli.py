@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__  # noqa: F401  (version surfaced via --version)
+from . import __version__
 from .bounds import (MAX_COS_A, bound_profile, cos_sum_check, cutoff_exponent,
                      large_value_bound)
 from .characters import L_FAMILIES, THETA_FAMILIES, build_group
@@ -45,7 +45,13 @@ from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
 from .theta import mellin_checks, mellin_steps, theta_moment, theta_normalization
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
-MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row; checked before the grid
+# the size envelope: each flag past its cap is refused by name before anything is allocated
+MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row
+MAX_PHI = 2 ** 23  # phi(q), about 0.8 GB at 80-90 B per unit; phi(q) < q, so q <= MAX_PHI + 1
+MAX_TABLE_Q = 2 ** 20  # char-table's q: one Python dict per character, about 650 B each
+MAX_SAMPLES = 2 ** 23  # rand-model samples, about 100 B each
+MAX_SCAN_PRIMES = 2 ** 16  # theta-scan rows, one moment per prime
+MAX_COS_Z = 2 ** 28  # lemma-cos sieve bound, 2-3 B per unit at its peak
 
 _CONFIG_KEYS = ("tol", "workers", "output_dir", "format", "seed")
 
@@ -116,6 +122,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    """Refuse a size flag past its cap by name (the envelope above): --q by
+    q - 1 >= phi(q), so no q is factorized or sieved first."""
+    caps = {"q": MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1,
+            "vsteps": MAX_VSTEPS, "samples": MAX_SAMPLES, "z": MAX_COS_Z}
+    for key, cap in caps.items():
+        val = getattr(args, key, None)
+        if val is not None and val > cap:
+            raise DomainError(f"--{key} must be <= {cap}; got {val}")
+
+
 def _parse_shifts(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -157,8 +174,13 @@ def _cmd_theta_moment(args, cfg):
 def _cmd_theta_scan(args, cfg):
     lo, hi = args.prime_range
     if not 3 <= lo <= hi:
-        raise DomainError("prime range must satisfy 3 <= A <= B")
+        raise DomainError(f"--prime-range must satisfy 3 <= A <= B; got {lo}:{hi}")
+    if hi > MAX_PHI + 1:  # the sieve and every prime's group within the envelope
+        raise DomainError(f"--prime-range must satisfy B <= {MAX_PHI + 1}; got {lo}:{hi}")
     primes = sieve(hi).primes_in(lo, hi)
+    if primes.size > MAX_SCAN_PRIMES:
+        raise DomainError(f"--prime-range must hold at most {MAX_SCAN_PRIMES} primes; "
+                          f"got {primes.size} in {lo}:{hi}")
     if primes.size:  # the normalization grows with q: refused at the largest prime first
         p = int(primes[-1])
         theta_normalization(p, args.k, args.parity, p - 1)
@@ -185,8 +207,6 @@ def _cmd_shifted_moment(args, cfg):
 def _cmd_large_values(args, cfg):
     if args.vsteps < 1:
         raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
-    if args.vsteps > MAX_VSTEPS:
-        raise DomainError(f"--vsteps must be <= {MAX_VSTEPS}; got {args.vsteps}")
     if args.vmin > args.vmax:
         raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
@@ -387,6 +407,7 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         cfg = _resolve_config(args)
+        _check_sizes(args)
         csv_out, payload, meta = _HANDLERS[args.command](args, cfg)
         if cfg.format == "json" or csv_out is None:
             config_snapshot = {**asdict(cfg), "workers": cfg.resolved_workers(),

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
-from .characters import Character, CharacterGroup, family_group
+from .characters import Character, CharacterGroup, check_modulus, family_group
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_normalization, moment_report
@@ -175,8 +175,7 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
     by the digamma finite part, entry chi.index of the character sums of
     -psi(a/q) / q.
     """
-    if chi.q != q:
-        raise DomainError(f"character modulus {chi.q} does not match q = {q}")
+    check_modulus(q, chi)
     if not tol > 0:
         raise DomainError("tol must be positive")
     s = complex(s)
@@ -258,14 +257,15 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star") -> Momen
     """sum over the family of prod_i |L(1/2 + i t_i, chi)|.
 
     The report's normalization is the bounds-module product bound (eps knob
-    0.1); NaN when q < 16 where that bound is undefined.
+    0.1); NaN when q < 16 where that bound is undefined.  A bound that is no
+    finite float is refused by the shift count before any group is built.
     """
     t = as_shift_tuple(t)
+    norm = shifted_moment_bound(q, t, eps=0.1) if q >= 16 else float("nan")
     cols, _, size = _family_columns(q, t, tol, family)
     prod = np.ones(size)
     for col in cols:
         prod *= col
-    norm = shifted_moment_bound(q, t, eps=0.1) if q >= 16 else float("nan")
     return moment_report(q, t.k, family, prod, norm, tol)
 
 
@@ -347,8 +347,7 @@ def log_l_majorant(q: int, chi: Character, t: float = 0.0, x: float = 25.0,
     with prime powers n = p^j weighted 1/j; primes_only drops j >= 2.  T
     defaults to |t| (the tightest admissible height).
     """
-    if chi.q != q:
-        raise DomainError(f"character modulus {chi.q} does not match q = {q}")
+    check_modulus(q, chi)
     if x < 2:
         raise DomainError("x must be >= 2")
     if lam < LAMBDA0 - 1e-12:

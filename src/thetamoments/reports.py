@@ -69,10 +69,17 @@ def moment_normalization(q: int, k: int, scale: int, q_exp2: int, log_exp: int) 
         log_norm = math.log(scale) + q_exp2 / 2 * lq + log_exp * math.log(lq)
     except OverflowError:
         log_norm = math.inf
-    if log_norm > _LOG_FLOAT_MAX - 1e-9:
-        raise DomainError(f"k = {k} is too large at q = {q}: the normalization overflows a "
-                          f"float (log {log_norm:.1f} > {_LOG_FLOAT_MAX:.1f})")
+    check_float_range(log_norm, f"k = {k} is too large at q = {q}: the normalization")
     return scale * q ** (q_exp2 / 2) * lq ** log_exp
+
+
+def check_float_range(log_value: float, subject: str) -> None:
+    """DomainError "<subject> overflows a float" unless log_value, the log of
+    a product whose factors are all >= 1, is 1e-9 short of the float range,
+    which leaves room for the logs' rounding."""
+    if log_value > _LOG_FLOAT_MAX - 1e-9:
+        raise DomainError(f"{subject} overflows a float "
+                          f"(log {log_value:.1f} > {_LOG_FLOAT_MAX:.1f})")
 
 
 def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization: float,
@@ -88,8 +95,6 @@ def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization:
 
 def fmt(x) -> str:
     """Deterministic scalar formatting: repr for floats (round-trips exactly)."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, float):
         return repr(x)
     return str(x)

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import THETA_FAMILIES, Character, CharacterGroup, build_group, family_group
+from .characters import (THETA_FAMILIES, Character, CharacterGroup, build_group, check_modulus,
+                         family_group)
 from .errors import DomainError
 from .lfunc import MAX_SHIFT, l_values_all_chars
 from .reports import MomentReport, moment_normalization, moment_report
@@ -110,8 +111,7 @@ def _series_terms(q: int, x: float, eta: int, n: int) -> tuple[np.ndarray, np.nd
 
 def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> ComplexApprox:
     """Truncated theta series with certified absolute error <= eps."""
-    if chi.q != q:
-        raise DomainError(f"character modulus {chi.q} does not match q = {q}")
+    check_modulus(q, chi)
     eta = 0 if chi.is_even else 1
     n = truncation_length(q, x, eta, eps / 2)
     if n == 0:
@@ -248,8 +248,7 @@ def mellin_checks(q: int, chars, height: float = 8.0, step: float = 1 / 64,
     """
     chars = list(chars)
     for chi in chars:
-        if chi.q != q:
-            raise DomainError(f"character modulus {chi.q} does not match q = {q}")
+        check_modulus(q, chi)
     m = mellin_steps(height, step)
     if not chars:
         return []

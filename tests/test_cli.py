@@ -12,9 +12,9 @@ import tracemalloc
 import pytest
 
 import thetamoments
-from thetamoments import cli, theta
+from thetamoments import cli, lfunc, theta
 from thetamoments.characters import build_group
-from thetamoments.bounds import MAX_COS_A, cos_sum_check
+from thetamoments.bounds import MAX_COS_A, cos_sum_check, shifted_moment_bound
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -316,6 +316,98 @@ def test_huge_a_is_named(capsys, tmp_path, recwarn):
     assert not recwarn.list and not list(tmp_path.iterdir())
     with pytest.raises(DomainError, match="a must satisfy"):
         cos_sum_check(100, -a)
+
+
+# one size flag past its cap per request; each is refused by its flag before the
+# subcommand's handler runs, so nothing is factorized, sieved, tabled or sampled
+SIZE_CAPS = [(("char-table", "--q", str(cli.MAX_TABLE_Q + 1)), "q", cli.MAX_TABLE_Q),
+             (("theta-moment", "--q", str(cli.MAX_PHI + 2), "--k", "1", "--parity", "even"),
+              "q", cli.MAX_PHI + 1),
+             (("l-moment", "--q", str(cli.MAX_PHI + 2), "--k", "1"), "q", cli.MAX_PHI + 1),
+             (("bound-eval", "--q", str(cli.MAX_PHI + 2), "--shifts", "0,1"), "q", cli.MAX_PHI + 1),
+             (("rand-model", "--q", "101", "--k", "1", "--samples", str(cli.MAX_SAMPLES + 1)),
+              "samples", cli.MAX_SAMPLES),
+             (("lemma-cos", "--z", str(cli.MAX_COS_Z + 1), "--a", "0"), "z", cli.MAX_COS_Z)]
+
+
+@pytest.mark.parametrize("argv, flag, cap", SIZE_CAPS)
+def test_size_past_its_cap_is_refused_by_flag(capsys, tmp_path, monkeypatch, argv, flag, cap):
+    """--q (phi(q) < q, so q <= MAX_PHI + 1; char-table's own MAX_TABLE_Q),
+    --samples and --z are refused one past their caps, exit 2 and no report,
+    before the handler runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == f"thetamoments: error: --{flag} must be <= {cap}; got {cap + 1}\n"
+
+
+def test_theta_scan_range_past_its_caps_is_refused(capsys, tmp_path, monkeypatch):
+    """A --prime-range ending past MAX_PHI + 1 is refused before the sieve, and
+    one holding MAX_SCAN_PRIMES + 1 primes before any moment or normalization."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed")
+
+    primes = cli.sieve(20 * cli.MAX_SCAN_PRIMES).primes  # 2 first: 3..b holds cap + 1 primes
+    b = int(primes[cli.MAX_SCAN_PRIMES + 1])
+    monkeypatch.setattr(cli, "theta_moment", refuse)
+    monkeypatch.setattr(cli, "theta_normalization", refuse)
+    code, out, err = invoke(capsys, "theta-scan", "--prime-range", f"3:{b}", "--k", "1",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == (f"thetamoments: error: --prime-range must hold at most {cli.MAX_SCAN_PRIMES} "
+                   f"primes; got {cli.MAX_SCAN_PRIMES + 1} in 3:{b}\n")
+    monkeypatch.setattr(cli, "sieve", refuse)
+    top = cli.MAX_PHI + 2
+    code, out, err = invoke(capsys, "theta-scan", "--prime-range", f"3:{top}", "--k", "1",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == f"thetamoments: error: --prime-range must satisfy B <= {top - 1}; got 3:{top}\n"
+
+
+def test_theta_scan_descending_range_is_named(capsys, tmp_path):
+    code, out, err = invoke(capsys, "theta-scan", "--prime-range", "9:5", "--k", "1",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err == "thetamoments: error: --prime-range must satisfy 3 <= A <= B; got 9:5\n"
+
+
+def _zero_shifts(n: int) -> str:
+    return ",".join(["0"] * n)
+
+
+@pytest.mark.parametrize("command", ["shifted-moment", "bound-eval"])
+@pytest.mark.parametrize("n", [40, 60, 400])
+def test_overflowing_moment_bound_is_refused_by_shifts(capsys, tmp_path, monkeypatch, recwarn,
+                                                       command, n):
+    """A shifted-moment bound that is no finite float is refused by the shift
+    count, exit 2 (60 zero shifts at q = 1009 wrote normalization inf and
+    ratio 0.0, bound-eval "moment_bound": Infinity; 400 wrote inf and nan),
+    decided before any group is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("group built")
+
+    monkeypatch.setattr(lfunc, "family_group", refuse)
+    code, out, err = invoke(capsys, command, "--q", "1009", "--shifts", _zero_shifts(n),
+                            "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith(f"thetamoments: error: {n} shifts are too many at q = 1009: "), err
+    assert not recwarn.list and not list(tmp_path.iterdir())
+
+
+def test_largest_accepted_shift_count_has_a_finite_normalization(capsys, tmp_path):
+    """At q = 1009 the bound of 38 zero shifts is the largest a float holds:
+    the request exits 0 with a finite normalization, and 40 are refused."""
+    assert math.isfinite(shifted_moment_bound(1009, [0.0] * 38))
+    with pytest.raises(DomainError, match="40 shifts"):
+        shifted_moment_bound(1009, [0.0] * 40)
+    code, out, _ = invoke(capsys, "shifted-moment", "--q", "1009", "--shifts", _zero_shifts(38),
+                          "--out", str(tmp_path))
+    assert code == 0
+    (row,) = _csv_rows(out)
+    assert math.isfinite(float(row["normalization"])) and float(row["ratio"]) > 0
 
 
 # the largest k whose normalization is a finite float, and refused ks above it: at
