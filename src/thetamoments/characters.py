@@ -27,9 +27,10 @@ Bluestein), else unsplit: q = 100003 transforms a (42, 2381) array, its fold
 a (21, 2381) one.  A parity is read off the grid's output by `parity_index`
 (eta::2 on a cyclic group).
 
-Tables are built by broadcasting per-component exponent ranges, the family
-masks as an outer AND of one 1-D mask per component, never as a phi x r
-matrix, and none reads a length-q table.
+Every table is one C-order outer product (`_outer`) of 1-D tables, one per
+component or per prime power: parity bits by XOR, orders by lcm, the
+quadratic-or-trivial mask by AND, a character's values by adding root
+exponents.  None is built as a phi x r matrix or reads a length-q table.
 
 `character_sums(w, parity)` is the step both theta and L take: the values
 of `transform` plus, per row, one bound on their rounding and the weights'
@@ -44,13 +45,17 @@ bound adds the weights' phase rounding, 4 eps phi, to character_sums' own;
 
 A conductor is the product of local conductors, one per p^e || q, read off
 the exponents on that prime's components: p^{1 + v_p(o)} for odd p and local
-order o > 1; 4 when p^e = 4 and chi is nontrivial there; for 2^e, e >= 3, -3
-(not the generator 3) spans the units = 1 mod 4: 4 o if chi(-3) has order
-o > 1, else 4 or 1 by parity.  Every table is O(phi(q)) memory.
+order o > 1; 4 when p^e = 4 and chi is nontrivial there; 1 for 2 || q; for
+2^e, e >= 3, -3 (not the generator 3) spans the units = 1 mod 4: 4 o if
+chi(-3) has order o > 1, else 4 or 1 by parity.  That rule is written once,
+as one local table per p^e (`_local_conductors`): `conductors` is their outer
+product, the primitive mask the outer AND of local conductor == p^e.  Every
+table is O(phi(q)) memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
@@ -115,19 +120,11 @@ class CharacterGroup:
         return np.exp(2j * np.pi * np.arange(self._e) / self._e)
 
     @cached_property
-    def _ranges(self) -> tuple[np.ndarray, ...]:
-        """arange(d_l) per component, shaped to broadcast over the exponent grid."""
-        return np.ix_(*(np.arange(d) for d in self._dims))
-
-    @cached_property
     def parity_bits(self) -> np.ndarray:
         """0 for even characters (chi(-1) = 1), 1 for odd, all characters."""
-        out = np.zeros(self._dims, dtype=np.int64)
         # chi(-1) = prod_l exp(2 pi i j_l m_l / d_l) with m_l = 0 or d_l / 2
-        for j, m in zip(self._ranges, self.structure.minus_one):
-            if m:
-                out ^= j & 1
-        return out.reshape(-1)
+        return _outer(np.bitwise_xor, [np.arange(d) & (m > 0) for d, m in
+                                       zip(self._dims, self.structure.minus_one)])
 
     def parity_index(self, parity: int) -> slice | np.ndarray:
         """Indexer of the parity-eta characters along an index-ordered axis;
@@ -137,55 +134,44 @@ class CharacterGroup:
     @cached_property
     def orders(self) -> np.ndarray:
         """Multiplicative order of each character."""
-        out = np.ones(self._dims, dtype=np.int64)
-        for j, d in zip(self._ranges, self._dims):
-            out = np.lcm(out, d // np.gcd(j, d))
-        return out.reshape(-1)
+        return _outer(np.lcm, [d // np.gcd(np.arange(d), d) for d in self._dims])
 
-    @cached_property
-    def conductors(self) -> np.ndarray:
-        """Conductor of each character: the product of its local conductors
-        over the prime powers p^e || q (see the module docstring)."""
-        out = np.ones(self._dims, dtype=np.int64)
-        ranges = iter(self._ranges)
+    def _local_conductors(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(p^e, local conductor of each exponent tuple on p's components, in
+        C order) for each p^e || q (see the module docstring); [1] for 2 || q,
+        which has no component."""
         for p, e in self.structure.factorization.factors:
             # chi(g) = exp(2 pi i x / ord g), x != 0, gives p^e / gcd(x, p-part of
             # ord g): p^{1 + v_p(o)} for odd p, 4 o for g = -3 (o = order of chi(g))
             if p != 2:
-                j = next(ranges)
-                out = out * np.where(j > 0, p if e == 1 else p ** e // np.gcd(j, p ** (e - 1)), 1)
-            elif e == 2:
-                out = out * np.where(next(ranges) > 0, 4, 1)
-            elif e > 2:  # (Z/2Z)* (e = 1) is trivial and has no component
-                s, j = next(ranges), next(ranges)  # exponents on -1 and on 3
+                d = p ** e - p ** (e - 1)
+                loc = np.full(d, p) if e == 1 else p ** e // np.gcd(np.arange(d), p ** (e - 1))
+                loc[0] = 1  # chi trivial on p's component
+            elif e < 3:  # (Z/2Z)* is trivial, (Z/4Z)* = <-1>
+                loc = np.array([1, 4][:e])
+            else:  # exponents s on -1 and j on 3
                 d = 2 ** (e - 2)
+                s, j = np.ix_(np.arange(2), np.arange(d))
                 x = (s * (d // 2) + j) % d  # exponent of chi(-3)
-                out = out * np.where(x > 0, 2 ** e // np.gcd(x, d), np.where(s == 1, 4, 1))
-        return out.reshape(-1)
+                loc = np.where(x > 0, 2 ** e // np.gcd(x, d), np.where(s == 1, 4, 1)).reshape(-1)
+            yield p ** e, loc
+
+    @cached_property
+    def conductors(self) -> np.ndarray:
+        """Conductor of each character: the product of its local conductors."""
+        return _outer(np.multiply, [loc for _, loc in self._local_conductors()])
 
     @cached_property
     def primitive_mask(self) -> np.ndarray:
-        """conductors == q, as one condition per p^e || q that its local
-        conductor is p^e (see the module docstring), with no product formed."""
-        masks, dims = [], iter(self._dims)
-        for p, e in self.structure.factorization.factors:
-            if p != 2:  # j prime to p, which for e = 1 (j < p - 1) is j > 0
-                j = np.arange(next(dims))
-                masks.append(j % p != 0 if e > 1 else j > 0)
-            elif e == 1:  # 2 || q: every character is induced from q / 2
-                return np.zeros(self.phi, dtype=bool)
-            elif e == 2:
-                masks.append(np.arange(next(dims)) > 0)
-            else:  # the exponent of chi(-3), s 2^{e-3} + j mod 2^{e-2}, is odd
-                s, j = np.ix_(np.arange(next(dims)), np.arange(next(dims)))
-                masks.append(((s * 2 ** (e - 3) + j) % 2 == 1).reshape(-1))
-        return _outer_and(masks)
+        """conductors == q, as the outer AND over p^e || q of local conductor
+        == p^e, with no product formed."""
+        return _outer(np.logical_and, [loc == pe for pe, loc in self._local_conductors()])
 
     @cached_property
     def quadratic_or_trivial_mask(self) -> np.ndarray:
         """chi^2 = trivial character (order 1 or 2): 2 j_l = 0 mod d_l on
         every component."""
-        return _outer_and([2 * np.arange(d) % d == 0 for d in self._dims])
+        return _outer(np.logical_and, [2 * np.arange(d) % d == 0 for d in self._dims])
 
     def conjugate(self, values: np.ndarray) -> np.ndarray:
         """values[..., conjugation] for a last axis in index order: exponents
@@ -225,11 +211,10 @@ class CharacterGroup:
     def value_table(self, index: int) -> np.ndarray:
         """chi(a) for a = 0..q-1 (0 at non-units)."""
         # chi_j(prod g_l^{m_l}) = root[sum_l m_l j_l (e/d_l) mod e]
-        t = np.zeros(self._dims, dtype=np.int64)
-        for m, d, j in zip(self._ranges, self._dims, self.char(index).exponents):
-            t = t + m * (j * (self._e // d)) % self._e
+        t = _outer(np.add, [np.arange(d) * (j * (self._e // d)) % self._e
+                            for d, j in zip(self._dims, self.char(index).exponents)])
         table = np.zeros(self.q, dtype=complex)
-        table[self.structure.n_of_index] = self._roots[t.reshape(-1) % self._e]
+        table[self.structure.n_of_index] = self._roots[t % self._e]
         return table
 
     def transform(self, w: np.ndarray, parity: int | None = None) -> np.ndarray:
@@ -373,12 +358,15 @@ def _good_thomas(comps: tuple[int, ...]) -> tuple[np.ndarray | None, tuple[int, 
     return perm.reshape(-1), dims, out.reshape(-1)
 
 
-def _outer_and(masks: list[np.ndarray]) -> np.ndarray:
-    """The C-order flat outer AND of 1-D masks, one per component; [True]
-    for none."""
-    out = masks[0] if masks else np.ones(1, dtype=bool)
-    for m in masks[1:]:
-        out = np.logical_and.outer(out, m).reshape(-1)
+def _outer(ufunc: np.ufunc, tables: list[np.ndarray]) -> np.ndarray:
+    """The C-order flat outer product under ufunc of 1-D tables, one per
+    component or prime power: entry (i_1, ..., i_r) combines entry i_l of
+    each table; [ufunc's identity] for none."""
+    if not tables:  # q = 1, 2; numpy's lcm has no identity, 1 is its identity here
+        return np.array([1 if ufunc.identity is None else ufunc.identity])
+    out = tables[0]
+    for t in tables[1:]:
+        out = ufunc.outer(out, t).reshape(-1)
     return out
 
 
@@ -390,8 +378,7 @@ def build_group(q: int) -> CharacterGroup:
 def family_group(q: int, group: CharacterGroup | None = None) -> CharacterGroup:
     """The group mod q >= 3 that an all-character path runs in: group, its
     modulus checked, or else build_group(q)."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
+    check_family_modulus(q)
     if group is not None and group.q != q:
         raise DomainError(f"group modulus {group.q} does not match q = {q}")
     return build_group(q) if group is None else group
@@ -470,6 +457,12 @@ def gauss_sum(chi: Character) -> ComplexApprox:
     the group's gauss_sums, with their bound."""
     values, err = chi.group.gauss_sums
     return ComplexApprox(complex(values[chi.index]), err)
+
+
+def check_family_modulus(q: int) -> None:
+    """DomainError unless q >= 3, the least modulus a moment is taken at."""
+    if q < 3:
+        raise DomainError(f"q must be >= 3; got {q}")
 
 
 def check_modulus(q: int, chi: Character) -> None:

@@ -40,12 +40,14 @@ from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
 from .lfunc import central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
-from .randmodel import model_moment
+from .randmodel import MIN_SAMPLES, model_moment
 from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
 from .theta import mellin_checks, mellin_steps, theta_moment, theta_normalization
 
 WORKERS_ENV = "THETAMOMENTS_WORKERS"
-# the size envelope: each flag past its cap is refused by name before anything is allocated
+# the size envelope: each flag outside [floor, cap] is refused by name before anything is
+# allocated; --q's floor is the library's: 17 for bound-eval, 1 where only a group is built
+_Q_FLOORS = {"bound-eval": 17, "char-table": 1, "mellin-check": 1}  # else 3
 MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row
 MAX_PHI = 2 ** 23  # phi(q), about 0.8 GB at 80-90 B per unit; phi(q) < q, so q <= MAX_PHI + 1
 MAX_TABLE_Q = 2 ** 20  # char-table's q: one Python dict per character, about 650 B each
@@ -123,14 +125,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
-    """Refuse a size flag past its cap by name (the envelope above): --q by
-    q - 1 >= phi(q), so no q is factorized or sieved first."""
-    caps = {"q": MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1,
-            "vsteps": MAX_VSTEPS, "samples": MAX_SAMPLES, "z": MAX_COS_Z}
-    for key, cap in caps.items():
+    """Refuse a size flag below its floor or past its cap by name (the
+    envelope above): --q's cap by q - 1 >= phi(q), so no q is factorized or
+    sieved first."""
+    limits = {"q": (_Q_FLOORS.get(args.command, 3),
+                    MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1),
+              "vsteps": (1, MAX_VSTEPS), "samples": (MIN_SAMPLES, MAX_SAMPLES), "z": (3, MAX_COS_Z)}
+    for key, (floor, cap) in limits.items():
         val = getattr(args, key, None)
-        if val is not None and val > cap:
-            raise DomainError(f"--{key} must be <= {cap}; got {val}")
+        if val is not None and not floor <= val <= cap:
+            bound = f">= {floor}" if val < floor else f"<= {cap}"
+            raise DomainError(f"--{key} must be {bound}; got {val}")
 
 
 def _parse_shifts(text: str) -> tuple[float, ...]:
@@ -205,8 +210,6 @@ def _cmd_shifted_moment(args, cfg):
 
 
 def _cmd_large_values(args, cfg):
-    if args.vsteps < 1:
-        raise DomainError(f"--vsteps must be >= 1; got {args.vsteps}")
     if args.vmin > args.vmax:
         raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
-from .characters import Character, CharacterGroup, check_modulus, family_group
+from .characters import (Character, CharacterGroup, check_family_modulus, check_modulus,
+                         family_group)
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_normalization, moment_report
@@ -245,8 +246,7 @@ def central_moment(q: int, k: int, tol: float = 1e-10) -> MomentReport:
     t = 0 column of the family path."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
+    check_family_modulus(q)
     norm = moment_normalization(q, k, q, 0, k * k)
     cols, _, size = _family_columns(q, (0.0,) if k else (), tol, "star")
     terms = cols[0] ** (2 * k) if k else np.ones(size)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import check_family_modulus
 from .errors import DomainError
 from .numtheory import sieve
 from .reports import moment_normalization
@@ -48,6 +49,7 @@ __all__ = [
     "model_moment",
 ]
 
+MIN_SAMPLES = 100  # fewest samples model_moment takes
 SAMPLE_BLOCK = 4096  # samples drawn and reduced together in model_moment
 
 _U32, _U64 = np.uint32, np.uint64
@@ -239,12 +241,11 @@ def _median(xs: list[float]) -> float:
 def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
                  eta: int = 0) -> ModelMomentEstimate:
     """Estimate E |model_theta|^{2k} from `samples` independent samples."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
+    check_family_modulus(q)
     if k < 1:
         raise DomainError("k must be >= 1")
-    if samples < 100:
-        raise DomainError("at least 100 samples required")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"at least {MIN_SAMPLES} samples required")
     seed = _check_seed(seed)  # seed + i only grows
     norm = moment_normalization(q, k, 1, (2 * eta + 1) * k, (k - 1) ** 2)
     n = truncation_length(q, 1.0, eta, eps)

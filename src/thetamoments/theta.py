@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (THETA_FAMILIES, Character, CharacterGroup, build_group, check_modulus,
-                         family_group)
+from .characters import (THETA_FAMILIES, Character, CharacterGroup, build_group,
+                         check_family_modulus, check_modulus, family_group)
 from .errors import DomainError
 from .lfunc import MAX_SHIFT, l_values_all_chars
 from .reports import MomentReport, moment_normalization, moment_report
@@ -152,8 +152,7 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
 
 def _theta_eta(q: int, k: int, parity: str) -> int:
     """eta of the parity-eta family, the theta moment's arguments checked."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3; got {q}")
+    check_family_modulus(q)
     if k < 1:
         raise DomainError("k must be >= 1")
     if parity not in THETA_FAMILIES:

@@ -104,7 +104,7 @@ def test_parity_matches_value_at_minus_one(q):
         assert int(np.sum(g.parity_bits == 0)) == euler_phi(q) // 2  # half even
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 16, 24, 27, 32, 36, 45, 48])
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 16, 24, 27, 32, 36, 45, 48, 54, 72, 360])
 def test_conductors_against_oracle(q):
     g = build_group(q)
     for chi in g:
@@ -131,6 +131,18 @@ def test_conductors_linear_memory():
     # chi mod q with conductor f <-> primitive chi mod f, for each f | q
     for f in divisors(30030):
         assert int(np.sum(conductors == f)) == primitive_count(f), f
+    # each table alone, on a fresh group, peaks at <= 40 B per character
+    for q in (30030, 100003):
+        for name in ("parity_bits", "orders", "conductors", "primitive_mask",
+                     "quadratic_or_trivial_mask"):
+            g = build_group(q)
+            tracemalloc.start()
+            try:
+                getattr(g, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 40 * g.phi, (q, name, peak / g.phi)
 
 
 @pytest.mark.parametrize("q", [5, 12, 40, 5040])
@@ -640,7 +652,8 @@ def _exponent_matrix(g):
     return m, m * np.array([g.structure.exponent // d for d in dims], dtype=np.int64)
 
 
-@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040, 3 ** 7, 2 ** 12, 30030, 100003])
+@pytest.mark.parametrize("q", [1, 2, 8, 45, 5040, 3 ** 7, 2 * 3 ** 7, 360, 2 ** 12, 30030,
+                               100003])
 def test_tables_match_exponent_matrix(q):
     g = build_group(q)
     m, jw = _exponent_matrix(g)

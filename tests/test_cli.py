@@ -344,6 +344,29 @@ def test_size_past_its_cap_is_refused_by_flag(capsys, tmp_path, monkeypatch, arg
     assert err == f"thetamoments: error: --{flag} must be <= {cap}; got {cap + 1}\n"
 
 
+# one size flag below its floor per request, each refused by its flag, not in the
+# library's words ("sieve limit", "z", "samples required", "modulus")
+SIZE_FLOORS = [(("lemma-cos", "--z", "1", "--a", "0"), "z", 3, 1),
+               (("lemma-cos", "--z", "2", "--a", "0"), "z", 3, 2),
+               (("rand-model", "--q", "101", "--k", "1", "--samples", "50"), "samples", 100, 50),
+               (("char-table", "--q", "0"), "q", 1, 0),
+               (("theta-moment", "--q", "2", "--k", "1", "--parity", "even"), "q", 3, 2),
+               (("bound-eval", "--q", "16", "--shifts", "0,1"), "q", 17, 16)]
+
+
+@pytest.mark.parametrize("argv, flag, floor, got", SIZE_FLOORS)
+def test_size_below_its_floor_is_refused_by_flag(capsys, tmp_path, monkeypatch, argv, flag,
+                                                  floor, got):
+    """Each exits 2 with no report, before the handler runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == f"thetamoments: error: --{flag} must be >= {floor}; got {got}\n"
+
+
 def test_theta_scan_range_past_its_caps_is_refused(capsys, tmp_path, monkeypatch):
     """A --prime-range ending past MAX_PHI + 1 is refused before the sieve, and
     one holding MAX_SCAN_PRIMES + 1 primes before any moment or normalization."""
