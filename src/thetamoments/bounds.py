@@ -188,16 +188,17 @@ def large_value_bound(q, v: float, w: float, k: int) -> RegimeBound:
 def shifted_moment_bound(q, t, eps: float = 0.1) -> float:
     """Product bound phi(q) (log q)^{k/2+eps} prod_{i<j} E_{i,j}.  q >= 16.
 
-    DomainError naming the shift count unless it is a finite float, decided
-    first on the sum of the factors' logs (each factor is >= 1 for eps >= 0),
-    as reports.moment_normalization decides k."""
+    DomainError unless it is a finite float, decided first on the sum of the
+    factors' logs (each >= 1 for eps >= 0), as moment_normalization decides k:
+    by the shift count if the bound at min(eps, 0) overflows, else by eps."""
     t = as_shift_tuple(t)
     _require_q(q, 16, "log log q must be positive")
     phi, lq = euler_phi(q), math.log(q)
     scales = [_pair_scale(t[i], t[j], q) for i, j, _ in t.pairs()]
-    log_bound = (math.log(phi) + (t.k / 2 + eps) * math.log(lq)
-                 + math.fsum(map(math.log, scales)) / 2)
-    check_float_range(log_bound, f"{len(t)} shifts are too many at q = {q}: the moment bound")
+    for e, blame in ((min(eps, 0.0), f"{len(t)} shifts are too many at q = {q}"),
+                     (eps, f"eps = {eps:g} is too large at q = {q} with {len(t)} shifts")):
+        check_float_range(math.log(phi) + (t.k / 2 + e) * math.log(lq)
+                          + math.fsum(map(math.log, scales)) / 2, f"{blame}: the moment bound")
     prod = 1.0
     for scale in scales:  # E = sqrt(scale), as pair_factor
         prod *= math.sqrt(scale)

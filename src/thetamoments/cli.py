@@ -38,7 +38,7 @@ from .bounds import (MAX_COS_A, bound_profile, cos_sum_check, cutoff_exponent,
                      large_value_bound)
 from .characters import L_FAMILIES, THETA_FAMILIES, build_group
 from .errors import DomainError, PrecisionError
-from .lfunc import central_moment, large_value_counts, shifted_moment
+from .lfunc import MAX_SHIFT, central_moment, large_value_counts, shifted_moment
 from .numtheory import sieve
 from .randmodel import MIN_SAMPLES, model_moment
 from .reports import TOOL_NAME, csv_text, fmt, make_envelope, moment_csv
@@ -127,7 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _check_sizes(args: argparse.Namespace) -> None:
     """Refuse a size flag below its floor or past its cap by name (the
     envelope above): --q's cap by q - 1 >= phi(q), so no q is factorized or
-    sieved first."""
+    sieved first; and a shift past the L-value window, by --shifts."""
     limits = {"q": (_Q_FLOORS.get(args.command, 3),
                     MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1),
               "vsteps": (1, MAX_VSTEPS), "samples": (MIN_SAMPLES, MAX_SAMPLES), "z": (3, MAX_COS_Z)}
@@ -136,6 +136,9 @@ def _check_sizes(args: argparse.Namespace) -> None:
         if val is not None and not floor <= val <= cap:
             bound = f">= {floor}" if val < floor else f"<= {cap}"
             raise DomainError(f"--{key} must be {bound}; got {val}")
+    if args.command in ("shifted-moment", "large-values") and max(map(abs, args.shifts)) > MAX_SHIFT:
+        raise DomainError(f"--shifts must satisfy |t| <= {MAX_SHIFT:g}; "
+                          f"got {','.join(f'{t:g}' for t in args.shifts)}")
 
 
 def _parse_shifts(text: str) -> tuple[float, ...]:

@@ -148,8 +148,8 @@ def _l_rows(group: CharacterGroup, s, tol: float):
         raise DomainError("tol must be positive")
     q, phi = group.q, group.phi
     pts = np.ravel(np.asarray(s, dtype=complex)).tolist()
-    # analytic budget per Hurwitz entry: the Hurwitz part's remainders stay <= tol / 8
-    entry_tol = [tol * q ** z.real / (4 * phi) for z in pts]
+    # per-entry analytic budget: Hurwitz remainders <= tol / 8, tol at least 5 eps (a = 1's rounding)
+    entry_tol = [max(tol, 5 * _EPS) * q ** z.real / (4 * phi) for z in pts]
     for i, j, hurwitz in hurwitz_grid_runs(pts, q, phi, entry_tol):
         s_col = np.array(pts[i:j])[:, None]
         sums = np.zeros((2, j - i))

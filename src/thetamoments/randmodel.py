@@ -2,11 +2,11 @@
 
 A sample assigns each prime p <= N an independent angle uniform on [0, 2 pi)
 and extends completely multiplicatively: f(p^j m) = f(p)^j f(m), |f(n)| = 1.
-model_theta replaces chi by f in the theta series, keeping the weights
-w_n = n^eta e^{-pi n^2 / q} and the theta module's truncation rule, so the
-model second moment is exactly sum w_n^2 (Steinhaus orthonormality) and
-higher moments probe the conjectured q^{(2 eta + 1) k/2} (log q)^{(k-1)^2}
-growth, theta_moment's normalization, without any character arithmetic.
+model_theta replaces chi by f in theta's truncated series (theta_series:
+weights w_n = n^eta e^{-pi n^2 / q}, n <= N), so the model second moment is
+exactly sum w_n^2 (Steinhaus orthonormality) and higher moments probe the
+conjectured q^{(2 eta + 1) k/2} (log q)^{(k-1)^2} growth, divided by theta's
+normalization with 1 for phi(q), without any character arithmetic.
 
 A sample is fully determined by (N, seed), and Monte-Carlo runs derive
 per-sample seeds as seed + index.  Seeds are non-negative integers.  The
@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import check_family_modulus
+from .characters import THETA_FAMILIES
 from .errors import DomainError
 from .numtheory import sieve
-from .reports import moment_normalization
 from .summation import chunked_sum
-from .theta import _series_terms, truncation_length
+from .theta import theta_normalization, theta_series
 
 __all__ = [
     "SteinhausSample",
@@ -186,12 +185,11 @@ def _uniform_angles(seeds, size: int) -> np.ndarray:
 
 
 def model_theta(q: int, s: SteinhausSample, eta: int = 0, eps: float = 1e-12) -> complex:
-    """sum_n f(n) n^eta e^{-pi n^2 / q}, truncated per the theta rule."""
-    n = truncation_length(q, 1.0, eta, eps)
-    if s.n < n:
-        raise DomainError(f"sample support {s.n} below truncation length {n}")
-    w = _series_terms(q, 1.0, eta, n)[1]
-    return complex(chunked_sum(s.values[1:n + 1] * w))
+    """sum_{n <= N} f(n) n^eta e^{-pi n^2 / q}: theta_value's series, f for chi."""
+    w = theta_series(q, 1.0, eta, eps)[1]
+    if s.n < w.size:
+        raise DomainError(f"sample support {s.n} below truncation length {w.size}")
+    return complex(chunked_sum(s.values[1:w.size + 1] * w))
 
 
 @dataclass(frozen=True)
@@ -240,16 +238,13 @@ def _median(xs: list[float]) -> float:
 
 def model_moment(q: int, k: int, samples: int, seed: int, eps: float = 1e-12,
                  eta: int = 0) -> ModelMomentEstimate:
-    """Estimate E |model_theta|^{2k} from `samples` independent samples."""
-    check_family_modulus(q)
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    """Estimate E |model_theta|^{2k} from `samples` independent samples;
+    theta_normalization checks q, k and the parity that eta names."""
     if samples < MIN_SAMPLES:
         raise DomainError(f"at least {MIN_SAMPLES} samples required")
     seed = _check_seed(seed)  # seed + i only grows
-    norm = moment_normalization(q, k, 1, (2 * eta + 1) * k, (k - 1) ** 2)
-    n = truncation_length(q, 1.0, eta, eps)
-    w = _series_terms(q, 1.0, eta, n)[1]
+    norm = theta_normalization(q, k, THETA_FAMILIES[eta] if eta in (0, 1) else eta, 1)
+    w = theta_series(q, 1.0, eta, eps)[1]
     # scalar abs and pow: numpy's vector abs and power differ in the last bit
     powers = np.array([abs(z) ** (2 * k)
                        for z in _model_thetas(w, samples, seed).tolist()])

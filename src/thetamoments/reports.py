@@ -74,12 +74,12 @@ def moment_normalization(q: int, k: int, scale: int, q_exp2: int, log_exp: int) 
 
 
 def check_float_range(log_value: float, subject: str) -> None:
-    """DomainError "<subject> overflows a float" unless log_value, the log of
-    a product whose factors are all >= 1, is 1e-9 short of the float range,
-    which leaves room for the logs' rounding."""
+    """DomainError "<subject> overflows a float", its log to 4 digits, unless
+    log_value, the log of a product whose factors are all >= 1, is 1e-9 short
+    of the float range, which leaves room for the logs' rounding."""
     if log_value > _LOG_FLOAT_MAX - 1e-9:
         raise DomainError(f"{subject} overflows a float "
-                          f"(log {log_value:.1f} > {_LOG_FLOAT_MAX:.1f})")
+                          f"(log {log_value:.4g} > {_LOG_FLOAT_MAX:.4g})")
 
 
 def moment_report(q: int, k: int, family: str, terms: np.ndarray, normalization: float,

@@ -199,10 +199,10 @@ def _em_block(pts, nmb, a: np.ndarray):
         acc += term
         corr_abs += np.abs(term)
 
-    # float model: pairwise-summation depth times accumulated magnitude, plus
-    # 2k eps for rung k's products, the exp-argument error ~ |Im s| |log(n+a)|
-    # eps per term (|s + k| |log(N+a)| eps in the tail), and 4M eps for the
-    # Bernoulli terms' running products
+    # float model: a depth (a pairwise one, though np.sum adds a >= 2-column tile's R rows
+    # one by one, (R - 1) eps sum |term| at worst) times the accumulated magnitude, plus 2k
+    # eps for rung k's products, the exp-argument error ~ |Im s| |log(n+a)| eps per term
+    # (|s + k| |log(N+a)| eps in the tail), and 4M eps for the Bernoulli running products
     depth = np.log2(np.minimum(ns, EM_ROWS) + 1) + -(-ns // EM_ROWS) + 8 + 2 * ks
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
     per_entry = (depth[..., None] * acc_abs + 2 * np.abs(s.imag)[..., None] * acc_wabs
@@ -254,7 +254,8 @@ def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    nmb = [[_em_choose(s, float(a.min(initial=1.0)), tol)]]
+    # (N, M) for a tol of at least 12 eps, the least float term (depth >= log2 13 + 9)
+    nmb = [[_em_choose(s, float(a.min(initial=1.0)), max(tol, 12 * _EPS))]]
     vals, errs = (x[0, 0] for x in _em_fill([s], nmb, a))
     err = float(errs.max(initial=0.0))
     if err > tol:

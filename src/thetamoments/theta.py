@@ -56,6 +56,7 @@ from .summation import chunked_sum, rounding_bound
 __all__ = [
     "MellinCheckResult",
     "truncation_length",
+    "theta_series",
     "theta_value",
     "theta_all_chars",
     "theta_moment",
@@ -102,24 +103,23 @@ def truncation_length(q: int, x: float, eta: int, eps: float) -> int:
     return n
 
 
-def _series_terms(q: int, x: float, eta: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(residues mod q, term values) for n = 1..N."""
+def theta_series(q: int, x: float, eta: int, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(residues n mod q, terms n^eta e^{-pi n^2 x / q}, tail bound) for n <= N =
+    truncation_length(q, x, eta, eps / 2): what theta values and the model sum."""
+    n = truncation_length(q, x, eta, eps / 2)
     m = np.arange(1, n + 1, dtype=np.int64)
     e = np.exp(-math.pi * x / q * m.astype(float) ** 2)
-    return m % q, e * m if eta else e
+    return m % q, e * m if eta else e, _tail_bound(q, x, eta, n)
 
 
 def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> ComplexApprox:
     """Truncated theta series with certified absolute error <= eps."""
     check_modulus(q, chi)
-    eta = 0 if chi.is_even else 1
-    n = truncation_length(q, x, eta, eps / 2)
-    if n == 0:
-        return ComplexApprox(0j, _tail_bound(q, x, eta, 0))
-    res, e = _series_terms(q, x, eta, n)
+    res, e, tail = theta_series(q, x, 0 if chi.is_even else 1, eps)
+    if not e.size:
+        return ComplexApprox(0j, tail)
     total = chunked_sum(chi.value_table()[res] * e)
-    tail = _tail_bound(q, x, eta, n)
-    return ComplexApprox(total, tail + rounding_bound(n, float(np.sum(e))))
+    return ComplexApprox(total, tail + rounding_bound(e.size, float(np.sum(e))))
 
 
 def _theta_parity(q: int, x: float, eta: int, eps: float,
@@ -127,11 +127,10 @@ def _theta_parity(q: int, x: float, eta: int, eps: float,
     """(values, err): theta(eta, x, chi) within err for the parity-eta
     characters, in index order; the series folded by residue, its units
     gathered, then transformed."""
-    n = truncation_length(q, x, eta, eps / 2)
-    res, e = _series_terms(q, x, eta, n)
+    res, e, tail = theta_series(q, x, eta, eps)
     values, err = group.character_sums(
         np.bincount(res, weights=e, minlength=q)[group.structure.n_of_index], eta)
-    return values, _tail_bound(q, x, eta, n) + err
+    return values, tail + err
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,
@@ -160,13 +159,13 @@ def _theta_eta(q: int, k: int, parity: str) -> int:
     return THETA_FAMILIES.index(parity)
 
 
-def theta_normalization(q: int, k: int, parity: str, phi: int) -> float:
-    """phi q^{(2 eta + 1) k / 2} (log q)^{(k-1)^2}, the normalization of
-    S_2k(q) over the parity-eta family, with phi = phi(q) as the caller has it
-    (q - 1 at a prime); DomainError naming k where it overflows a float
-    (moment_normalization)."""
+def theta_normalization(q: int, k: int, parity: str, scale: int) -> float:
+    """scale q^{(2 eta + 1) k / 2} (log q)^{(k-1)^2}, the parity-eta family's
+    normalization: of S_2k(q) with scale = phi(q) as the caller has it (q - 1
+    at a prime), of the Steinhaus model's moment with 1; DomainError naming k
+    where it overflows a float (moment_normalization)."""
     eta = _theta_eta(q, k, parity)
-    return moment_normalization(q, k, phi, (2 * eta + 1) * k, (k - 1) ** 2)
+    return moment_normalization(q, k, scale, (2 * eta + 1) * k, (k - 1) ** 2)
 
 
 def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentReport:
@@ -179,7 +178,7 @@ def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentRepor
     group = build_group(q)
     norm = theta_normalization(q, k, parity, group.phi)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)
-    terms = np.abs(values[group.primitive_mask[group.parity_index(eta)]]) ** (2 * k)
+    terms = np.abs(values[group.family_mask(parity)[group.parity_index(eta)]]) ** (2 * k)
     return moment_report(q, k, parity, terms, norm, eps)
 
 

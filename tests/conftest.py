@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from thetamoments import specfun
 from thetamoments.cli import WORKERS_ENV, run
 
 
@@ -24,3 +25,17 @@ def cli_at_workers(tmp_path, monkeypatch):
         return tuple(outs)
 
     return outputs
+
+
+@pytest.fixture
+def em_rows(monkeypatch):
+    """The Euler-Maclaurin rows (largest N) of each specfun._em_block call, in
+    call order: what a Hurwitz evaluation pays, read without a clock."""
+    rows, block = [], specfun._em_block
+
+    def recorded(pts, nmb, a):
+        rows.append(max(r[0] for rungs in nmb for r in rungs))
+        return block(pts, nmb, a)
+
+    monkeypatch.setattr(specfun, "_em_block", recorded)
+    return rows

@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and no parameter is ignored."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -27,3 +29,17 @@ def test_no_ignored_parameters():
         assert "workers" not in inspect.signature(fn).parameters, fn.__name__
     for fn in (randmodel.sample, lfunc.log_l_majorant):
         assert "table" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_no_module_imports_a_sibling_private_name():
+    """Each module keeps its private names to itself: no `from .x import _name`
+    (dunder names aside) anywhere in the package, so a rule another module
+    needs is public where it is written."""
+    hits = []
+    for path in sorted(pathlib.Path(thetamoments.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                hits += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
+                         for a in node.names
+                         if a.name.startswith("_") and not a.name.startswith("__")]
+    assert hits == []

@@ -420,6 +420,57 @@ def test_overflowing_moment_bound_is_refused_by_shifts(capsys, tmp_path, monkeyp
     assert not recwarn.list and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("eps, log", [("400", "781.8"), ("1e300", "1.934e+300")])
+def test_overflowing_moment_bound_is_refused_by_eps(capsys, tmp_path, eps, log):
+    """Two shifts at q = 1009 fit at eps = 0, so a bound that overflows only
+    through --eps names eps, not the shift count (--eps 400 blamed "2 shifts"),
+    and the log is printed to 4 digits (--eps 1e300 wrote a 409-character line)."""
+    code, out, err = invoke(capsys, "bound-eval", "--q", "1009", "--shifts", "0,0.5",
+                            "--eps", eps, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == (f"thetamoments: error: eps = {float(eps):g} is too large at q = 1009 with "
+                   f"2 shifts: the moment bound overflows a float (log {log} > 709.8)\n")
+
+
+def test_overflow_refusal_prints_a_bounded_log(capsys, tmp_path):
+    """k = 10^100 puts the log of the normalization at 1.934e200; it is printed
+    as such, not as its 201 digits."""
+    code, out, err = invoke(capsys, "theta-moment", "--q", "1009", "--k", str(10 ** 100),
+                            "--parity", "even", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err.endswith("the normalization overflows a float (log 1.934e+200 > 709.8)\n"), err
+
+
+# a shift past the L-value window per request, refused by --shifts before the handler
+SHIFT_CAPS = [(("shifted-moment", "--q", "1009", "--shifts", "0,60"), "0,60"),
+              (("large-values", "--q", "1009", "--shifts", "0,-70", "--vmin", "-1", "--vmax", "1",
+                "--vsteps", "3"), "0,-70"),
+              (("shifted-moment", "--q", "1009", "--shifts", "0.5,-50.25,1"), "0.5,-50.25,1")]
+
+
+@pytest.mark.parametrize("argv, got", SHIFT_CAPS)
+def test_shift_past_the_window_is_refused_by_flag(capsys, tmp_path, monkeypatch, argv, got):
+    """|t| > MAX_SHIFT is refused by flag name and value, exit 2 and no report,
+    before the handler runs (the library's message named neither)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == f"thetamoments: error: --shifts must satisfy |t| <= 50; got {got}\n"
+
+
+def test_shift_window_leaves_the_library_and_bound_eval_alone(capsys, tmp_path):
+    """The library keeps its own refusal, and bound-eval, which evaluates
+    closed forms only, still takes any shift."""
+    with pytest.raises(DomainError, match=r"^shifts must satisfy \|t\| <= 50$"):
+        lfunc.shifted_moment(1009, (0.0, 60.0))
+    code, out, _ = invoke(capsys, "bound-eval", "--q", "1009", "--shifts", "0,60",
+                          "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["payload"]["shifts"] == [0.0, 60.0]
+
+
 def test_largest_accepted_shift_count_has_a_finite_normalization(capsys, tmp_path):
     """At q = 1009 the bound of 38 zero shifts is the largest a float holds:
     the request exits 0 with a finite normalization, and 40 are refused."""

@@ -686,3 +686,26 @@ def test_majorant_options():
         log_l_majorant(q, chi, x=10.0, lam=0.5)  # below lambda0
     with pytest.raises(DomainError):
         log_l_majorant(5, chi, x=10.0, lam=0.6)  # modulus mismatch
+
+
+def test_tol_below_the_float_floor_costs_what_the_floor_does(em_rows):
+    """No L error is below 5 eps (the Dirichlet polynomial's a = 1 term alone),
+    so the Hurwitz budget is chosen for at least that: central_moment(1009, 1,
+    tol=1e-300) sums the Euler-Maclaurin rows a request at 5 eps sums (a fresh
+    l-moment at that tol ran past 60 s) and refuses naming 1e-300."""
+    floor = 5 * np.finfo(float).eps
+    with pytest.raises(PrecisionError):
+        central_moment(1009, 1, tol=floor)
+    at_floor = list(em_rows)
+    em_rows.clear()
+    with pytest.raises(PrecisionError, match="requested tol 1e-300 unreachable") as e:
+        central_moment(1009, 1, tol=1e-300)
+    assert em_rows == at_floor and e.value.tol == 1e-300
+
+
+@pytest.mark.parametrize("q", [5, 1009])
+def test_no_l_error_is_below_the_float_floor(q):
+    """The floor is a true lower bound: every point's error is at least 5 eps."""
+    with pytest.raises(PrecisionError) as e:
+        l_values_all_chars(q, 0.5 + 3j, tol=1e-300)
+    assert e.value.best.abs_error >= 5 * np.finfo(float).eps

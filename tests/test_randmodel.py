@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from thetamoments import randmodel
+from thetamoments import build_group, randmodel
 from thetamoments.errors import DomainError
 from thetamoments.numtheory import factorize, sieve
 from thetamoments.randmodel import (
@@ -21,7 +21,7 @@ from thetamoments.randmodel import (
     sample,
 )
 from thetamoments.summation import chunked_sum
-from thetamoments.theta import truncation_length
+from thetamoments.theta import theta_series, theta_value
 
 
 def test_sample_unit_modulus_and_multiplicative():
@@ -153,7 +153,7 @@ def test_no_generator_object_per_sample(monkeypatch):
 def test_model_theta_degenerate_all_ones():
     """f = 1 collapses to the unit-coefficient series sum n^eta e^{-pi n^2/q}."""
     q, eta = 101, 0
-    n = truncation_length(q, 1.0, eta, 1e-12)
+    n = theta_series(q, 1.0, eta, 1e-12)[1].size
     ones = SteinhausSample(n=n, seed=0, primes=np.array([]),
                            prime_values=np.array([]),
                            values=np.concatenate([[0.0], np.ones(n)]).astype(complex))
@@ -163,9 +163,25 @@ def test_model_theta_degenerate_all_ones():
     assert abs(got.imag) < 1e-14
 
 
+@pytest.mark.parametrize("q", [101, 1009])
+def test_model_theta_on_a_character_is_theta_value(q):
+    """A sample whose values are chi(0..N) sums theta_value's series: the same
+    truncation, weights and order, so the same value bit for bit, for a
+    character of each parity (29 terms against 30 at q = 101 when the model
+    truncated at eps rather than theta's eps / 2)."""
+    g = build_group(q)
+    for parity in ("even", "odd"):
+        chi = next(c for c in g if c.parity == parity and not c.is_trivial)
+        eta = 0 if chi.is_even else 1
+        n = theta_series(q, 1.0, eta, 1e-12)[1].size
+        chi_sample = SteinhausSample(n=n, seed=0, primes=np.array([]), prime_values=np.array([]),
+                                     values=chi.value_table()[np.arange(n + 1) % q])
+        assert model_theta(q, chi_sample, eta=eta) == theta_value(q, chi, 1.0).value
+
+
 def test_model_theta_support_check():
     q = 101
-    n = truncation_length(q, 1.0, 0, 1e-12)
+    n = theta_series(q, 1.0, 0, 1e-12)[1].size
     small = sample(n - 1, 3)
     with pytest.raises(DomainError):
         model_theta(q, small)
@@ -187,7 +203,7 @@ def test_second_moment_identity_monte_carlo():
 def test_model_moment_matches_manual_samples():
     """Per-sample seeds are seed + index on the shared truncation support."""
     q, k, s0, count = 101, 1, 31, 100
-    n = truncation_length(q, 1.0, 0, 1e-12)
+    n = theta_series(q, 1.0, 0, 1e-12)[1].size
     manual = [abs(model_theta(q, sample(n, s0 + i))) ** (2 * k) for i in range(count)]
     est = model_moment(q, k, count, seed=s0)
     assert est.estimate == pytest.approx(float(np.mean(manual)), rel=1e-13)
@@ -266,6 +282,9 @@ def test_model_moment_domain():
         model_moment(101, 0, 100, seed=0)
     with pytest.raises(DomainError):
         model_moment(101, 1, 99, seed=0)
+    for eta in (-1, 2):
+        with pytest.raises(DomainError):
+            model_moment(101, 1, 100, seed=0, eta=eta)
 
 
 def test_model_moment_across_block_boundary_matches_model_theta():
@@ -273,7 +292,7 @@ def test_model_moment_across_block_boundary_matches_model_theta():
     sample, including the three samples of the second block."""
     q, k, seed = 101, 2, 17
     samples = SAMPLE_BLOCK + 3
-    n = truncation_length(q, 1.0, 0, 1e-12)
+    n = theta_series(q, 1.0, 0, 1e-12)[1].size
     est = model_moment(q, k, samples, seed)
     one_by_one = [model_theta(q, sample(max(n, 2), seed + i)) for i in range(samples)]
     assert _model_thetas(est.weights, samples, seed).tolist() == one_by_one

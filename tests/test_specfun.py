@@ -391,3 +391,32 @@ def test_log_gamma_domain():
         log_gamma(-0.5 + 2j)
     with pytest.raises(DomainError):
         log_gamma(np.array([1.0, -0.5 + 2j]))
+
+
+def test_tol_below_the_float_floor_costs_what_the_floor_does(em_rows):
+    """Every entry's float term is at least 12 eps (depth >= log2 13 + 9 times
+    the n = 0 term, >= 1), so no tol below it certifies: (N, M) is chosen for
+    12 eps, and hurwitz_zeta(0.5, 0.5, tol=1e-300) sums the rows a call at the
+    floor sums (it took N = 266,093,898 and 37 s), then refuses naming 1e-300."""
+    floor = 12 * np.finfo(float).eps
+    with pytest.raises(PrecisionError):
+        hurwitz_zeta(0.5, 0.5, tol=floor)
+    at_floor = list(em_rows)
+    em_rows.clear()
+    with pytest.raises(PrecisionError, match="requested tol 1e-300 unreachable") as e:
+        hurwitz_zeta(0.5, 0.5, tol=1e-300)
+    assert em_rows == at_floor and e.value.tol == 1e-300
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 14j, 0.9 - 40j, 3 + 50j])
+def test_no_hurwitz_error_is_below_the_float_floor(s):
+    """The floor is a true lower bound: at any a in (0, 1] the reported error
+    is at least 12 eps, so a tol under it never could certify."""
+    a = np.array([1e-3, 0.25, 0.5, 1.0])
+    with pytest.raises(PrecisionError) as e:
+        hurwitz_zeta_vector(s, a, tol=1e-300)
+    assert e.value.best.abs_error >= 12 * np.finfo(float).eps
+    for x in a:
+        with pytest.raises(PrecisionError) as e:
+            hurwitz_zeta(s, float(x), tol=1e-300)
+        assert e.value.best.abs_error >= 12 * np.finfo(float).eps

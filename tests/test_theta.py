@@ -209,8 +209,7 @@ def test_batch_against_mpmath_series(q):
 
 def _folded_series(q, eta, eps=1e-12):
     """The x = 1 series of parity eta, folded by residue class mod q."""
-    n = truncation_length(q, 1.0, eta, eps / 2)
-    res, e = theta._series_terms(q, 1.0, eta, n)
+    res, e, _ = theta.theta_series(q, 1.0, eta, eps)
     return np.bincount(res, weights=e, minlength=q)
 
 
