@@ -31,21 +31,9 @@ from .numtheory import PrimeTable, euler_phi, sieve
 from .reports import check_float_range
 
 __all__ = [
-    "CLOSE_THRESHOLD",
-    "MAX_COS_A",
-    "ShiftTuple",
-    "as_shift_tuple",
-    "PairTerm",
-    "BoundProfile",
-    "RegimeBound",
-    "pair_log_weight",
-    "pair_factor",
-    "variance_parameter",
-    "cutoff_exponent",
-    "large_value_bound",
-    "shifted_moment_bound",
-    "cos_sum_check",
-    "bound_profile",
+    "CLOSE_THRESHOLD", "MAX_COS_A", "ShiftTuple", "as_shift_tuple", "PairTerm", "BoundProfile",
+    "RegimeBound", "pair_log_weight", "pair_factor", "variance_parameter", "cutoff_exponent",
+    "large_value_bound", "shifted_moment_bound", "cos_sum_check", "bound_profile",
 ]
 
 CLOSE_THRESHOLD = 1 / 100
@@ -99,12 +87,23 @@ def _require_q(q, floor: int, why: str) -> None:
         raise DomainError(f"q must be >= {floor} ({why}); got {q}")
 
 
-def _pair_scale(ti: float, tj: float, q) -> float:
-    """min(1/D, log q) for a close pair (D = 0 giving log q), loglog q for a
-    far pair; F is its log and E its square root."""
-    d = abs(ti - tj)
-    lq = math.log(q)
-    if d <= CLOSE_THRESHOLD:
+@dataclass(frozen=True)
+class PairTerm:
+    """Per-pair record: indices, separation, closeness, F and E values."""
+
+    i: int
+    j: int
+    delta: float
+    close: bool
+    log_weight: float
+    factor: float
+
+
+def _pair_scale(d: float, lq: float) -> float:
+    """The scale of a pair at separation D, lq = log q: min(1/D, log q) for a
+    close pair (D = 0 giving log q), log log q for a far pair, so never below
+    log log q.  F is its log and E its square root."""
+    if ShiftTuple.is_close(d):
         return lq if d == 0 else min(1 / d, lq)
     return math.log(lq)
 
@@ -113,22 +112,32 @@ def pair_log_weight(ti: float, tj: float, q) -> float:
     """Log-scale pair kernel F: close pairs log(min(1/D, log q)) with D=0
     resolving to loglog q, far pairs logloglog q.  Requires q >= 17."""
     _require_q(q, 17, "log log log q must be positive")
-    return math.log(_pair_scale(ti, tj, q))
+    return math.log(_pair_scale(abs(ti - tj), math.log(q)))
 
 
 def pair_factor(ti: float, tj: float, q) -> float:
     """Moment-bound pair factor E: sqrt of the close-branch min, or
     sqrt(loglog q) for far pairs.  Equals exp(F/2) branchwise.  q >= 16."""
     _require_q(q, 16, "log log q must be positive")
-    return math.sqrt(_pair_scale(ti, tj, q))
+    return math.sqrt(_pair_scale(abs(ti - tj), math.log(q)))
+
+
+def _pair_terms(t: ShiftTuple, lq: float) -> tuple[PairTerm, ...]:
+    """Every pair's F and E from its one scale: the one listing of t's pairs."""
+    return tuple(PairTerm(i, j, d, ShiftTuple.is_close(d), math.log(s := _pair_scale(d, lq)),
+                          math.sqrt(s)) for i, j, d in t.pairs())
+
+
+def _variance(k: int, lq: float, terms) -> float:  # W, as variance_parameter
+    return 2 * k * math.log(lq) + 2 * sum(p.log_weight for p in terms)
 
 
 def variance_parameter(t, q) -> float:
     """W = 2k loglog q + 2 sum_{i<j} F_{i,j}.  Requires q >= 17."""
     t = as_shift_tuple(t)
     _require_q(q, 17, "log log log q must be positive")
-    llq = math.log(math.log(q))
-    return 2 * t.k * llq + 2 * sum(pair_log_weight(t[i], t[j], q) for i, j, _ in t.pairs())
+    lq = math.log(q)
+    return _variance(t.k, lq, _pair_terms(t, lq))
 
 
 def cutoff_exponent(v: float, w: float, k: int) -> float:
@@ -186,23 +195,9 @@ def large_value_bound(q, v: float, w: float, k: int) -> RegimeBound:
 
 
 def shifted_moment_bound(q, t, eps: float = 0.1) -> float:
-    """Product bound phi(q) (log q)^{k/2+eps} prod_{i<j} E_{i,j}.  q >= 16.
-
-    DomainError unless it is a finite float, decided first on the sum of the
-    factors' logs (each >= 1 for eps >= 0), as moment_normalization decides k:
-    by the shift count if the bound at min(eps, 0) overflows, else by eps."""
-    t = as_shift_tuple(t)
+    """Product bound phi(q) (log q)^{k/2+eps} prod_{i<j} E_{i,j}.  q >= 16."""
     _require_q(q, 16, "log log q must be positive")
-    phi, lq = euler_phi(q), math.log(q)
-    scales = [_pair_scale(t[i], t[j], q) for i, j, _ in t.pairs()]
-    for e, blame in ((min(eps, 0.0), f"{len(t)} shifts are too many at q = {q}"),
-                     (eps, f"eps = {eps:g} is too large at q = {q} with {len(t)} shifts")):
-        check_float_range(math.log(phi) + (t.k / 2 + e) * math.log(lq)
-                          + math.fsum(map(math.log, scales)) / 2, f"{blame}: the moment bound")
-    prod = 1.0
-    for scale in scales:  # E = sqrt(scale), as pair_factor
-        prod *= math.sqrt(scale)
-    return phi * lq ** (t.k / 2 + eps) * prod
+    return _profile(q, as_shift_tuple(t), eps).moment_bound
 
 
 def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -217,46 +212,49 @@ def cos_sum_check(z: int, a: float, table: PrimeTable | None = None) -> tuple[fl
         table = sieve(int(z))
     p = table.primes_in(2, int(z)).astype(float)
     lhs = float(np.sum(np.cos(a * np.log(p)) / p))
-    rhs = math.log(_pair_scale(a, 0.0, z) if abs(a) <= CLOSE_THRESHOLD else math.log(2 + abs(a)))
+    rhs = math.log(_pair_scale(abs(a), math.log(z)) if ShiftTuple.is_close(a)
+                   else math.log(2 + abs(a)))
     return lhs, rhs, lhs - rhs
 
 
 @dataclass(frozen=True)
-class PairTerm:
-    """Per-pair record: indices, separation, closeness, F and E values."""
-
-    i: int
-    j: int
-    delta: float
-    close: bool
-    log_weight: float
-    factor: float
-
-
-@dataclass(frozen=True)
 class BoundProfile:
-    """All pairwise kernel data for one (q, shift tuple), plus W and the
-    eps knob used in the product bound."""
+    """All pairwise kernel data for one (q, shift tuple), W, the eps knob and
+    the product bound at that eps."""
 
     q: int
     shifts: ShiftTuple
     k: int
     w: float
-    pairs: tuple[PairTerm, ...]
     eps: float
+    pairs: tuple[PairTerm, ...]
+    moment_bound: float
 
-    @property
-    def moment_bound(self) -> float:
-        return shifted_moment_bound(self.q, self.shifts, self.eps)
+
+def _profile(q, t: ShiftTuple, eps: float) -> BoundProfile:
+    """The profile from one listing of t's pairs, or DomainError unless the
+    moment bound is a finite float, decided on the sum of the factors' logs
+    (each >= 1 for eps >= 0), as moment_normalization decides k: by the shift
+    count if the bound at min(eps, 0) overflows, else by eps.  Every scale is
+    >= log log q > 1, so the count is first decided on its n(n-1)/2 pairs alone."""
+    n, phi, lq = len(t), euler_phi(q), math.log(q)
+    log_phi, llq = math.log(phi), math.log(lq)
+    count = f"{n} shifts are too many at q = {q}: the moment bound"
+    check_float_range(log_phi + (t.k / 2 + min(eps, 0.0)) * llq + n * (n - 1) / 4 * math.log(llq),
+                      count)
+    terms = _pair_terms(t, lq)
+    log_e = math.fsum(p.log_weight for p in terms) / 2
+    for e, blame in ((min(eps, 0.0), count),
+                     (eps, f"eps = {eps:g} is too large at q = {q} with {n} shifts: the moment bound")):
+        check_float_range(log_phi + (t.k / 2 + e) * llq + log_e, blame)
+    bound = phi * lq ** (t.k / 2 + eps) * math.prod(p.factor for p in terms)
+    return BoundProfile(q=q, shifts=t, k=t.k, w=_variance(t.k, lq, terms), eps=eps, pairs=terms,
+                        moment_bound=bound)
 
 
 def bound_profile(q, t, eps: float = 0.1) -> BoundProfile:
-    """Evaluate every pair kernel and W for one shift tuple."""
-    t = as_shift_tuple(t)
+    """Every pair kernel, W and the moment bound for one shift tuple;
+    DomainError, as shifted_moment_bound, when the bound is no finite float.
+    Requires q >= 17."""
     _require_q(q, 17, "log log log q must be positive")
-    pairs = tuple(
-        PairTerm(i=i, j=j, delta=d, close=ShiftTuple.is_close(d),
-                 log_weight=pair_log_weight(t[i], t[j], q),
-                 factor=pair_factor(t[i], t[j], q))
-        for i, j, d in t.pairs())
-    return BoundProfile(q=q, shifts=t, k=t.k, w=variance_parameter(t, q), pairs=pairs, eps=eps)
+    return _profile(q, as_shift_tuple(t), eps)

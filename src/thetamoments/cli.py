@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -54,6 +55,7 @@ MAX_TABLE_Q = 2 ** 20  # char-table's q: one Python dict per character, about 65
 MAX_SAMPLES = 2 ** 23  # rand-model samples, about 100 B each
 MAX_SCAN_PRIMES = 2 ** 16  # theta-scan rows, one moment per prime
 MAX_COS_Z = 2 ** 28  # lemma-cos sieve bound, 2-3 B per unit at its peak
+MAX_SHIFT_COLUMNS = 2 ** 26  # len(shifts) * q: one |L| column per shift, 8-16 B per unit of phi
 
 _CONFIG_KEYS = ("tol", "workers", "output_dir", "format", "seed")
 
@@ -110,7 +112,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, workers=int(env))
         except ValueError:
             raise DomainError(f"{WORKERS_ENV} must be an integer; got {env!r}")
-    for key in ("tol", "eps", "vmin", "vmax", "V", "a", "workers", "format", "seed"):
+    for key in ("tol", "eps", "vmin", "vmax", "V", "a", "shifts", "workers", "format", "seed"):
         val = getattr(args, key, None)
         for x in val if isinstance(val, tuple) else (val,):  # refused by its flag name
             if isinstance(x, float) and not np.isfinite(x):
@@ -127,7 +129,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _check_sizes(args: argparse.Namespace) -> None:
     """Refuse a size flag below its floor or past its cap by name (the
     envelope above): --q's cap by q - 1 >= phi(q), so no q is factorized or
-    sieved first; and a shift past the L-value window, by --shifts."""
+    sieved first; and a shift past the L-value window, or more shifts than
+    MAX_SHIFT_COLUMNS holds in columns of q entries, by --shifts."""
     limits = {"q": (_Q_FLOORS.get(args.command, 3),
                     MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1),
               "vsteps": (1, MAX_VSTEPS), "samples": (MIN_SAMPLES, MAX_SAMPLES), "z": (3, MAX_COS_Z)}
@@ -136,9 +139,14 @@ def _check_sizes(args: argparse.Namespace) -> None:
         if val is not None and not floor <= val <= cap:
             bound = f">= {floor}" if val < floor else f"<= {cap}"
             raise DomainError(f"--{key} must be {bound}; got {val}")
-    if args.command in ("shifted-moment", "large-values") and max(map(abs, args.shifts)) > MAX_SHIFT:
+    if args.command not in ("shifted-moment", "large-values"):
+        return
+    if max(map(abs, args.shifts)) > MAX_SHIFT:
         raise DomainError(f"--shifts must satisfy |t| <= {MAX_SHIFT:g}; "
                           f"got {','.join(f'{t:g}' for t in args.shifts)}")
+    if len(args.shifts) * args.q > MAX_SHIFT_COLUMNS:
+        raise DomainError(f"--shifts must hold at most {MAX_SHIFT_COLUMNS // args.q} shifts at "
+                          f"q = {args.q}; got {len(args.shifts)}")
 
 
 def _parse_shifts(text: str) -> tuple[float, ...]:
@@ -215,6 +223,9 @@ def _cmd_shifted_moment(args, cfg):
 def _cmd_large_values(args, cfg):
     if args.vmin > args.vmax:
         raise DomainError(f"--vmin must be <= --vmax; got {args.vmin} > {args.vmax}")
+    if not np.isfinite(args.vmax - args.vmin):  # else linspace's step overflows
+        raise DomainError(f"--vmin and --vmax must be at most {sys.float_info.max:g} apart; "
+                          f"got {args.vmin} and {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
     hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
     meta = {"command": "large-values", "q": args.q,
@@ -247,15 +258,7 @@ def _cmd_bound_eval(args, cfg):
     if args.k is not None and len(args.shifts) != 2 * args.k:
         raise DomainError(f"--k {args.k} expects {2 * args.k} shifts; got {len(args.shifts)}")
     prof = bound_profile(args.q, args.shifts, eps=args.eps)
-    payload = {
-        "q": prof.q,
-        "shifts": list(prof.shifts),
-        "k": prof.k,
-        "w": prof.w,
-        "eps": prof.eps,
-        "pairs": [asdict(p) for p in prof.pairs],
-        "moment_bound": prof.moment_bound,
-    }
+    payload = {**asdict(prof), "shifts": list(prof.shifts)}
     if args.V is not None:
         payload["cutoff_exponent"] = cutoff_exponent(args.V, prof.w, prof.k)
         payload["large_value_bound"] = asdict(
@@ -298,7 +301,13 @@ _HANDLERS = {
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """Reports an argument the subcommand does not take with its own usage."""
+    """Reports an argument the subcommand does not take with its own usage,
+    and takes a token such as -1,1 or -1e-3 as the preceding flag's value:
+    no flag of ours starts with a digit or a dot."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)

@@ -188,16 +188,45 @@ def test_shifted_moment_bound_closed_form():
 
 
 def test_bound_profile_consistency():
+    """The profile's W, moment bound and pair kernels are exactly those of the
+    standalone functions."""
     q, t = 1009, (0.0, 0.004, 1.5, -2.0)
     prof = bound_profile(q, t)
     assert prof.k == 2 and len(prof.pairs) == 6
-    assert prof.w == pytest.approx(variance_parameter(t, q))
-    assert prof.moment_bound == pytest.approx(shifted_moment_bound(q, t, eps=0.1))
+    assert prof.w == variance_parameter(t, q)
+    assert prof.moment_bound == shifted_moment_bound(q, t, eps=0.1)
     st = as_shift_tuple(t)
     for p in prof.pairs:
         assert p.delta == abs(st[p.i] - st[p.j])
         assert p.close == (p.delta <= CLOSE_THRESHOLD)
         assert p.factor == pytest.approx(math.exp(p.log_weight / 2))
+        assert p.log_weight == pair_log_weight(st[p.i], st[p.j], q)
+        assert p.factor == pair_factor(st[p.i], st[p.j], q)
+
+
+def test_bound_profile_lists_the_pairs_once(monkeypatch):
+    """The profile and its moment bound read one listing of the tuple's pairs
+    (three listings before, and the bound worked out again on every read)."""
+    calls = []
+    pairs = ShiftTuple.pairs
+
+    def counted(self):
+        calls.append(len(self))
+        return pairs(self)
+
+    monkeypatch.setattr(ShiftTuple, "pairs", counted)
+    prof = bound_profile(1009, (0.0, 0.5, 3.0, 7.0))
+    reads = [prof.moment_bound, prof.moment_bound]
+    assert reads[0] > 0 and calls == [4]
+
+
+def test_bound_profile_refuses_an_overflowing_bound():
+    """bound_profile raises itself; it used to return a profile whose
+    moment_bound raised on access."""
+    with pytest.raises(DomainError, match="^40 shifts are too many at q = 1009: "):
+        bound_profile(1009, [0.0] * 40)
+    with pytest.raises(DomainError, match="^eps = 400 is too large at q = 1009 with 2 shifts: "):
+        bound_profile(1009, (0.0, 0.5), eps=400)
 
 
 # ---------------------------------------------------------------------------

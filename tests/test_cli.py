@@ -14,7 +14,7 @@ import pytest
 import thetamoments
 from thetamoments import cli, lfunc, theta
 from thetamoments.characters import build_group
-from thetamoments.bounds import MAX_COS_A, cos_sum_check, shifted_moment_bound
+from thetamoments.bounds import MAX_COS_A, ShiftTuple, cos_sum_check, shifted_moment_bound
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
 
@@ -318,6 +318,33 @@ def test_huge_a_is_named(capsys, tmp_path, recwarn):
         cos_sum_check(100, -a)
 
 
+NAN_SHIFTS = [(("shifted-moment", "--q", "101", "--shifts", "0,nan"), "nan"),
+              (("large-values", "--q", "101", "--shifts", "nan,0", "--vmin", "-1", "--vmax", "1",
+                "--vsteps", "3"), "nan"),
+              (("bound-eval", "--q", "101", "--shifts", "0,inf"), "inf")]
+
+
+@pytest.mark.parametrize("argv, bad", NAN_SHIFTS)
+def test_non_finite_shift_is_named(capsys, tmp_path, recwarn, argv, bad):
+    """A non-finite shift is refused by --shifts and its value, exit 2, no
+    report and no warning (the library's "shifts must be finite" named neither)."""
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir()) and not recwarn.list
+    assert err == f"thetamoments: error: --shifts must be finite (not NaN or infinite); got {bad}\n"
+
+
+def test_v_span_past_the_float_range_is_named(capsys, tmp_path, recwarn):
+    """A V span vmax - vmin that is no finite float is refused by both flags
+    before the grid is built (two numpy RuntimeWarnings, then "V grid must be
+    one-dimensional, ascending and free of NaN")."""
+    code, out, err = invoke(capsys, "large-values", "--q", "101", "--shifts", "0,0.5",
+                            "--vmin=-1e308", "--vmax", "1e308", "--vsteps", "3",
+                            "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir()) and not recwarn.list
+    assert err == ("thetamoments: error: --vmin and --vmax must be at most 1.79769e+308 apart; "
+                   "got -1e+308 and 1e+308\n")
+
+
 # one size flag past its cap per request; each is refused by its flag before the
 # subcommand's handler runs, so nothing is factorized, sieved, tabled or sampled
 SIZE_CAPS = [(("char-table", "--q", str(cli.MAX_TABLE_Q + 1)), "q", cli.MAX_TABLE_Q),
@@ -342,6 +369,32 @@ def test_size_past_its_cap_is_refused_by_flag(capsys, tmp_path, monkeypatch, arg
     code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and not out and not list(tmp_path.iterdir())
     assert err == f"thetamoments: error: --{flag} must be <= {cap}; got {cap + 1}\n"
+
+
+# one more shift than MAX_SHIFT_COLUMNS holds in columns of q entries, at the q
+# where the cap allows 671 shifts and at the top modulus, where it allows 7
+SHIFT_COLUMN_CAPS = [(100003, 671), (cli.MAX_PHI + 1, 7)]
+
+
+@pytest.mark.parametrize("q, cap", SHIFT_COLUMN_CAPS)
+@pytest.mark.parametrize("command, extra", [
+    ("shifted-moment", ()), ("large-values", ("--vmin", "-1", "--vmax", "1", "--vsteps", "3"))])
+def test_shift_count_past_its_column_cap_is_refused_by_flag(capsys, tmp_path, monkeypatch,
+                                                            q, cap, command, extra):
+    """Each shift is one |L| column of up to q entries; one shift past the cap
+    is refused by --shifts, exit 2 and no report, before the handler runs
+    (2, 200 and 800 shifts at q = 100003 peaked at 38, 187 and 645 MB)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    assert cap * q <= cli.MAX_SHIFT_COLUMNS < (cap + 1) * q
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    shifts = ",".join(["0", "0.5"] * (cap // 2 + 1))
+    code, out, err = invoke(capsys, command, "--q", str(q), "--shifts", shifts, *extra,
+                            "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == (f"thetamoments: error: --shifts must hold at most {cap} shifts at q = {q}; "
+                   f"got {cap + 1}\n")
 
 
 # one size flag below its floor per request, each refused by its flag, not in the
@@ -418,6 +471,24 @@ def test_overflowing_moment_bound_is_refused_by_shifts(capsys, tmp_path, monkeyp
     assert code == 2 and not out
     assert err.startswith(f"thetamoments: error: {n} shifts are too many at q = 1009: "), err
     assert not recwarn.list and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["shifted-moment", "bound-eval"])
+def test_overflowing_shift_count_is_refused_before_any_pair(capsys, tmp_path, monkeypatch,
+                                                             command):
+    """Every pair scale is at least log log q, so 10^4 zero shifts at q = 1009
+    are refused on their count alone, printing that lower bound's log, and no
+    pair is listed (2000 shifts took 26.9 s and 1.44 GB in bound-eval)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairs listed")
+
+    monkeypatch.setattr(lfunc, "family_group", refuse)
+    monkeypatch.setattr(ShiftTuple, "pairs", refuse)
+    code, out, err = invoke(capsys, command, "--q", "1009", "--shifts", _zero_shifts(10 ** 4),
+                            "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == ("thetamoments: error: 10000 shifts are too many at q = 1009: the moment "
+                   "bound overflows a float (log 1.649e+07 > 709.8)\n")
 
 
 @pytest.mark.parametrize("eps, log", [("400", "781.8"), ("1e300", "1.934e+300")])
@@ -545,6 +616,47 @@ def test_unparsable_list_flag_names_the_expected_form(capsys, tmp_path, argv, fl
     last = err.strip().splitlines()[-1]
     assert f"error: argument {flag}: expected {form}; got " in last
     assert "_parse" not in err and "invalid" not in err
+
+
+# a flag value with a leading minus, each beside its "=" form: "-1,1" and
+# "-1e-3" were taken for options ("expected one argument")
+NEGATIVE_VALUES = [
+    (("shifted-moment", "--q", "1009"), ("--shifts", "-1,1")),
+    (("bound-eval", "--q", "1009"), ("--shifts", "-2,2")),
+    (("large-values", "--q", "101", "--vmin", "-6", "--vmax", "1", "--vsteps", "3"),
+     ("--shifts", "-0.5,0.5")),
+    (("lemma-cos", "--z", "100"), ("--a", "-1e-3")),
+    (("large-values", "--q", "101", "--shifts", "0,0.5", "--vmax", "1e308", "--vsteps", "3"),
+     ("--vmin", "-1e308")),
+]
+
+
+@pytest.mark.parametrize("argv, pair", NEGATIVE_VALUES)
+def test_negative_leading_value_is_the_flags_value(capsys, tmp_path, argv, pair):
+    """Each gives the same bytes as its "=" form; a JSON report the same
+    payload and config, its envelope echoing the command line as given."""
+    flag, value = pair
+    results = [invoke(capsys, *argv, *form, "--out", str(tmp_path))
+               for form in ((flag, value), (f"{flag}={value}",))]
+    assert results[0][2] == results[1][2] and results[0][0] == results[1][0]
+    if argv[0] == "bound-eval":
+        docs = [json.loads(out) for _, out, _ in results]
+        assert docs[0]["payload"] == docs[1]["payload"] and docs[0]["config"] == docs[1]["config"]
+        assert results[0][0] == 0
+    else:
+        assert results[0][1] == results[1][1]
+        assert results[0][0] == (2 if value == "-1e308" else 0)
+
+
+def test_negative_leading_stray_token_keeps_the_usage_error(capsys, tmp_path):
+    """A value-like token no flag takes is still the subcommand's own
+    "unrecognized arguments" usage error, as a negative number was before."""
+    for stray in ("-1,1", "-5"):
+        code, out, err = invoke(capsys, "shifted-moment", "--q", "1009", "--shifts", "0,1", stray,
+                                "--out", str(tmp_path))
+        assert code == 2 and not out
+        assert err.startswith("usage: thetamoments shifted-moment [-h]")
+        assert err.endswith(f"thetamoments shifted-moment: error: unrecognized arguments: {stray}\n")
 
 
 # ---------------------------------------------------------------------------
