@@ -55,6 +55,7 @@ MAX_TABLE_Q = 2 ** 20  # char-table's q: one Python dict per character, about 65
 MAX_SAMPLES = 2 ** 23  # rand-model samples, about 100 B each
 MAX_SCAN_PRIMES = 2 ** 16  # theta-scan rows, one moment per prime
 MAX_COS_Z = 2 ** 28  # lemma-cos sieve bound, 2-3 B per unit at its peak
+MAX_COS_TERMS = 2 ** 32  # len(a) * z: one cosine sum over the primes up to z per value
 MAX_SHIFT_COLUMNS = 2 ** 26  # len(shifts) * q: one |L| column per shift, 8-16 B per unit of phi
 
 _CONFIG_KEYS = ("tol", "workers", "output_dir", "format", "seed")
@@ -129,8 +130,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _check_sizes(args: argparse.Namespace) -> None:
     """Refuse a size flag below its floor or past its cap by name (the
     envelope above): --q's cap by q - 1 >= phi(q), so no q is factorized or
-    sieved first; and a shift past the L-value window, or more shifts than
-    MAX_SHIFT_COLUMNS holds in columns of q entries, by --shifts."""
+    sieved first; more --a values than MAX_COS_TERMS holds in sums over z,
+    before the sieve; a shift past the L-value window, an odd shift count, or
+    more shifts than MAX_SHIFT_COLUMNS holds in columns of q entries, by
+    --shifts."""
     limits = {"q": (_Q_FLOORS.get(args.command, 3),
                     MAX_TABLE_Q if args.command == "char-table" else MAX_PHI + 1),
               "vsteps": (1, MAX_VSTEPS), "samples": (MIN_SAMPLES, MAX_SAMPLES), "z": (3, MAX_COS_Z)}
@@ -139,14 +142,22 @@ def _check_sizes(args: argparse.Namespace) -> None:
         if val is not None and not floor <= val <= cap:
             bound = f">= {floor}" if val < floor else f"<= {cap}"
             raise DomainError(f"--{key} must be {bound}; got {val}")
-    if args.command not in ("shifted-moment", "large-values"):
+    if args.command == "lemma-cos" and len(args.a) * args.z > MAX_COS_TERMS:
+        raise DomainError(f"--a must hold at most {MAX_COS_TERMS // args.z} values at "
+                          f"z = {args.z}; got {len(args.a)}")
+    shifts = getattr(args, "shifts", None)
+    if shifts is None:
         return
-    if max(map(abs, args.shifts)) > MAX_SHIFT:
+    evaluates_l = args.command != "bound-eval"  # bound-eval evaluates no L: no window, no column cap
+    if evaluates_l and max(map(abs, shifts)) > MAX_SHIFT:
         raise DomainError(f"--shifts must satisfy |t| <= {MAX_SHIFT:g}; "
-                          f"got {','.join(f'{t:g}' for t in args.shifts)}")
-    if len(args.shifts) * args.q > MAX_SHIFT_COLUMNS:
+                          f"got {','.join(f'{t:g}' for t in shifts)}")
+    if len(shifts) % 2:
+        raise DomainError(f"--shifts must hold an even number of values, at least 2; "
+                          f"got {len(shifts)}")
+    if evaluates_l and len(shifts) * args.q > MAX_SHIFT_COLUMNS:
         raise DomainError(f"--shifts must hold at most {MAX_SHIFT_COLUMNS // args.q} shifts at "
-                          f"q = {args.q}; got {len(args.shifts)}")
+                          f"q = {args.q}; got {len(shifts)}")
 
 
 def _parse_shifts(text: str) -> tuple[float, ...]:

@@ -65,7 +65,6 @@ from .reports import MomentReport, moment_normalization, moment_report
 from .specfun import HZ_BLOCK, TWO_PI, ComplexApprox, digamma_vector, hurwitz_grid_runs
 
 __all__ = [
-    "ShiftTuple",
     "LargeValueHistogram",
     "LOG_CLAMP",
     "LAMBDA0",
@@ -174,7 +173,7 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
     """L(s, chi) by the Hurwitz route: entry chi.index of the _l_rows
     transform, with its error bound (a refusal's best is that entry); s = 1
     by the digamma finite part, entry chi.index of the character sums of
-    -psi(a/q) / q.
+    -psi(a/q) / q, refused the same way when its bound exceeds tol.
     """
     check_modulus(q, chi)
     if not tol > 0:
@@ -186,7 +185,11 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
             raise PoleError("L(s, trivial character) has a pole at s = 1")
         psi, psi_err = digamma_vector(group.structure.n_of_index / q)
         values, err = group.character_sums(psi)
-        return ComplexApprox(-complex(values[chi.index]) / q, (group.phi * psi_err + err) / q)
+        best = ComplexApprox(-complex(values[chi.index]) / q, float(group.phi * psi_err + err) / q)
+        if best.abs_error > tol:
+            raise PrecisionError(f"L(s, chi) mod {q} at s = 1: requested tol {tol:g} unreachable "
+                                 f"(achieved {best.abs_error:.3g})", best=best, s=s, q=q, tol=tol)
+        return best
     try:
         ((_, _, row, err),) = _l_rows(group, s, tol)
     except PrecisionError as e:

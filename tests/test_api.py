@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -43,3 +44,35 @@ def test_no_module_imports_a_sibling_private_name():
                          for a in node.names
                          if a.name.startswith("_") and not a.name.startswith("__")]
     assert hits == []
+
+
+# the library modules the package re-exports, in its order
+LIBRARY = ["errors", "numtheory", "specfun", "characters", "reports", "bounds", "lfunc",
+           "theta", "randmodel"]
+
+
+def test_package_all_is_the_modules_all_in_order():
+    """Each module's __all__ is the one list of its public names: the
+    package's __all__ is __version__ and then theirs, with no name listed by
+    two modules, and each package attribute is its home module's object."""
+    mods = [importlib.import_module(f"thetamoments.{m}") for m in LIBRARY]
+    assert thetamoments.__all__ == ["__version__", *(n for m in mods for n in m.__all__)]
+    assert len(set(thetamoments.__all__)) == len(thetamoments.__all__)
+    for m in mods:
+        for n in m.__all__:
+            assert getattr(thetamoments, n) is getattr(m, n), (m.__name__, n)
+
+
+def test_size_envelope_lists_every_cap():
+    """README's Size envelope has a row `module.MAX_*` for every public cap
+    assigned in cli, theta, lfunc and bounds."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Size envelope", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+\.MAX_\w+)` \|", table, re.M))
+    caps = set()
+    for name in ("cli", "theta", "lfunc", "bounds"):
+        path = pathlib.Path(thetamoments.__file__).parent / f"{name}.py"
+        caps |= {f"{name}.{t.id}" for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) for t in node.targets
+                 if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
+    assert caps and caps <= rows, caps - rows

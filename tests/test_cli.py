@@ -397,6 +397,41 @@ def test_shift_count_past_its_column_cap_is_refused_by_flag(capsys, tmp_path, mo
                    f"got {cap + 1}\n")
 
 
+@pytest.mark.parametrize("z, cap", [(10 ** 7, 429), (cli.MAX_COS_Z, 16)])
+def test_cos_value_count_past_its_cap_is_refused_by_flag(capsys, tmp_path, monkeypatch, z, cap):
+    """Each --a value is one cosine sum over the primes up to z (about 7 ms
+    per value at z = 10^7); one value past MAX_COS_TERMS // z is refused by
+    --a, exit 2 and no report, before the handler builds the sieve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    assert cap * z <= cli.MAX_COS_TERMS < (cap + 1) * z
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    code, out, err = invoke(capsys, "lemma-cos", "--z", str(z), "--a", _zero_shifts(cap + 1),
+                            "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == f"thetamoments: error: --a must hold at most {cap} values at z = {z}; got {cap + 1}\n"
+
+
+@pytest.mark.parametrize("argv, n", [
+    (("shifted-moment", "--q", "101", "--shifts", "0"), 1),
+    (("bound-eval", "--q", "101", "--shifts", "0,1,2"), 3),
+    (("large-values", "--q", "101", "--shifts", "0,1,2", "--vmin", "0", "--vmax", "1",
+      "--vsteps", "2"), 3)])
+def test_odd_shift_count_is_refused_by_flag(capsys, tmp_path, monkeypatch, argv, n):
+    """An odd count is refused by --shifts and the count, exit 2, before the
+    handler runs (each printed the library's "shift tuple must have even
+    length >= 2")."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, refuse))
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and not out and not list(tmp_path.iterdir())
+    assert err == (f"thetamoments: error: --shifts must hold an even number of values, "
+                   f"at least 2; got {n}\n")
+
+
 # one size flag below its floor per request, each refused by its flag, not in the
 # library's words ("sieve limit", "z", "samples required", "modulus")
 SIZE_FLOORS = [(("lemma-cos", "--z", "1", "--a", "0"), "z", 3, 1),

@@ -160,6 +160,27 @@ def test_l_one_pairs_conjugates_exactly(q):
             assert v.value.imag == 0, i
 
 
+@pytest.mark.parametrize("q, tol, achieved", [(100003, 1e-10, "1.78e-10"), (101, 1e-20, "2.07e-13")])
+def test_l_one_refuses_a_tol_it_cannot_certify(q, tol, achieved):
+    """The s = 1 bound grows about linearly in phi (1.78e-10 at q = 100003),
+    and no float bound reaches 1e-20: both raise with the refused value as
+    best, as every other L-value does, instead of returning err > tol."""
+    chi = build_group(q).char(1)
+    with pytest.raises(PrecisionError) as info:
+        l_value(q, chi, 1, tol=tol)
+    e = info.value
+    assert str(e) == (f"L(s, chi) mod {q} at s = 1: requested tol {tol:g} unreachable "
+                      f"(achieved {achieved})")
+    assert (e.s, e.q, e.tol) == (1, q, tol)
+    assert e.best.abs_error > tol and type(e.best.abs_error) is float
+    assert e.best == l_value(q, chi, 1, tol=2 * e.best.abs_error)
+
+
+def test_l_one_returns_a_float_error_within_tol():
+    v = l_value(1009, build_group(1009).char(1), 1)
+    assert type(v.abs_error) is float and v.abs_error <= 1e-10
+
+
 def test_primitivity_and_the_pole_read_no_conductor_table():
     """is_primitive reads the primitive mask and the s = 1 pole test the
     trivial index, so neither builds the conductor table."""
