@@ -37,8 +37,9 @@ for ai, v in zip(range(1, 8), vals):
 # Digamma anchors: psi(1) = -gamma and psi(1/2) = -gamma - 2 log 2.
 gamma_e = 0.5772156649015328606065121
 psi, err = digamma_vector(np.array([1.0, 0.5]))
-print(f"\npsi(1)   = {psi[0]:+.15f}  dev {abs(psi[0] + gamma_e):.1e}  bound {err:.1e}")
-print(f"psi(1/2) = {psi[1]:+.15f}  dev {abs(psi[1] + gamma_e + 2 * math.log(2)):.1e}")
+print(f"\npsi(1)   = {psi[0]:+.15f}  dev {abs(psi[0] + gamma_e):.1e}  bound {err[0]:.1e}")
+print(f"psi(1/2) = {psi[1]:+.15f}  dev {abs(psi[1] + gamma_e + 2 * math.log(2)):.1e}"
+      f"  bound {err[1]:.1e}")
 
 # Gamma on a vertical line decays like exp(-pi |t| / 2): this decay is what
 # makes the vertical-line integral representation of theta values converge.

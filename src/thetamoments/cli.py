@@ -30,7 +30,7 @@ import functools
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,8 +58,6 @@ MAX_COS_Z = 2 ** 28  # lemma-cos sieve bound, 2-3 B per unit at its peak
 MAX_COS_TERMS = 2 ** 32  # len(a) * z: one cosine sum over the primes up to z per value
 MAX_SHIFT_COLUMNS = 2 ** 26  # len(shifts) * q: one |L| column per shift, 8-16 B per unit of phi
 
-_CONFIG_KEYS = ("tol", "workers", "output_dir", "format", "seed")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,9 +69,6 @@ class RunConfig:
     format: str = "csv"
     seed: int = 1
 
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
-
     def validate(self) -> "RunConfig":
         if not 0 < self.tol < np.inf:
             raise DomainError(f"tol must be positive and finite; got {self.tol}")
@@ -82,6 +77,9 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json; got {self.format!r}")
         return self
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def load_config(path: str) -> RunConfig:
@@ -186,14 +184,14 @@ def _cmd_char_table(args, cfg):
                for chi in build_group(args.q)]
     rows = [(r["index"], ";".join(map(str, r["exponents"])) or "-", r["parity"],
              r["conductor"], int(r["primitive"])) for r in payload]
-    meta = {"command": "char-table", "q": args.q}
+    meta = {"command": args.command, "q": args.q}
     columns = ("index", "exponents", "parity", "conductor", "primitive")
     return csv_text(columns, rows, meta), payload, meta
 
 
 def _cmd_theta_moment(args, cfg):
     rep = theta_moment(args.q, args.k, args.parity, args.eps)
-    meta = {"command": "theta-moment", "q": args.q, "k": args.k,
+    meta = {"command": args.command, "q": args.q, "k": args.k,
             "parity": args.parity, "eps": args.eps}
     return moment_csv([rep], meta), rep, meta
 
@@ -212,20 +210,20 @@ def _cmd_theta_scan(args, cfg):
         p = int(primes[-1])
         theta_normalization(p, args.k, args.parity, p - 1)
     reps = [theta_moment(int(p), args.k, args.parity, args.eps) for p in primes]
-    meta = {"command": "theta-scan", "prime_range": f"{lo}:{hi}", "k": args.k,
+    meta = {"command": args.command, "prime_range": f"{lo}:{hi}", "k": args.k,
             "parity": args.parity, "eps": args.eps}
     return moment_csv(reps, meta), reps, meta
 
 
 def _cmd_l_moment(args, cfg):
     rep = central_moment(args.q, args.k, tol=cfg.tol)
-    meta = {"command": "l-moment", "q": args.q, "k": args.k, "tol": cfg.tol}
+    meta = {"command": args.command, "q": args.q, "k": args.k, "tol": cfg.tol}
     return moment_csv([rep], meta), rep, meta
 
 
 def _cmd_shifted_moment(args, cfg):
     rep = shifted_moment(args.q, args.shifts, tol=cfg.tol, family=args.family)
-    meta = {"command": "shifted-moment", "q": args.q,
+    meta = {"command": args.command, "q": args.q,
             "shifts": ",".join(fmt(t) for t in args.shifts),
             "family": args.family, "tol": cfg.tol}
     return moment_csv([rep], meta), rep, meta
@@ -239,7 +237,7 @@ def _cmd_large_values(args, cfg):
                           f"got {args.vmin} and {args.vmax}")
     grid = np.linspace(args.vmin, args.vmax, args.vsteps)
     hist = large_value_counts(args.q, args.shifts, grid, tol=cfg.tol, family=args.family)
-    meta = {"command": "large-values", "q": args.q,
+    meta = {"command": args.command, "q": args.q,
             "shifts": ",".join(fmt(t) for t in hist.shifts),
             "family": args.family, "tol": cfg.tol}
     columns = ("q", "v", "count", "family", "family_size", "flagged", "eps")
@@ -255,8 +253,7 @@ def _cmd_mellin_check(args, cfg):
     if not idx.size:
         raise DomainError(f"q = {args.q} has no even primitive characters")
     results = mellin_checks(args.q, [group.char(int(i)) for i in idx], args.height, args.step)
-    meta = {"command": "mellin-check", "q": args.q, "height": args.height,
-            "step": args.step}
+    meta = {"command": args.command, "q": args.q, "height": args.height, "step": args.step}
     columns = ("q", "char_index", "series_re", "series_im", "quadrature_re",
                "quadrature_im", "residual", "height", "step", "tail_bound")
     rows = [(r.q, r.char_index, r.series.real, r.series.imag,
@@ -274,7 +271,7 @@ def _cmd_bound_eval(args, cfg):
         payload["cutoff_exponent"] = cutoff_exponent(args.V, prof.w, prof.k)
         payload["large_value_bound"] = asdict(
             large_value_bound(args.q, args.V, prof.w, prof.k))
-    meta = {"command": "bound-eval", "q": args.q,
+    meta = {"command": args.command, "q": args.q,
             "shifts": ",".join(fmt(t) for t in prof.shifts), "eps": args.eps}
     return None, payload, meta  # JSON-only report
 
@@ -282,7 +279,7 @@ def _cmd_bound_eval(args, cfg):
 def _cmd_lemma_cos(args, cfg):
     table = sieve(args.z)
     rows = [(a, *cos_sum_check(args.z, a, table=table)) for a in args.a]
-    meta = {"command": "lemma-cos", "z": args.z}
+    meta = {"command": args.command, "z": args.z}
     columns = ("a", "lhs", "rhs", "margin")
     payload = [{"a": a, "lhs": l, "rhs": r, "margin": m} for a, l, r, m in rows]
     return csv_text(columns, rows, meta), payload, meta
@@ -292,7 +289,7 @@ def _cmd_rand_model(args, cfg):
     if cfg.seed < 0:
         raise DomainError(f"--seed must be >= 0; got {cfg.seed}")
     est = model_moment(args.q, args.k, args.samples, seed=cfg.seed, eps=args.eps)
-    meta = {"command": "rand-model", "q": args.q, "k": args.k,
+    meta = {"command": args.command, "q": args.q, "k": args.k,
             "samples": args.samples, "seed": cfg.seed, "eps": args.eps}
     return None, est, meta  # JSON-only report
 
@@ -337,20 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="key=value config file")
     tol_parent = argparse.ArgumentParser(add_help=False)
     tol_parent.add_argument("--tol", type=float, help="precision target for L-values")
+    # a parent's flags come before a subcommand's own: each is a parent only where it leads
+    q_parent = argparse.ArgumentParser(add_help=False)
+    q_parent.add_argument("--q", type=int, required=True)
+    k_parent = argparse.ArgumentParser(add_help=False)
+    k_parent.add_argument("--k", type=int, required=True)
+    shifts_parent = argparse.ArgumentParser(add_help=False)
+    shifts_parent.add_argument("--shifts", type=_parse_shifts, required=True, metavar="t1,...,t2k")
 
     p = argparse.ArgumentParser(prog=TOOL_NAME,
                                 description="theta and L-function moment reports")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    sp = sub.add_parser("char-table", parents=[shared],
-                        help="character table mod q")
-    sp.add_argument("--q", type=int, required=True)
+    sub.add_parser("char-table", parents=[shared, q_parent], help="character table mod q")
 
-    sp = sub.add_parser("theta-moment", parents=[shared],
+    sp = sub.add_parser("theta-moment", parents=[shared, q_parent, k_parent],
                         help="S_2k(q) over one parity family")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--parity", choices=THETA_FAMILIES, required=True)
     sp.add_argument("--eps", type=float, default=1e-12)
 
@@ -362,39 +362,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--parity", choices=THETA_FAMILIES, default="even")
     sp.add_argument("--eps", type=float, default=1e-12)
 
-    sp = sub.add_parser("l-moment", parents=[shared, tol_parent],
-                        help="central moment over primitive characters")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sub.add_parser("l-moment", parents=[shared, tol_parent, q_parent, k_parent],
+                   help="central moment over primitive characters")
 
-    sp = sub.add_parser("shifted-moment", parents=[shared, tol_parent],
+    sp = sub.add_parser("shifted-moment", parents=[shared, tol_parent, q_parent, shifts_parent],
                         help="moment at a tuple of critical-line shifts")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--shifts", type=_parse_shifts, required=True,
-                    metavar="t1,...,t2k")
     sp.add_argument("--family", choices=L_FAMILIES, default="star")
 
-    sp = sub.add_parser("large-values", parents=[shared, tol_parent],
+    sp = sub.add_parser("large-values", parents=[shared, tol_parent, q_parent, shifts_parent],
                         help="large-value counts over a V grid")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--shifts", type=_parse_shifts, required=True,
-                    metavar="t1,...,t2k")
     sp.add_argument("--vmin", type=float, required=True)
     sp.add_argument("--vmax", type=float, required=True)
     sp.add_argument("--vsteps", type=int, required=True)
     sp.add_argument("--family", choices=L_FAMILIES, default="nonquadratic")
 
-    sp = sub.add_parser("mellin-check", parents=[shared],
+    sp = sub.add_parser("mellin-check", parents=[shared, q_parent],
                         help="series vs Mellin quadrature, even primitive chi")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--height", type=float, default=8.0)
     sp.add_argument("--step", type=float, default=1 / 64)
 
-    sp = sub.add_parser("bound-eval", parents=[shared],
+    sp = sub.add_parser("bound-eval", parents=[shared, q_parent, shifts_parent],
                         help="kernel/bound profile for one shift tuple (JSON)")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--shifts", type=_parse_shifts, required=True,
-                    metavar="t1,...,t2k")
     sp.add_argument("--k", type=int, help="expected k; checked against shifts")
     sp.add_argument("--V", type=float, help="evaluate the large-value bound at V")
     sp.add_argument("--eps", type=float, default=0.1,
@@ -406,10 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_parse_shifts, required=True,
                     metavar="a1,a2,...")
 
-    sp = sub.add_parser("rand-model", parents=[shared],
+    sp = sub.add_parser("rand-model", parents=[shared, q_parent, k_parent],
                         help="Steinhaus Monte-Carlo moment estimate (JSON)")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--seed", type=int, help="first per-sample seed")
@@ -436,7 +422,7 @@ def run(argv: list[str]) -> int:
         _check_sizes(args)
         csv_out, payload, meta = _HANDLERS[args.command](args, cfg)
         if cfg.format == "json" or csv_out is None:
-            config_snapshot = {**asdict(cfg), "workers": cfg.resolved_workers(),
+            config_snapshot = {**asdict(cfg), "workers": cfg.workers or os.cpu_count() or 1,
                                **{k: v for k, v in meta.items() if k != "command"}}
             env = make_envelope([TOOL_NAME, *argv], config_snapshot, payload)
             _emit(args.command, env.to_json(), "json", cfg)

@@ -185,7 +185,7 @@ def l_value(q: int, chi: Character, s: complex, tol: float = 1e-10) -> ComplexAp
             raise PoleError("L(s, trivial character) has a pole at s = 1")
         psi, psi_err = digamma_vector(group.structure.n_of_index / q)
         values, err = group.character_sums(psi)
-        best = ComplexApprox(-complex(values[chi.index]) / q, float(group.phi * psi_err + err) / q)
+        best = ComplexApprox(-complex(values[chi.index]) / q, float(psi_err.sum() + err) / q)
         if best.abs_error > tol:
             raise PrecisionError(f"L(s, chi) mod {q} at s = 1: requested tol {tol:g} unreachable "
                                  f"(achieved {best.abs_error:.3g})", best=best, s=s, q=q, tol=tol)

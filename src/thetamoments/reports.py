@@ -127,23 +127,42 @@ class ReportEnvelope:
     payload: object = field(default=None)
 
     def to_json(self) -> str:
-        def default(o):
-            if hasattr(o, "__dataclass_fields__"):
-                return asdict(o)
-            if hasattr(o, "tolist"):
-                return o.tolist()
-            if isinstance(o, complex):
-                return {"re": o.real, "im": o.imag}
-            raise TypeError(f"not JSON-serializable: {type(o)}")
-
-        return json.dumps({
+        """Strict JSON: a non-finite float (the undefined bound below q = 16,
+        say) is written as null, since JSON has no NaN or Infinity.  Only a
+        document that holds one is walked whole first."""
+        doc = {
             "tool": self.tool,
             "version": self.version,
             "command": self.command,
             "config": self.config,
             "timestamp": self.timestamp,
             "payload": self.payload,
-        }, default=default, indent=2, sort_keys=False) + "\n"
+        }
+        try:
+            text = json.dumps(doc, default=_plain, allow_nan=False, indent=2)
+        except ValueError:
+            text = json.dumps(_plain(doc), allow_nan=False, indent=2)
+        return text + "\n"
+
+
+def _plain(o):
+    """o in JSON's types: dataclasses as dicts, arrays as lists, complex as
+    {"re", "im"} and a non-finite float as None."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
+    if o is None or isinstance(o, (str, int)):
+        return o
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    if isinstance(o, complex):
+        return {"re": _plain(o.real), "im": _plain(o.imag)}
+    if hasattr(o, "__dataclass_fields__"):
+        return _plain(asdict(o))
+    if hasattr(o, "tolist"):
+        return _plain(o.tolist())
+    raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
 def make_envelope(command: list[str], config: dict, payload) -> ReportEnvelope:

@@ -199,13 +199,14 @@ def _em_block(pts, nmb, a: np.ndarray):
         acc += term
         corr_abs += np.abs(term)
 
-    # float model: a depth (a pairwise one, though np.sum adds a >= 2-column tile's R rows
-    # one by one, (R - 1) eps sum |term| at worst) times the accumulated magnitude, plus 2k
-    # eps for rung k's products, the exp-argument error ~ |Im s| |log(n+a)| eps per term
-    # (|s + k| |log(N+a)| eps in the tail), and 4M eps for the Bernoulli running products
-    depth = np.log2(np.minimum(ns, EM_ROWS) + 1) + -(-ns // EM_ROWS) + 8 + 2 * ks
+    # float model: a depth times the accumulated magnitude, the depth being R - 1 for
+    # np.sum's row-by-row sum of a tile's R = min(N, EM_ROWS) rows, one addition per
+    # block, 8, and 2k for rung k's products; plus the exp-argument error ~ 2 |s| |log(n+a)|
+    # eps per term (|s + k| |log(N+a)| eps in the tail), and 4M eps for the Bernoulli
+    # running products
+    depth = np.maximum(np.minimum(ns, EM_ROWS) - 1, 0) + -(-ns // EM_ROWS) + 8 + 2 * ks
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
-    per_entry = (depth[..., None] * acc_abs + 2 * np.abs(s.imag)[..., None] * acc_wabs
+    per_entry = (depth[..., None] * acc_abs + 2 * np.abs(s)[..., None] * acc_wabs
                  + (2 * np.abs(sk) * lg + 10) * tail_mag + 4 * mmax * corr_abs)
     return acc, analytic[..., None] + float(eps) * per_entry.astype(float)
 
@@ -254,8 +255,8 @@ def hurwitz_zeta_vector(s: complex, a: np.ndarray, tol: float = 1e-12) -> tuple[
         raise DomainError("hurwitz_zeta requires 0 < a <= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    # (N, M) for a tol of at least 12 eps, the least float term (depth >= log2 13 + 9)
-    nmb = [[_em_choose(s, float(a.min(initial=1.0)), max(tol, 12 * _EPS))]]
+    # (N, M) for a tol of at least 20 eps, the least float term (N >= 12 rows: depth >= 11 + 1 + 8)
+    nmb = [[_em_choose(s, float(a.min(initial=1.0)), max(tol, 20 * _EPS))]]
     vals, errs = (x[0, 0] for x in _em_fill([s], nmb, a))
     err = float(errs.max(initial=0.0))
     if err > tol:
@@ -381,8 +382,8 @@ def hurwitz_zeta(s: complex, a: float, tol: float = 1e-12) -> ComplexApprox:
     return ComplexApprox(complex(vals[0]), err)
 
 
-def digamma_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """psi(a) for real a in (0, 1], with worst-case error bound.
+def digamma_vector(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi(a) for real a in (0, 1], with an error bound per entry.
 
     Needed for L-values at s = 1, where the zeta(s, a/q) poles cancel and the
     finite part is -psi(a/q): psi(a) = psi(a+N) - sum_{n<N} 1/(a+n), then
@@ -404,8 +405,7 @@ def digamma_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
         p *= x2
     # first omitted Stirling term at x >= 16, plus accumulation rounding
     analytic = abs(_B2J[7]) / 16 * 16.0 ** -16
-    err = analytic + _EPS * float((acc + np.abs(val)).max()) * 8
-    return val - acc, err
+    return val - acc, analytic + 8 * _EPS * (acc + np.abs(val))
 
 
 # ---------------------------------------------------------------------------

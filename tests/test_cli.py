@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import thetamoments
@@ -17,6 +18,7 @@ from thetamoments.characters import build_group
 from thetamoments.bounds import MAX_COS_A, ShiftTuple, cos_sum_check, shifted_moment_bound
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
+from thetamoments.reports import make_envelope
 
 
 @pytest.fixture(autouse=True)
@@ -720,6 +722,22 @@ def test_each_subcommand_accepts_exactly_its_options():
         assert set(sp._option_string_actions) == _COMMON_OPTIONS | _OPTIONS[name], name
 
 
+def test_each_shared_flag_is_one_action():
+    """A flag shared by several subcommands is declared once: every
+    subcommand that takes it holds the same argparse Action, so its type,
+    help and requiredness cannot drift apart.  --k is shared by the three
+    subcommands where it follows --q and is required."""
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = ("--q", "--shifts", "--tol", "--workers", "--out", "--format", "--config")
+    shared = {flag: [name for name in _OPTIONS if flag in _OPTIONS[name] | _COMMON_OPTIONS]
+              for flag in flags}
+    shared["--k"] = ["theta-moment", "l-moment", "rand-model"]
+    for flag, names in shared.items():
+        actions = {id(subparsers.choices[n]._option_string_actions[flag]) for n in names}
+        assert len(names) >= 3 and len(actions) == 1, (flag, names, len(actions))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("theta-moment", "--q", "101", "--k", "1", "--parity", "even", "--tol", "1e-30"), "--tol"),
     (("rand-model", "--q", "101", "--k", "1", "--samples", "100", "--tol", "1e-30"), "--tol"),
@@ -827,6 +845,36 @@ def test_bound_eval_json_payload(capsys, tmp_path):
     assert payload["moment_bound"] > 0
     assert payload["large_value_bound"]["regime"] in ("I", "II", "III")
     assert (tmp_path / "bound-eval.json").exists()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_envelope_is_strict_json_with_nulls(capsys, tmp_path):
+    """Below q = 16 the moment bound is undefined: the CSV writes nan, and
+    the JSON writes null, which a strict parser accepts (bare NaN is not JSON)."""
+    argv = ("shifted-moment", "--q", "13", "--shifts", "0,0", "--out", str(tmp_path))
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = _strict_json(out)["payload"]
+    assert payload["normalization"] is None and payload["ratio"] is None
+    assert payload["raw"] > 0 and payload["family_size"] == 11
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1].split(",")[4:6] == ["nan", "nan"]
+
+
+def test_envelope_writes_every_non_finite_float_as_null():
+    """Non-finite floats in the envelope's own dicts and lists, in arrays
+    and in complex values all come out as null."""
+    payload = {"plain": [math.inf, 1.5], "array": np.array([-math.inf, 2.0]),
+               "z": complex(math.nan, 1.0)}
+    doc = _strict_json(make_envelope(["x"], {"tol": math.nan}, payload).to_json())
+    assert doc["config"] == {"tol": None}
+    assert doc["payload"]["plain"] == [None, 1.5] and doc["payload"]["array"] == [None, 2.0]
+    assert doc["payload"]["z"] == {"re": None, "im": 1.0}
 
 
 def test_rand_model_json_reproducible_payload(capsys, tmp_path):

@@ -133,14 +133,14 @@ def test_golden_quadratic_mod5():
     assert v1.value == pytest.approx(expect, abs=1e-13)
 
 
-def test_l_one_against_digamma_oracle():
-    """L(1, chi) = -(1/q) sum_a chi(a) psi(a/q) at a CLI-size prime, within
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_l_one_against_digamma_oracle(q):
+    """L(1, chi) = -(1/q) sum_a chi(a) psi(a/q) at CLI-size primes, within
     the reported error (the s = 1 branch shares the character-sum rounding
-    term of every other L-value)."""
-    q = 1009
+    term of every other L-value, and charges each digamma entry its own bound)."""
     g = build_group(q)
     psi = [(a, mp.digamma(mp.mpf(a) / q)) for a in range(1, q)]
-    for i in (1, 5, 504, 1007):  # 504: the quadratic character
+    for i in (1, 5, q // 2, q - 2):  # q // 2: the quadratic character
         chi = g.char(i)
         ref = complex(-mp.fsum(mp_chi(chi, a) * p for a, p in psi) / q)
         v = l_value(q, chi, 1)
@@ -160,11 +160,11 @@ def test_l_one_pairs_conjugates_exactly(q):
             assert v.value.imag == 0, i
 
 
-@pytest.mark.parametrize("q, tol, achieved", [(100003, 1e-10, "1.78e-10"), (101, 1e-20, "2.07e-13")])
+@pytest.mark.parametrize("q, tol, achieved", [(100003, 1e-14, "1.03e-13"), (101, 1e-20, "3.81e-14")])
 def test_l_one_refuses_a_tol_it_cannot_certify(q, tol, achieved):
-    """The s = 1 bound grows about linearly in phi (1.78e-10 at q = 100003),
-    and no float bound reaches 1e-20: both raise with the refused value as
-    best, as every other L-value does, instead of returning err > tol."""
+    """The s = 1 bound is near 1e-13 at CLI-size moduli (1.03e-13 at
+    q = 100003), and no float bound reaches 1e-20: both raise with the refused
+    value as best, as every other L-value does, instead of returning err > tol."""
     chi = build_group(q).char(1)
     with pytest.raises(PrecisionError) as info:
         l_value(q, chi, 1, tol=tol)
@@ -179,6 +179,13 @@ def test_l_one_refuses_a_tol_it_cannot_certify(q, tol, achieved):
 def test_l_one_returns_a_float_error_within_tol():
     v = l_value(1009, build_group(1009).char(1), 1)
     assert type(v.abs_error) is float and v.abs_error <= 1e-10
+
+
+def test_l_one_certifies_a_six_digit_prime_at_the_default_tol():
+    """Each digamma entry is charged its own bound, not phi times the worst,
+    which read 1.78e-10 at q = 100003 and refused the default tol 1e-10."""
+    v = l_value(100003, build_group(100003).char(1), 1)
+    assert v.abs_error <= 1e-12
 
 
 def test_primitivity_and_the_pole_read_no_conductor_table():
@@ -293,6 +300,19 @@ def test_real_powers_within_their_bound_of_longdouble():
     rel = np.abs((val - ref) / ref).astype(float)
     assert np.all(rel <= lfunc._powers_rel(s[:, 0], int(n.max()))[:, None])
     assert np.array_equal(lfunc._powers(s + 0j, n)[0], val)
+
+
+def test_complex_powers_within_their_bound_of_mpmath():
+    """_powers at complex s (longdouble log and phase, float64 exp, cos and
+    sin) is within _powers_rel of n^{-s} at 40 digits, at CLI heights and at
+    the n of a six-digit modulus."""
+    n = np.concatenate([np.arange(1, 2000), np.arange(99000, 100004)])
+    s = np.array([[0.5 + 3j], [0.5 + 14j], [0.5 + 35j], [0.5 + 50j], [0.75 + 20j], [2 + 1j]])
+    val, _ = lfunc._powers(s, n)
+    with mp.workdps(40):
+        ref = np.array([[complex(mp.power(int(m), -mp.mpc(z))) for m in n] for z in s[:, 0]])
+    rel = np.abs(val - ref) / np.abs(ref)
+    assert np.all(rel <= lfunc._powers_rel(s[:, 0], int(n.max()))[:, None])
 
 
 def test_real_points_keep_complex_public_values():

@@ -79,6 +79,30 @@ def test_error_bound_honest_random_points():
         assert z.abs_error < 1e-10 * (1 + abs(ref))
 
 
+@pytest.mark.parametrize("s, a", [(10.0, 0.003), (16.0, 0.01)])
+def test_real_s_charges_the_whole_exponent(s, a):
+    """At real s the rounding of exp(-s log(n+a)) is |s| |log(n+a)| eps per
+    term as well: a charge on Im s alone left these values 2.56 and 2.42
+    times their reported error from mpmath."""
+    z = hurwitz_zeta(s, a, tol=math.inf)
+    with mp.workdps(50):
+        ref = complex(mp.zeta(s, mp.mpf(a)))
+    assert abs(z.value - ref) <= z.abs_error, (abs(z.value - ref) / z.abs_error)
+
+
+def test_em_block_float_model_against_a_longdouble_rebuild():
+    """The float part of _em_block's bound covers the float64 block's distance
+    from the same block (same N and M) in longdouble, at 4000 a-values where
+    the terms share a sign: the exponent and np.sum's row-by-row order both
+    count (the distance was 2.47 times a charge without them)."""
+    a = (np.arange(4000) + 0.5) / 4000
+    _, m, bound = specfun._em_choose(10.0, float(a.min()), 1e-12)
+    nmb = [[(100, m, bound)]]
+    val, err = specfun._em_block([10.0], nmb, a)
+    ref, _ = specfun._em_block([np.longdouble(10)], nmb, a.astype(np.longdouble))
+    assert np.all(np.abs(val - ref).astype(float) <= err - bound)
+
+
 def test_vector_matches_scalar():
     s = 0.5 + 3j
     a = np.linspace(0.01, 1.0, 37)
