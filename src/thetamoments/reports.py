@@ -128,8 +128,7 @@ class ReportEnvelope:
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite float (the undefined bound below q = 16,
-        say) is written as null, since JSON has no NaN or Infinity.  Only a
-        document that holds one is walked whole first."""
+        say) is written as null, since JSON has no NaN or Infinity."""
         doc = {
             "tool": self.tool,
             "version": self.version,
@@ -138,20 +137,16 @@ class ReportEnvelope:
             "timestamp": self.timestamp,
             "payload": self.payload,
         }
-        try:
-            text = json.dumps(doc, default=_plain, allow_nan=False, indent=2)
-        except ValueError:
-            text = json.dumps(_plain(doc), allow_nan=False, indent=2)
-        return text + "\n"
+        return json.dumps(_plain(doc), allow_nan=False, indent=2) + "\n"
 
 
 def _plain(o):
     """o in JSON's types: dataclasses as dicts, arrays as lists, complex as
     {"re", "im"} and a non-finite float as None."""
-    if isinstance(o, float):
-        return o if math.isfinite(o) else None
     if o is None or isinstance(o, (str, int)):
         return o
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
     if isinstance(o, dict):
         return {k: _plain(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):

@@ -204,7 +204,7 @@ def _em_block(pts, nmb, a: np.ndarray):
     # block, 8, and 2k for rung k's products; plus the exp-argument error ~ 2 |s| |log(n+a)|
     # eps per term (|s + k| |log(N+a)| eps in the tail), and 4M eps for the Bernoulli
     # running products
-    depth = np.maximum(np.minimum(ns, EM_ROWS) - 1, 0) + -(-ns // EM_ROWS) + 8 + 2 * ks
+    depth = np.minimum(ns, EM_ROWS) - 1 + -(-ns // EM_ROWS) + 8 + 2 * ks
     tail_mag = np.abs(pole) + np.abs(half) + corr_abs
     per_entry = (depth[..., None] * acc_abs + 2 * np.abs(s)[..., None] * acc_wabs
                  + (2 * np.abs(sk) * lg + 10) * tail_mag + 4 * mmax * corr_abs)

@@ -444,3 +444,18 @@ def test_no_hurwitz_error_is_below_the_float_floor(s):
         with pytest.raises(PrecisionError) as e:
             hurwitz_zeta(s, float(x), tol=1e-300)
         assert e.value.best.abs_error >= 12 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 14j, 0.9 - 40j, 3 + 50j])
+def test_no_hurwitz_error_is_below_20_eps(s):
+    """The floor hurwitz_zeta_vector chooses (N, M) for is 20 eps: N >= 12
+    rows give depth >= 11 + 1 + 8 times the n = 0 term, >= 1.  An entry
+    below it would make a certifiable tol refuse."""
+    a = np.array([1e-3, 0.25, 0.5, 1.0])
+    with pytest.raises(PrecisionError) as e:
+        hurwitz_zeta_vector(s, a, tol=1e-300)
+    assert e.value.best.abs_error >= 20 * np.finfo(float).eps
+    for x in a:
+        with pytest.raises(PrecisionError) as e:
+            hurwitz_zeta(s, float(x), tol=1e-300)
+        assert e.value.best.abs_error >= 20 * np.finfo(float).eps
