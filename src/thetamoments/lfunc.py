@@ -12,11 +12,16 @@ rounding.  l_value is entry chi.index of that call, so it equals the family
 entry bit for bit; s = 1 reads the character sums of the digamma values.
 zeta(s, 1 + a/q) comes from specfun.hurwitz_grid_runs with an error e_a per
 entry (Taylor in a from longdouble centres at large phi, direct
-Euler-Maclaurin at small phi); a^{-s} takes its phase t log a mod 2 pi in
-longdouble.  Runs never mix real and complex points, and a real run stays
-real up to the transform: a^{-s} is one float64 power, the Hurwitz values and
-weights are float64, and character_sums returns exact pairs L(s, conj chi)
-= conj L(s, chi).  The error of any character sum of the weights is then
+Euler-Maclaurin at small phi).  a^{-s} is a float64 power a^{-sigma} times,
+at complex s, the unit phasor of t log a mod 2 pi: per point, one table of
+t log a0 mod 2 pi in longdouble over the leading parts a0 of the units
+(a = a0 (1 + r), 0 <= r < 2^-LEAD_BITS), plus t log1p(r) in float64 per unit;
+where phi is no more than the table's rows, the phase is taken in longdouble
+per unit (see _powers).  Runs never mix real and complex points, and a real
+run stays real up to the transform: a^{-s} is one float64 power, the Hurwitz
+values and weights are float64, and character_sums returns exact pairs
+L(s, conj chi) = conj L(s, chi).  The error of any character sum of the
+weights is then
 
     |q^{-s}| sum_a e_a  +  Dirichlet-polynomial rounding  +  transform rounding,
 
@@ -40,9 +45,11 @@ whose sums are exactly 0), keeping only |L| of each run (no (S, phi) complex
 array).  A central moment is its t = 0 column.  Negative shifts reuse the
 |L| column of the matching positive shift through the conjugation
 permutation chi -> conj(chi) (the t = 0 row is exactly conjugate-symmetric
-already), and every moment is reduced by reports.moment_report (sorted,
-then the fixed-chunk sum), so a moment at shifts -t is bit-identical to the
-moment at t, and M_2(q) to the shifted moment at (0, 0).
+already).  shifted_moment multiplies its columns in an order that t -> -t maps
+to itself (by |t|, each the product of its chi-side and conj-side powers), and
+every moment is reduced by reports.moment_report (sorted, then the
+fixed-chunk sum), so a moment at shifts -t is bit-identical to the moment at
+t, and M_2(q) to the shifted moment at (0, 0).
 
 Near-vanishing values: when |L| is below its own error bound, log|L| is
 clamped to -50 and the character is counted in the report's flag field, so
@@ -87,37 +94,93 @@ LOG_CLAMP = -50.0  # log|L| substitute when |L| is below its error bound
 # temporaries each, so a chunk stays under a megabyte
 _CHUNK = HZ_BLOCK // 8
 
+# B: a complex point's unit phases come from a table over n's leading B + 1 bits
+LEAD_BITS = 7
 
-def _powers(s: np.ndarray, n: np.ndarray):
+
+def _powers(s: np.ndarray, n: np.ndarray, table: np.ndarray | None = None):
     """(n^{-s}, |n^{-s}|) for integers n > 0 and a column of s-points.  A real
-    column is one float64 power n^{-sigma}, its own magnitude; else log n is
-    taken in longdouble, the phase t log n reduced mod 2 pi there, and it and
-    -sigma log n rounded to float64 for cos, sin and exp."""
+    column is one float64 power n^{-sigma}, its own magnitude.  At complex s
+    the magnitude is that same power and the phase t log n mod 2 pi is, with no
+    table, _ld_phase of n; with a _phase_table, n = n0 (1 + r) splits at its
+    leading bits (_lead) and the phase is table[n0] + t log1p(r) in float64.
+    The value is the magnitude times cos - i sin of the phase."""
+    mag = n.astype(float) ** -s.real
     if not s.imag.any():
-        return (mag := n.astype(float) ** -s.real), mag
-    ln = np.log(n.astype(np.longdouble))
-    mag = np.exp((-s.real * ln).astype(float))
-    ang = s.imag * ln
+        return mag, mag
+    if table is None:
+        ang = _ld_phase(s.imag, n)
+    else:
+        i, n0 = _lead(n)
+        ang = table[:, i] + s.imag * np.log1p((n - n0) / n0)
+    # mag (cos - i sin), written in place: no complex temporaries
+    out = np.empty(ang.shape, dtype=complex)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    out.real *= mag
+    out.imag *= -mag
+    return out, mag
+
+
+def _ld_phase(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """t log n mod 2 pi for a column t and integers n > 0: log, product and
+    reduction in longdouble, rounded once to float64 (|value| <= pi)."""
+    ang = t * np.log(n.astype(np.longdouble))
     ang -= TWO_PI * np.rint(ang / TWO_PI)
-    ang = ang.astype(float)
-    return mag * (np.cos(ang) - 1j * np.sin(ang)), mag
+    return ang.astype(float)
+
+
+def _lead(n: np.ndarray):
+    """(row, n0) for integers 0 < n < 2^53: n0 keeps n's leading LEAD_BITS + 1
+    bits (n0 = n below 2^(LEAD_BITS + 1)), so n = n0 (1 + r) with 0 <= r <
+    2^-LEAD_BITS, and row = (n >> k) + k 2^LEAD_BITS, k the bits dropped, is
+    n0's row of _phase_table."""
+    k = np.maximum(np.frexp(n)[1] - (LEAD_BITS + 1), 0)
+    lead = n >> k
+    return lead + (k << LEAD_BITS), lead << k
+
+
+def _phase_table(t: np.ndarray, rows: int) -> np.ndarray:
+    """_ld_phase(t, n0) for the leading parts n0 of _lead's rows 0..rows-1
+    (row 0 unused).  With rows = 1 + n's row these are all n0 <= n: at most
+    2^(B+1) + 2^B (bitlen(n) - B - 1) of them, B = LEAD_BITS, and 1348 for
+    the units mod 100003."""
+    row = np.arange(rows)
+    k = np.maximum((row >> LEAD_BITS) - 1, 0)
+    return _ld_phase(t, np.maximum((row - (k << LEAD_BITS)) << k, 1))
 
 
 def _powers_rel(s: np.ndarray, n: int) -> np.ndarray:
-    """Relative error of _powers at every n' <= n: the float64 exponent
-    (sigma log n / 2 eps), angle, cos/sin, exp and products (5 eps), and the
-    longdouble phase before its reduction (4 eps_ld |t| log n)."""
-    ln = math.log(n)
-    return (s.real * ln / 2 + 5) * _EPS + 4 * _EPS_LD * np.abs(s.imag) * ln
+    """Relative error of _powers at every n' <= n, in the order it computes:
+      (sigma log n / 2 + 5) eps   the real column's charge, kept as the floor:
+                                  the float64 power (one ulp) and, at complex
+                                  s, cos and sin (one ulp), the two products
+                                  (eps / 2) and the longdouble phase rounded
+                                  to float64 (|phase| <= pi < 4: eps);
+      4 eps_ld |t| log n          that phase before its reduction mod 2 pi;
+      eps / 2 min(pi, |t| log n)  the float64 add of the table phase and
+      + 5 eps |t| 2^-B / 2        t log1p(r) < |t| 2^-B (eps / 2 of their
+                                  sum), and r's rounding (eps / 2), log1p
+                                  (one ulp) and the product by t (eps / 2) on
+                                  the second, B = LEAD_BITS.
+    A phase error is the same relative error of the unit phasor."""
+    ln, t = math.log(n), np.abs(s.imag)
+    return ((s.real * ln / 2 + 5 + (np.minimum(math.pi, t * ln) + 5 * t / 2 ** LEAD_BITS) / 2)
+            * _EPS + 4 * _EPS_LD * t * ln)
 
 
 def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray) -> np.ndarray:
     """w[., i] = q^{-s} zeta(s, a/q) = a^{-s} + q^{-s} zeta(s, 1 + a/q), a = n_of_index[i],
     one row per point of the column s_col (float64 if it is real), filled in
-    slices of _CHUNK units; adds each row's two error sums to sums (see _l_rows)."""
+    slices of _CHUNK units; adds each row's two error sums to sums (see _l_rows).
+    A complex column's unit phases come from one _phase_table for all the
+    slices, or in longdouble per unit where the units are no more than its
+    rows; q^{-s} takes its one phase in longdouble."""
     q = group.q
     a_all = np.array([1]) if q == 1 else group.structure.n_of_index
     qs, qs_abs = _powers(s_col, np.array([q]))
+    rows = int(_lead(a_all.max(keepdims=True))[0][0]) + 1
+    table = _phase_table(s_col.imag, rows) if s_col.imag.any() and rows < len(a_all) else None
     # q^{-s} and its product with zeta(s, 1 + a/q) round within rel + eps
     qs_abs, qs_rel = qs_abs[:, 0], _powers_rel(s_col[:, 0], q) + _EPS
     w = np.empty((len(s_col), len(a_all)), dtype=qs.dtype)
@@ -125,7 +188,7 @@ def _weights(group: CharacterGroup, s_col: np.ndarray, hurwitz, sums: np.ndarray
         a = a_all[c:c + _CHUNK]
         h, e = hurwitz(a)
         sums[0] += qs_abs * (np.sum(e, axis=1) + qs_rel * np.sum(np.abs(h), axis=1))
-        d, mag = _powers(s_col, a)
+        d, mag = _powers(s_col, a, table)
         sums[1] += np.sum(mag, axis=1)
         h *= qs
         h += d
@@ -266,9 +329,15 @@ def shifted_moment(q: int, t, tol: float = 1e-10, family: str = "star") -> Momen
     t = as_shift_tuple(t)
     norm = shifted_moment_bound(q, t, eps=0.1) if q >= 16 else float("nan")
     cols, _, size = _family_columns(q, t, tol, family)
+    # by |t| ascending, each the product of its chi-side (t >= 0) and conj-side
+    # (t < 0) powers: t -> -t swaps the two sides, so the products over chi at -t
+    # are those at t over conj chi, bit for bit
+    sides: dict[float, tuple[list, list]] = {}
+    for x, col in zip(t, cols):
+        sides.setdefault(abs(x), ([], []))[x < 0].append(col)
     prod = np.ones(size)
-    for col in cols:
-        prod *= col
+    for tau in sorted(sides):
+        prod *= math.prod(side[0] ** len(side) for side in sides[tau] if side)
     return moment_report(q, t.k, family, prod, norm, tol)
 
 

@@ -175,6 +175,9 @@ def _crt_lift(g: int, pk: int, q: int) -> int:
     return (g * m * pow(m, -1, pk) + pk * pow(pk, -1, m)) % q
 
 
+_MOD_BLOCK = 1 << 15  # int64 entries per block of _outer_mod's remainder
+
+
 def _powers(g: int, d: int, q: int) -> np.ndarray:
     """g^m mod q for m < d as (g^b)^i g^j with b = ceil(sqrt d): two integer
     ladders of about sqrt d steps, then one outer multiply-mod."""
@@ -185,9 +188,17 @@ def _powers(g: int, d: int, q: int) -> np.ndarray:
 
 
 def _outer_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a_i b_j mod q, flattened in C order, in one buffer."""
+    """a_i b_j mod q, flattened in C order, in one buffer: x - q (x // q) in
+    place over blocks of about _MOD_BLOCK entries (floor division runs about
+    twice as fast as int64 np.remainder), one block-sized temporary."""
     out = np.multiply.outer(a, b)
-    return np.remainder(out, q, out=out).reshape(-1)
+    rows = max(1, _MOD_BLOCK // len(b))
+    for r in range(0, len(a), rows):
+        x = out[r:r + rows]
+        quot = x // q
+        quot *= q
+        x -= quot
+    return out.reshape(-1)
 
 
 def group_structure(q: int) -> GroupStructure:

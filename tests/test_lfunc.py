@@ -315,6 +315,46 @@ def test_complex_powers_within_their_bound_of_mpmath():
     assert np.all(rel <= lfunc._powers_rel(s[:, 0], int(n.max()))[:, None])
 
 
+def test_table_powers_within_their_bound_of_mpmath():
+    """The leading-bit table route of _powers at its worst cases: the largest
+    r below 2^-B (n = 2^k (1 + 2^-B) - 1) and r = 0 (n = 2^k), k <= 23, at the
+    shift window's heights, is within _powers_rel of n^{-s} at 40 digits."""
+    b = lfunc.LEAD_BITS
+    n = np.array(sorted({m for k in range(24) for m in (2 ** k, (2 ** k + (2 ** k >> b)) - 1)}
+                        - {0}))
+    s = np.array([[x + y * 1j] for x in (0.5, 0.75, 2.0) for y in (35.0, -35.0, 50.0, -50.0)])
+    rows = int(lfunc._lead(n.max(keepdims=True))[0][0]) + 1
+    val, mag = lfunc._powers(s, n, lfunc._phase_table(s.imag, rows))
+    with mp.workdps(40):
+        ref = np.array([[complex(mp.power(int(m), -mp.mpc(z))) for m in n] for z in s[:, 0]])
+    rel = np.abs(val - ref) / np.abs(ref)
+    assert np.all(rel <= lfunc._powers_rel(s[:, 0], int(n.max()))[:, None])
+    assert np.array_equal(mag, n.astype(float) ** -s.real)
+
+
+@pytest.mark.parametrize("q, most, taken", [(100003, 1408, 1348), (29, 28, 28)])
+def test_complex_points_take_at_most_a_table_of_longdouble_phases(monkeypatch, q, most, taken):
+    """Per complex point, the units take their phases from one table of at
+    most 2^(B+1) + 2^B (bitlen q - B - 1) longdouble logs (1408 at q = 100003),
+    built once for all the chunks, and never from more logs than there are
+    units (28 at q = 29); q^{-s} is one more.  The table's values agree with
+    the per-unit longdouble phases."""
+    sizes, ld_phase = [], lfunc._ld_phase
+
+    def recording(t, n):
+        sizes.append(n.size)
+        return ld_phase(t, n)
+
+    monkeypatch.setattr(lfunc, "_ld_phase", recording)
+    l_values_all_chars(q, 0.5 + 14.5j)
+    assert sizes == [1, taken] and taken <= most
+    a = build_group(q).structure.n_of_index
+    s = np.array([[0.5 + 14.5j]])
+    table = lfunc._phase_table(s.imag, int(lfunc._lead(a.max(keepdims=True))[0][0]) + 1)
+    assert np.allclose(lfunc._powers(s, a, table)[0], lfunc._powers(s, a)[0], rtol=0,
+                       atol=2 * lfunc._powers_rel(s[:, 0], q)[0])
+
+
 def test_real_points_keep_complex_public_values():
     """The real route is internal: hurwitz_zeta_vector, l_values_all_chars
     and l_value still return complex values at real s."""
