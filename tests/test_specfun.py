@@ -434,12 +434,26 @@ def test_tol_below_the_float_floor_costs_what_the_floor_does(em_rows):
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 14j, 0.9 - 40j, 3 + 50j])
+def test_no_hurwitz_error_is_below_the_float_floor(s):
+    """The floor is a true lower bound: at any a in (0, 1] a tol just under
+    20 eps is refused, and the error reported with the refusal is at least
+    the floor, so a tol under it never could certify."""
+    floor = 20 * np.finfo(float).eps
+    a = np.array([1e-3, 0.25, 0.5, 1.0])
+    with pytest.raises(PrecisionError) as e:
+        hurwitz_zeta_vector(s, a, tol=0.99 * floor)
+    assert e.value.best.abs_error >= floor
+    for x in a:
+        with pytest.raises(PrecisionError) as e:
+            hurwitz_zeta(s, float(x), tol=0.99 * floor)
+        assert e.value.best.abs_error >= floor
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 14j, 0.9 - 40j, 3 + 50j])
 def test_no_hurwitz_error_is_below_20_eps(s):
     """The floor hurwitz_zeta_vector chooses (N, M) for is 20 eps: N >= 12
-    rows give depth >= 11 + 1 + 8 times the n = 0 term, >= 1.  It is a true
-    lower bound: at any a in (0, 1] the reported error is at least 20 eps,
-    so a tol under it never could certify, and an entry below it would make
-    a certifiable tol refuse."""
+    rows give depth >= 11 + 1 + 8 times the n = 0 term, >= 1.  An entry
+    below it would make a certifiable tol refuse."""
     a = np.array([1e-3, 0.25, 0.5, 1.0])
     with pytest.raises(PrecisionError) as e:
         hurwitz_zeta_vector(s, a, tol=1e-300)
