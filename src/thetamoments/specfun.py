@@ -16,8 +16,9 @@ zeta(s, a) uses Euler-Maclaurin directly: sum_{n<N} (n+a)^{-s}
   + sum_{j<=M} B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1},
 with remainder bounded by |first omitted term| * |s+2M+1|/(Re s + 2M + 1).
 N scales with |s| so the expansion stays in its asymptotic regime; M is 10,
-escalating to 15 (Bernoulli numbers through B_30 are precomputed) before N is
-grown further.  _em_block is the one kernel: it evaluates a ladder of rungs
+escalating to 14 = _MAX_M - 1 before N is grown further (Bernoulli numbers
+through B_30 are precomputed, and B_30 bounds the first omitted term).
+_em_block is the one kernel: it evaluates a ladder of rungs
 s, s+1, ..., s+K-1 from one power (n+a)^{-s} per row, since (n+a)^{-s-k} =
 (n+a)^{-s} (n+a)^{-k} is k real multiplications away (2k eps more in the
 float model), and each tail term at N + a is one power (N+a)^{-s-k} times
@@ -38,9 +39,10 @@ entry (hurwitz_grid_runs).  Each s-point takes the cheaper of two routes:
   zeta(s+k, c) d^k about J = 64 centres c_j = 1 + (j + 1/2)/J, so |d| <= 1/128.
   The J K centre values zeta(s+k, c_j) are one K-rung ladder of the block
   code in (c)longdouble; each entry is then a K-term float64 Horner sum in
-  d = (2Ja - (2j+1)q)/(2Jq), an integer ratio rounded once, with bound
-  sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps |C_k|) |d|^k plus the
-  truncation bound of _taylor_terms;
+  d = (2Ja - (2j+1)q)/(2Jq), an integer ratio rounded once.  The bound is
+  charged once per centre, at the largest rounded offset delta = (1 + eps)/(2J):
+  sum_k (|(s)_k/k!| err_k(c_j) + (2K + 5) eps |C_k|) delta^k plus the
+  truncation bound of _taylor_terms, the same for every entry of centre j;
 * direct Euler-Maclaurin at the float64 argument 1 + a/q, its rounding
   included in the bound.
 
@@ -300,9 +302,13 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     = sum_k (-1)^k (s)_k/k! zeta(s+k, c_j) d^k (DLMF 25.11) at the integers a.
 
     The J*K centre values are one K-rung ladder of _em_block in longdouble, real
-    at real s, as the float64 Horner sum then is.  Each entry's bound is sum_k
-    B[k, j] |d|^k + the truncation bound, B[k, j] the centre error weighted by
-    |(s)_k/k!| plus 2K + 5 eps per |C_k| (the Horner sum, C_k's and d's rounding).
+    at real s, as the float64 Horner sum then is.  The bound is charged once per
+    centre: E_j = sum_k B[k, j] delta^k + the truncation bound, B[k, j] the
+    centre error weighted by |(s)_k/k!| plus 2K + 5 eps per |C_k| (the Horner
+    sum, C_k's and d's rounding), and delta = (1 + eps) / (2J) the largest |d|
+    after its one rounding (|d| <= 1/(2J) exactly, and rounding to nearest
+    adds at most eps/2 relative).  Every entry of centre j returns E_j, so an
+    evaluation is the value Horner sum and one gather.
     """
     centres = 1 + (np.arange(TAYLOR_J, dtype=np.longdouble) + 0.5) / TAYLOR_J
     ks = np.arange(k_terms)
@@ -315,18 +321,20 @@ def _taylor(s: complex, k_terms: int, tail: float, tol: float, q: int):
     c64 = coef.astype(np.result_type(s, float))
     bound = ((np.abs(r).astype(float) * zerr + (2 * k_terms + 5) * _EPS * np.abs(coef).astype(float))
              * (1 + 4 * k_terms * _EPS))
+    delta = (1 + _EPS) * 0.5 / TAYLOR_J
+    err = bound[-1]
+    for k in range(k_terms - 2, -1, -1):
+        err = err * delta + bound[k]
+    err += tail
 
     def evaluate(a: np.ndarray):
         j = a * TAYLOR_J // q
         d = (2 * TAYLOR_J * a - (2 * j + 1) * q) / (2 * TAYLOR_J * q)  # one rounding
-        ad = np.abs(d)
-        val, err = c64[-1][j], bound[-1][j]
+        val = c64[-1][j]
         for k in range(k_terms - 2, -1, -1):
             val *= d
             val += c64[k][j]
-            err *= ad
-            err += bound[k][j]
-        return val[None], err[None] + tail
+        return val[None], err[j][None]
 
     return evaluate
 

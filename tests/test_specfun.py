@@ -311,6 +311,91 @@ def test_taylor_centre_rungs_within_their_own_bounds(monkeypatch, t):
             assert dev <= errs[0, k, j], (k, j, dev, errs[0, k, j])
 
 
+def _taylor_tables(monkeypatch, s, q):
+    """(evaluate, coef, centre part, tail) of the one Taylor point s over the
+    units mod prime q at the L path's per-entry target: coef[k, j] = (-1)^k
+    (s)_k/k! zeta(s + k, c_j) in (c)longdouble, rebuilt from the recorded
+    centre table as _taylor builds it, and the centre part |(s)_k/k!|
+    err_k(c_j) of each coefficient's charge."""
+    tol = 1e-10 * q ** 0.5 / (4 * (q - 1))
+    calls, fill = {}, specfun._em_fill
+    monkeypatch.setattr(specfun, "_em_fill", lambda *a: calls.setdefault("fill", (a, fill(*a)))[1])
+    taylor = specfun._taylor
+    monkeypatch.setattr(specfun, "_taylor", lambda *a: taylor(*calls.setdefault("taylor", a)))
+    ((_, _, evaluate),) = specfun.hurwitz_grid_runs([s], q, q - 1, [tol])
+    (pts, _, _), (zeta, zerr) = calls["fill"]
+    _, k_terms, tail, _, _ = calls["taylor"]
+    ks = np.arange(k_terms)
+    r = np.cumprod(np.concatenate([[1], -(pts[0] + ks[:-1].astype(np.longdouble)) / ks[1:]]))[:, None]
+    return evaluate, r * zeta[0], np.abs(r).astype(float) * zerr[0], tail
+
+
+def _offsets(a, q):
+    """(centre j, float64 offset d) of the integers a, as the Taylor route rounds d."""
+    j = a * specfun.TAYLOR_J // q
+    return j, (2 * specfun.TAYLOR_J * a - (2 * j + 1) * q) / (2 * specfun.TAYLOR_J * q)
+
+
+@pytest.mark.parametrize("t", [0.0, 50.0, 300.0])
+def test_taylor_horner_rounding_within_its_charge(monkeypatch, t):
+    """The float64 Horner sum at q = 100003, rebuilt exactly in mpmath at the
+    16 units whose |d| comes nearest 1/(2J), the bin edges, where the charge
+    delta^k is reached.  From the same float64 coefficients and offsets the
+    deviation is the Horner rounding alone; from the (c)longdouble
+    coefficients and the exact offsets it adds C_k's and d's rounding.  Both
+    stay within the rounding share (2K + 5) eps sum_k |C_k| (1/(2J))^k of
+    the per-centre charge, itself below each entry's returned error E_j."""
+    q, s = 100003, complex(0.5, t)
+    evaluate, coef, _, _ = _taylor_tables(monkeypatch, s, q)
+    k_terms = len(coef)
+    delta = 0.5 / specfun.TAYLOR_J
+    j, d = _offsets(np.arange(1, q), q)
+    edge = np.argsort(np.abs(d), kind="stable")[-16:]
+    a, j, d = edge + 1, j[edge], d[edge]
+    assert np.abs(d).min() > (1 - 1e-3) * delta
+    vals, errs = evaluate(a)
+    c64 = coef.astype(vals.dtype)
+    share = ((2 * k_terms + 5) * specfun._EPS * np.abs(coef).astype(float)
+             * delta ** np.arange(k_terms)[:, None]).sum(axis=0)
+    for ai, jj, dd, v, e in zip(a.tolist(), j.tolist(), d.tolist(), vals[0], errs[0]):
+        exact_d = mp.mpf(2 * specfun.TAYLOR_J * ai - (2 * jj + 1) * q) / (2 * specfun.TAYLOR_J * q)
+        same = sum(mp.mpc(complex(c64[k, jj])) * mp.mpf(dd) ** k for k in range(k_terms))
+        full = sum(_mp_exact(coef[k, jj]) * exact_d ** k for k in range(k_terms))
+        for ref in (same, full):
+            dev = float(abs(mp.mpc(complex(v)) - ref))
+            assert dev <= share[jj] < e, (ai, dev, share[jj], e)
+
+
+@pytest.mark.parametrize("q", [10007, 100003])
+@pytest.mark.parametrize("t", [0.0, 20.0, 50.0])
+def test_taylor_values_match_the_per_entry_horner(monkeypatch, q, t):
+    """The Taylor route against a per-entry evaluator written here, the
+    value Horner sum with its error Horner sum in |d|: over every unit the
+    values equal it bit for bit, and no returned error is below that entry's
+    own bound, so the per-centre charge drops no entry's charge, while the
+    largest error stays within 1e-4 of the largest per-entry bound."""
+    s = complex(0.5, t)
+    evaluate, coef, centre, tail = _taylor_tables(monkeypatch, s, q)
+    k_terms = len(coef)
+    bound = ((centre + (2 * k_terms + 5) * specfun._EPS * np.abs(coef).astype(float))
+             * (1 + 4 * k_terms * specfun._EPS))
+    units = np.arange(1, q)
+    vals, errs = evaluate(units)
+    c64 = coef.astype(vals.dtype)
+    j, d = _offsets(units, q)
+    ref, ref_err = c64[-1][j], bound[-1][j]
+    for k in range(k_terms - 2, -1, -1):
+        ref *= d
+        ref += c64[k][j]
+        ref_err *= np.abs(d)
+        ref_err += bound[k][j]
+    assert vals.shape == errs.shape == (1, q - 1)
+    assert np.array_equal(vals[0], ref)
+    assert np.all(errs[0] >= ref_err + tail)
+    # each centre's worst entry sits near |d| = 1/(2J)
+    assert errs[0].max() <= (1 + 1e-4) * (ref_err + tail).max()
+
+
 def test_unit_grid_direct_route_within_bounds(monkeypatch):
     """At small phi the grid takes direct Euler-Maclaurin at the float64
     argument 1 + a/q; the bound covers that argument's rounding too."""
