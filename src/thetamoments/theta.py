@@ -12,8 +12,12 @@ the units once into real weights (one vector per parity) and takes their
 character sums for that parity only (CharacterGroup.character_sums, which
 also bounds the rounding): one inverse FFT, of half the group order on a
 cyclic group (q prime, p^e, 2 p^e), elsewhere over the group's grid with
-the parity read off its output.  A moment needs only its own parity, so it
-folds and transforms once, and selects the primitive characters of it.
+the parity read off its output.  A moment with k >= 2 needs only its own
+parity, so it folds and transforms once, and selects the primitive
+characters of it.  At k = 1 orthogonality sums the family in closed form
+(the second-moment identity of Louboutin-Munsch, Moebius over d | q for
+composite q): O(N + d) work per divisor d, with no character group, no
+transform and a rounding bound of its own (_second_moment).
 Moments S_2k(q) over the even-primitive or odd-primitive family normalize
 by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
@@ -49,6 +53,7 @@ from .characters import (THETA_FAMILIES, Character, CharacterGroup, build_group,
                          check_family_modulus, check_modulus, family_group)
 from .errors import DomainError
 from .lfunc import MAX_SHIFT, l_values_all_chars
+from .numtheory import Factorization, factorize
 from .reports import MomentReport, moment_normalization, moment_report
 from .specfun import ComplexApprox, gamma_fn
 from .summation import chunked_sum, rounding_bound
@@ -66,6 +71,7 @@ __all__ = [
 ]
 
 MAX_MELLIN_STEPS = 2 ** 16  # round(height / step): 128 times the default window's 512
+_EPS = np.finfo(float).eps
 
 
 def _tail_bound(q: int, x: float, eta: int, n: int) -> float:
@@ -137,8 +143,10 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
                     group: CharacterGroup | None = None) -> tuple[np.ndarray, float]:
     """theta(eta_chi, x, chi) for every character mod q in group index order.
 
-    One residue-class weight vector per parity, one transform each; matches
-    the naive per-character series within 2 eps.  Returns (values, err).
+    One residue-class weight vector per parity, one transform each.  Returns
+    (values, err): err, the tail plus character_sums' rounding bound, is the
+    certified bound on every value.  It can exceed eps at large q (8.36e-12 at
+    q = 10007, eps = 1e-12), and nothing here raises when it does.
     """
     group = family_group(q, group)
     values = np.zeros(len(group), dtype=complex)
@@ -168,13 +176,81 @@ def theta_normalization(q: int, k: int, parity: str, scale: int) -> float:
     return moment_normalization(q, k, scale, (2 * eta + 1) * k, (k - 1) ** 2)
 
 
+def _moebius_divisors(fac: Factorization) -> list[tuple[int, int, int]]:
+    """(d, mu(q / d), phi(d)) for each d | q with q / d squarefree: each
+    p^e || q keeps p^e in d or gives up one p."""
+    out = [(1, 1, 1)]
+    for p, e in fac.factors:
+        ways = [(p ** j, (-1) ** (e - j), p ** j - p ** (j - 1) if j else 1) for j in (e, e - 1)]
+        out = [(d * pd, mu * s, f * pf) for d, mu, f in out for pd, s, pf in ways]
+    return out
+
+
+def _weight_rounding(q: int, n: np.ndarray) -> np.ndarray:
+    """rho_n = (1.25 A + 3) eps, A = pi n^2 / q: the relative rounding of
+    theta_series' x = 1 weight n^eta e^{-A}.  The exponent (-pi / q) n^2 is
+    off by at most 1.2 A eps (pi's float and two roundings), exp by at most
+    2 eps and the factor n by eps / 2; the weights at n near N, where A is
+    about 28-38, are off the most."""
+    return (1.25 * math.pi / q * n ** 2 + 3) * _EPS
+
+
+def _second_moment(q: int, eta: int, eps: float, fac: Factorization
+                   ) -> tuple[float, float, int]:
+    """(S, err, size): S = sum |theta(1, chi)|^2 over the size primitive
+    parity-eta characters mod q, by orthogonality with no group or transform.
+
+    With W(a) the series folded by residue on the units and V_d(c) the sum of
+    W over the units a = c mod d,
+        S = 1/2 sum_{d | q} mu(q/d) phi(d) sum_c V_d(c) (V_d(c) + (-1)^eta V_d(-c)),
+    and size is the same sum at W = delta_1.  Each inner sum is one bincount
+    of the unit terms e_n keyed by n mod d, read back at each term's key and
+    its negative and summed term by term, sum_n e_n (V(k_n) +- V(-k_n)), with
+    math.fsum.  err is the rounding of S against the series' exact terms.  Each
+    term charges t_n = e_n (V(k_n) + V(-k_n)) >= |term|, times phi(d) / 2,
+    whatever the Moebius signs cancel:
+      * (m + 4) eps t_n for the arithmetic, m = ceil(N / d) the most terms one
+        bin adds in order, then the sum, fsum and the phi(d) product;
+      * 2 rho_n t_n for the weights' own rounding (_weight_rounding), S being
+        a quadratic form in them.
+    An empty family is the exact 0."""
+    divisors = _moebius_divisors(fac)
+    size = sum(mu * f * (1 + (-1) ** eta * (d <= 2)) for d, mu, f in divisors) // 2
+    if not size:
+        return 0.0, 0.0, 0
+    res, e, _ = theta_series(q, 1.0, eta, eps)
+    units = np.gcd(res, q) == 1
+    n_max = e.size
+    n = np.flatnonzero(units) + 1.0
+    res, e = res[units], e[units]
+    rho2 = 2 * _weight_rounding(q, n)
+    parts, err = [], 0.0
+    for d, mu, f in divisors:
+        key = res % d
+        v = np.bincount(key, weights=e, minlength=d)
+        near, far = v[key], v[(d - key) % d]
+        t = e * (near + far)
+        parts.append(mu * f * math.fsum((e * (near - far) if eta else t).tolist()))
+        err += f / 2 * math.fsum((((-(-n_max // d) + 4) * _EPS + rho2) * t).tolist())
+    raw = math.fsum(parts) / 2
+    return raw, err + _EPS * abs(raw), size
+
+
 def theta_moment(q: int, k: int, parity: str, eps: float = 1e-12) -> MomentReport:
     """S_2k(q) = sum |theta(1, chi)|^{2k} over the even-primitive or
-    odd-primitive family, with the matching normalization.  Only the series
-    of that parity is folded and transformed.  The normalization takes phi(q)
-    from the group's structure, so q is factorized once, and is checked
-    before any table or transform is built."""
+    odd-primitive family, with the matching normalization, checked before
+    any table or transform is built.  k = 1 is the orthogonality identity
+    (_second_moment), with phi(q) from factorize(q) and no character group.
+    For k >= 2 only the series of that parity is folded and transformed, and
+    the normalization takes phi(q) from the group's structure, so q is
+    factorized once."""
     eta = _theta_eta(q, k, parity)
+    if k == 1:
+        fac = factorize(q)
+        norm = theta_normalization(q, k, parity, fac.phi())
+        raw, _, size = _second_moment(q, eta, eps, fac)
+        return MomentReport(q=q, k=k, family=parity, raw=raw, normalization=norm,
+                            ratio=raw / norm, eps=eps, family_size=size)
     group = build_group(q)
     norm = theta_normalization(q, k, parity, group.phi)
     values, _ = _theta_parity(q, 1.0, eta, eps, group)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import thetamoments
-from thetamoments import numtheory
+from thetamoments import numtheory, theta
 from thetamoments.characters import (FAMILIES, SPLIT_FLOOR, CharacterGroup, build_group,
                                      gauss_sum)
 from thetamoments.errors import DomainError
@@ -685,15 +685,22 @@ def test_tables_match_exponent_matrix(q):
                                       (3 ** 7, [3 ** 7, 2 * 3 ** 6])])
 def test_group_tables_factorize_q_once(q, expect, monkeypatch):
     """One factorize(q) per group build, plus one of phi(p^e) per odd p^e || q
-    for its primitive root; the conductors reuse the group's factorization."""
+    for its primitive root; the conductors reuse the group's factorization.
+    A k = 2 theta moment builds one group; k = 1 builds none and factorizes
+    q alone."""
     calls = []
     real = numtheory.factorize
-    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or real(n))
+    record = lambda n: calls.append(n) or real(n)
+    monkeypatch.setattr(numtheory, "factorize", record)
+    monkeypatch.setattr(theta, "factorize", record)
     g = build_group(q)
     assert g.conductors.size == g.phi and calls == expect
     calls.clear()
-    theta_moment(q, 1, "even")
+    theta_moment(q, 2, "even")
     assert calls == expect
+    calls.clear()
+    theta_moment(q, 1, "even")
+    assert calls == [q]
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetamoments import theta
+from thetamoments import characters, cli, theta
 from thetamoments.characters import build_group
 from thetamoments.errors import DomainError
 from thetamoments.lfunc import l_value
+from thetamoments.numtheory import factorize
 from thetamoments.specfun import gamma_fn
 from thetamoments.summation import rounding_bound
 from thetamoments.theta import (
@@ -23,6 +24,8 @@ from thetamoments.theta import (
     theta_value,
     truncation_length,
 )
+
+EPS = np.finfo(float).eps
 
 
 def tail_bound_oracle(q, x, eta, n):
@@ -382,6 +385,144 @@ def test_moment_matches_full_transform_path(q, moment_tol):
             m = theta_moment(q, k, parity)
             assert m.family_size == family.size
             assert abs(m.raw - ref) <= moment_tol(ref, m.family_size, k, m.eps), (parity, k)
+
+
+def _propagated(values, err):
+    """Bound on |sum |v|^2 - sum |v_true|^2| over values v each within err of
+    v_true, plus the reference sum's own rounding (4 eps of it)."""
+    a = np.abs(values)
+    return math.fsum((2 * a * err + err ** 2).tolist()) + 4 * EPS * math.fsum((a ** 2).tolist())
+
+
+@pytest.mark.parametrize("q", [1009, 5040, 30030, 100003, 3 ** 7, 4 * 1009])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_second_moment_identity_against_all_chars(q, parity):
+    """theta_moment at k = 1 (the orthogonality identity) against sum |theta|^2
+    over family_mask(parity) of theta_all_chars, within the identity's
+    rounding bound plus the propagated bound of theta_all_chars' values; the
+    family sizes agree, and an empty family (q = 30030 = 2 mod 4) is the exact
+    0, where the Moebius sum left -2.4e-12 (even) and -8.9e-9 (odd)."""
+    g = build_group(q)
+    vals, err = theta_all_chars(q, 1.0, group=g)
+    mask = g.family_mask(parity)
+    m = theta_moment(q, 1, parity)
+    raw, bound, size = theta._second_moment(q, ("even", "odd").index(parity), m.eps,
+                                            factorize(q))
+    assert (raw, size) == (m.raw, m.family_size) and size == int(mask.sum())
+    if not size:
+        assert q == 30030 and m.raw == 0.0 and bound == 0.0
+        return
+    ref = math.fsum((np.abs(vals[mask]) ** 2).tolist())
+    assert abs(m.raw - ref) <= bound + _propagated(vals[mask], err)
+    assert bound < 1e-13 * m.raw
+
+
+def test_second_moment_family_size_is_the_mask_count():
+    """The identity at W = delta_1 counts family_mask's members at every
+    modulus 3 <= q < 400, and the moment is 0 exactly where none exist."""
+    for q in range(3, 400):
+        g = build_group(q)
+        for eta, parity in enumerate(("even", "odd")):
+            raw, _, size = theta._second_moment(q, eta, 1e-12, factorize(q))
+            assert size == int(g.family_mask(parity).sum()), (q, parity)
+            assert (raw == 0.0) == (size == 0), (q, parity)
+
+
+@pytest.mark.parametrize("q", [30030, 100003])
+@pytest.mark.parametrize("eta", [0, 1])
+def test_parity_class_identity_against_all_chars(q, eta):
+    """An oracle of the transform path needing no mpmath: over every parity-eta
+    character (no primitive restriction), sum |theta(1, chi)|^2 =
+    phi/2 sum_a W(a) (W(a) + (-1)^eta W(-a)), W the series folded on the
+    units; against theta_all_chars within its propagated bound."""
+    g = build_group(q)
+    vals, err = theta_all_chars(q, 1.0, group=g)
+    w = _folded_series(q, eta)
+    w[np.gcd(np.arange(q), q) != 1] = 0.0
+    terms = w * (w + (-1) ** eta * w[-np.arange(q) % q])
+    mass = w * (w + w[-np.arange(q) % q])
+    exact = g.phi / 2 * math.fsum(terms.tolist())
+    rounding = g.phi / 2 * 4 * EPS * math.fsum(mass.tolist())
+    family = vals[g.parity_index(eta)]
+    ref = math.fsum((np.abs(family) ** 2).tolist())
+    assert abs(exact - ref) <= rounding + _propagated(family, err)
+
+
+@pytest.mark.parametrize("q", [1009, 10007, 100003])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_fourth_moment_pair_histogram_oracle(q, parity):
+    """k = 2 at prime q, which keeps the transform path: theta(chi)^2 =
+    sum_r chi(r) P(r), P(r) = sum_{ab = r mod q} w_a w_b over the series' N^2
+    pairs, so the parity-eta characters give S_4 = phi/2 sum_r P(r) (P(r) +
+    (-1)^eta P(-r)), less the trivial character's (sum w)^4 when even.  Against
+    theta_moment within the propagated bound of theta_all_chars' values."""
+    eta = ("even", "odd").index(parity)
+    res, w, _ = theta.theta_series(q, 1.0, eta, 1e-12)
+    pairs = np.multiply.outer(res, res) % q
+    p = np.bincount(pairs.reshape(-1), weights=np.multiply.outer(w, w).reshape(-1), minlength=q)
+    neg = p[-np.arange(q) % q]
+    trivial = 0.0 if eta else math.fsum(w.tolist()) ** 4
+    exact = (q - 1) / 2 * math.fsum((p * (p + (-1) ** eta * neg)).tolist()) - trivial
+    rounding = (2 * w.size + 10) * EPS * ((q - 1) / 2 * math.fsum((p * (p + neg)).tolist())
+                                          + trivial)
+    g = build_group(q)
+    vals, err = theta_all_chars(q, 1.0, group=g)
+    a = np.abs(vals[g.family_mask(parity)])
+    m = theta_moment(q, 2, parity)
+    propagated = math.fsum(((a + err) ** 4 - a ** 4).tolist())
+    reduction = rounding_bound(a.size, m.raw) + 5 * EPS * m.raw  # theta_moment's own sum
+    assert abs(m.raw - exact) <= rounding + propagated + reduction
+
+
+@pytest.mark.parametrize("q", [1009, 100003])
+@pytest.mark.parametrize("eta", [0, 1])
+def test_second_moment_rounding_charge_against_mpmath(q, eta):
+    """The identity's err against an exact rebuild: the weights n^eta
+    e^{-pi n^2 / q} and the Moebius sum in 40-digit mpmath, on the same terms
+    n <= N.  Each float weight is within its charged rho_n, the last ones too,
+    where A = pi n^2 / q passes 28 and exp is off the most; the whole moment is
+    within err."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    _, e, _ = theta.theta_series(q, 1.0, eta, 1e-12)
+    n = np.arange(1, e.size + 1)
+    exact_w = [mp.mpf(int(k)) ** eta * mp.exp(-mp.pi * int(k) ** 2 / q) for k in n]
+    assert math.pi * n[-1] ** 2 / q > 28
+    rho = theta._weight_rounding(q, n.astype(float))
+    for k, r in zip(n.tolist(), rho.tolist()):
+        assert abs(mp.mpf(float(e[k - 1])) - exact_w[k - 1]) <= r * exact_w[k - 1], k
+    exact = mp.mpf(0)
+    for d, mu, f in theta._moebius_divisors(factorize(q)):
+        v = {}
+        for k, x in zip(n.tolist(), exact_w):
+            if math.gcd(k, q) == 1:
+                v[k % d] = v.get(k % d, 0) + x
+        exact += mu * f * mp.fsum(x * (x + (-1) ** eta * v.get(-c % d, 0))
+                                  for c, x in v.items())
+    exact /= 2
+    raw, err, _ = theta._second_moment(q, eta, 1e-12, factorize(q))
+    assert abs(mp.mpf(raw) - exact) <= err
+
+
+@pytest.mark.parametrize("q", [1009, 5040])
+def test_second_moment_builds_no_group_and_calls_no_transform(q, monkeypatch, capsys, tmp_path):
+    """theta_moment at k = 1 and theta-scan --k 1 run with building a
+    character group and the group transform both raising; k = 2 still takes
+    that path."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("group path taken")
+
+    monkeypatch.setattr(theta.CharacterGroup, "__init__", refuse)
+    monkeypatch.setattr(theta.CharacterGroup, "transform", refuse)
+    monkeypatch.setattr(characters, "build_group", refuse)
+    monkeypatch.setattr(theta, "build_group", refuse)
+    for parity in ("even", "odd"):
+        assert theta_moment(q, 1, parity).family_size > 0
+    assert cli.run(["theta-scan", "--prime-range", "1009:1100", "--k", "1", "--parity", "odd",
+                    "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count(",1,odd,") == 16  # the primes in 1009:1100
+    with pytest.raises(AssertionError, match="group path taken"):
+        theta_moment(q, 2, "even")
 
 
 def test_moment_normalization_exponent():
