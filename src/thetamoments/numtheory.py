@@ -182,9 +182,14 @@ def _powers(g: int, d: int, q: int) -> np.ndarray:
     """g^m mod q for m < d as (g^b)^i g^j with b = ceil(sqrt d): two integer
     ladders of about sqrt d steps, then one outer multiply-mod."""
     b = math.isqrt(d - 1) + 1
-    hi, lo = (np.fromiter(itertools.accumulate(range(n - 1), lambda x, _: x * s % q, initial=1),
-                          np.int64, n) for s, n in ((pow(g, b, q), -(-d // b)), (g, b)))
-    return _outer_mod(hi, lo, q)[:d]
+    ladders = []
+    for s, n in ((pow(g, b, q), -(-d // b)), (g, b)):
+        x, ladder = 1, [1]
+        for _ in range(n - 1):
+            x = x * s % q
+            ladder.append(x)
+        ladders.append(np.array(ladder, dtype=np.int64))
+    return _outer_mod(*ladders, q)[:d]
 
 
 def _outer_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

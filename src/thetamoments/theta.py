@@ -10,14 +10,18 @@ below which no n can meet the bound.
 The all-characters path folds the series by residue class mod q, gathers
 the units once into real weights (one vector per parity) and takes their
 character sums for that parity only (CharacterGroup.character_sums, which
-also bounds the rounding): one inverse FFT, of half the group order on a
-cyclic group (q prime, p^e, 2 p^e), elsewhere over the group's grid with
-the parity read off its output.  A moment with k >= 2 needs only its own
-parity, so it folds and transforms once, and selects the primitive
-characters of it.  At k = 1 orthogonality sums the family in closed form
-(the second-moment identity of Louboutin-Munsch, Moebius over d | q for
-composite q): O(N + d) work per divisor d, with no character group, no
-transform and a rounding bound of its own (_second_moment).
+also bounds the transform's rounding): one inverse FFT, of half the group
+order on a cyclic group (q prime, p^e, 2 p^e), elsewhere over the group's
+grid with the parity read off its output.  The weights' own rounding is
+charged per term, rho_n = (c A + 3) eps with A = pi n^2 x / q
+(_weight_rounding), as one closed form over the unit terms.  A moment with
+k >= 2 needs only its own parity, so it folds and transforms once, and
+selects the primitive characters of it.  At k = 1 orthogonality sums the
+family in closed form (the second-moment identity of Louboutin-Munsch,
+Moebius over d | q for composite q), with no character group, no transform
+and a rounding bound of its own (_second_moment): one bincount of the N
+unit terms per divisor d <= 2N, and for d > 2N, where every term has a bin
+of its own (d = q at a prime), the terms' squares alone.
 Moments S_2k(q) over the even-primitive or odd-primitive family normalize
 by phi(q) q^{k/2} (log q)^{(k-1)^2}, resp. phi(q) q^{3k/2} (log q)^{(k-1)^2}.
 
@@ -128,15 +132,49 @@ def theta_value(q: int, chi: Character, x: float, eps: float = 1e-12) -> Complex
     return ComplexApprox(total, tail + rounding_bound(e.size, float(np.sum(e))))
 
 
+def _slope(q: int, x: float = 1.0) -> float:
+    """c pi x / q, rho_n's charge per unit n^2 (_weight_rounding): the float
+    exponent (-pi x / q) n^2 is off by at most 1.18 A eps at x = 1 (pi's float
+    and two roundings) and 1.68 A eps elsewhere (one more), A = pi n^2 x / q,
+    so c is 1.25, resp. 1.75."""
+    return (1.25 if x == 1 else 1.75) * math.pi * x / q
+
+
+def _weight_rounding(q: int, n: np.ndarray, x: float = 1.0) -> np.ndarray:
+    """rho_n = (c A + 3) eps: the relative rounding of theta_series' weight
+    n^eta e^{-A}, the exponent's c A eps (_slope) plus 2 eps for exp and eps / 2
+    for the factor n.  The weights at n near N, where A is about 28-38, are
+    off the most."""
+    return (_slope(q, x) * n ** 2 + 3) * _EPS
+
+
+def _units(res: np.ndarray, fac: Factorization) -> np.ndarray | None:
+    """Mask of the terms n <= N = res.size, res = n mod q, that are units mod
+    q: those no prime p | q, p <= N divides; None where all of them are."""
+    masks = [res % p != 0 for p, _ in fac.factors if p <= res.size]
+    return np.logical_and.reduce(masks) if masks else None
+
+
 def _theta_parity(q: int, x: float, eta: int, eps: float,
                   group: CharacterGroup) -> tuple[np.ndarray, float]:
     """(values, err): theta(eta, x, chi) within err for the parity-eta
     characters, in index order; the series folded by residue, its units
-    gathered, then transformed."""
+    gathered, then transformed.
+
+    err is the tail, character_sums' bound, and what that bound's eps sum |w|
+    leaves of the folded weights' own rounding: rho_n - eps of each unit
+    term e_n (_weight_rounding) and, where N > q, the bin sums', (m - 1) eps
+    e_n for at most m = ceil(N / q) terms a bin.  Over the unit terms that is
+        eps ((m + 1) sum_n e_n + c pi x / q sum_n n^2 e_n),
+    inflated by (1 + 6 N eps) for its own rounding as in _second_moment."""
     res, e, tail = theta_series(q, x, eta, eps)
     values, err = group.character_sums(
         np.bincount(res, weights=e, minlength=q)[group.structure.n_of_index], eta)
-    return values, tail + err
+    n2 = np.arange(1.0, e.size + 1) ** 2
+    if (units := _units(res, group.structure.factorization)) is not None:
+        n2, e = n2[units], e[units]
+    own = float((-(-res.size // q) + 1) * e.sum() + _slope(q, x) * (n2 @ e))
+    return values, tail + err + _EPS * own * (1 + 6 * res.size * _EPS)
 
 
 def theta_all_chars(q: int, x: float, eps: float = 1e-12,
@@ -144,9 +182,10 @@ def theta_all_chars(q: int, x: float, eps: float = 1e-12,
     """theta(eta_chi, x, chi) for every character mod q in group index order.
 
     One residue-class weight vector per parity, one transform each.  Returns
-    (values, err): err, the tail plus character_sums' rounding bound, is the
-    certified bound on every value.  It can exceed eps at large q (8.36e-12 at
-    q = 10007, eps = 1e-12), and nothing here raises when it does.
+    (values, err): err, the tail plus the weights' and the transform's
+    rounding (_theta_parity), is the certified bound on every value.  It can
+    exceed eps at large q (9.5e-12 at q = 10007, eps = 1e-12), and nothing
+    here raises when it does.
     """
     group = family_group(q, group)
     values = np.zeros(len(group), dtype=complex)
@@ -186,15 +225,6 @@ def _moebius_divisors(fac: Factorization) -> list[tuple[int, int, int]]:
     return out
 
 
-def _weight_rounding(q: int, n: np.ndarray) -> np.ndarray:
-    """rho_n = (1.25 A + 3) eps, A = pi n^2 / q: the relative rounding of
-    theta_series' x = 1 weight n^eta e^{-A}.  The exponent (-pi / q) n^2 is
-    off by at most 1.2 A eps (pi's float and two roundings), exp by at most
-    2 eps and the factor n by eps / 2; the weights at n near N, where A is
-    about 28-38, are off the most."""
-    return (1.25 * math.pi / q * n ** 2 + 3) * _EPS
-
-
 def _second_moment(q: int, eta: int, eps: float, fac: Factorization
                    ) -> tuple[float, float, int]:
     """(S, err, size): S = sum |theta(1, chi)|^2 over the size primitive
@@ -203,36 +233,50 @@ def _second_moment(q: int, eta: int, eps: float, fac: Factorization
     With W(a) the series folded by residue on the units and V_d(c) the sum of
     W over the units a = c mod d,
         S = 1/2 sum_{d | q} mu(q/d) phi(d) sum_c V_d(c) (V_d(c) + (-1)^eta V_d(-c)),
-    and size is the same sum at W = delta_1.  Each inner sum is one bincount
-    of the unit terms e_n keyed by n mod d, read back at each term's key and
-    its negative and summed term by term, sum_n e_n (V(k_n) +- V(-k_n)), with
-    math.fsum.  err is the rounding of S against the series' exact terms.  Each
-    term charges t_n = e_n (V(k_n) + V(-k_n)) >= |term|, times phi(d) / 2,
-    whatever the Moebius signs cancel:
-      * (m + 4) eps t_n for the arithmetic, m = ceil(N / d) the most terms one
-        bin adds in order, then the sum, fsum and the phi(d) product;
-      * 2 rho_n t_n for the weights' own rounding (_weight_rounding), S being
-        a quadratic form in them.
+    and size is the same sum at W = delta_1.  The unit terms come from q's
+    primes (_units).  Each inner sum is one bincount of the unit terms e_n
+    keyed by n mod d, read back at each term's key and its negative
+    and summed term by term, sum_n e_n (V(k_n) +- V(-k_n)), with math.fsum.
+    Where d > 2N every n <= N has a bin of its own and no -n mod d is
+    occupied, so the terms are e_n e_n, bit for bit what the bincount gives,
+    and none is formed.
+
+    err is the rounding of S against the series' exact terms.  Each term
+    charges t_n = e_n (V(k_n) + V(-k_n)) >= |term|, times phi(d) / 2, whatever
+    the Moebius signs cancel: (m + 4) eps t_n for the arithmetic, m =
+    ceil(N / d) the most terms one bin adds in order, then the sum, fsum and
+    the phi(d) product; and 2 rho_n t_n for the weights' own rounding
+    (_weight_rounding), S being a quadratic form in them.  With 2 rho_n =
+    (2.5 pi n^2 / q + 6) eps that is, per divisor,
+        phi(d) / 2 eps ((m + 10) sum_n t_n + 2.5 pi / q sum_n n^2 t_n),
+    two dot products.  Their float values are short by at most N + 10 half
+    ulps (N roundings in either dot product of nonnegative terms, ten in the
+    constant, the products, the divisor fsum and the inflation itself), and
+    (N + 10) / 2 <= 6 N for N >= 1, so the sum is inflated by (1 + 6 N eps).
     An empty family is the exact 0."""
     divisors = _moebius_divisors(fac)
     size = sum(mu * f * (1 + (-1) ** eta * (d <= 2)) for d, mu, f in divisors) // 2
     if not size:
         return 0.0, 0.0, 0
     res, e, _ = theta_series(q, 1.0, eta, eps)
-    units = np.gcd(res, q) == 1
     n_max = e.size
-    n = np.flatnonzero(units) + 1.0
-    res, e = res[units], e[units]
-    rho2 = 2 * _weight_rounding(q, n)
-    parts, err = [], 0.0
+    n2 = np.arange(1.0, n_max + 1) ** 2
+    if (units := _units(res, fac)) is not None:
+        res, e, n2 = res[units], e[units], n2[units]
+    parts, charges = [], []
     for d, mu, f in divisors:
-        key = res % d
-        v = np.bincount(key, weights=e, minlength=d)
-        near, far = v[key], v[(d - key) % d]
-        t = e * (near + far)
-        parts.append(mu * f * math.fsum((e * (near - far) if eta else t).tolist()))
-        err += f / 2 * math.fsum((((-(-n_max // d) + 4) * _EPS + rho2) * t).tolist())
+        if d > 2 * n_max:
+            t = terms = e * e
+        else:
+            key = res % d
+            v = np.bincount(key, weights=e, minlength=d)
+            near, far = v[key], v[(d - key) % d]
+            t = e * (near + far)
+            terms = e * (near - far) if eta else t
+        parts.append(mu * f * math.fsum(terms.tolist()))
+        charges.append(f * ((-(-n_max // d) + 10) * t.sum() + 2 * _slope(q) * (n2 @ t)))
     raw = math.fsum(parts) / 2
+    err = _EPS / 2 * math.fsum(charges) * (1 + 6 * n_max * _EPS)
     return raw, err + _EPS * abs(raw), size
 
 

@@ -263,14 +263,19 @@ def _direct_gauss_sum(g, index):
     return complex(np.sum(np.cos(angle)) + 1j * np.sum(np.sin(angle)))
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 13, 29, 1009, 10007, 40028, 100003])
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 12, 13, 29, 101, 1009, 5040, 10007, 40028, 100003])
 def test_gauss_sums_within_their_bound_of_a_direct_sum(q):
     """gauss_sum(chi) is entry chi.index of the group's one transform, bit for
     bit, with its bound; |tau - direct| <= err for every character up to
-    q = 1009, and for the first, middle and last one above it."""
+    q = 5040, and for the first, middle and last one above it.  Each weight
+    e(u / q), its phase rounded once to float64, is within the (pi + sqrt 2)
+    eps that err's model charges of the longdouble e(u / q)."""
     g = build_group(q)
     values, err = g.gauss_sums
-    picks = range(g.phi) if q <= 1009 else (0, g.phi // 2, g.phi - 1)
+    phase = TWO_PI * g.structure.n_of_index.astype(np.longdouble) / q
+    deviation = np.abs(np.exp(1j * phase.astype(float)) - np.exp(1j * phase))
+    assert deviation.max(initial=0.0) <= (math.pi + math.sqrt(2)) * np.finfo(float).eps
+    picks = range(g.phi) if q <= 5040 else (0, g.phi // 2, g.phi - 1)
     for i in picks:
         tau = gauss_sum(g.char(i))
         assert tau.value == complex(values[i]) and tau.abs_error == err

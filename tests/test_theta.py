@@ -216,6 +216,16 @@ def _folded_series(q, eta, eps=1e-12):
     return np.bincount(res, weights=e, minlength=q)
 
 
+def _unit_weight_rounding(q, eta, x=1.0):
+    """sum of (rho_n - eps) e_n over the unit terms n <= N: the weights' own
+    rounding beyond the eps sum |w| that character_sums charges."""
+    res, e, _ = theta.theta_series(q, x, eta, 1e-12)
+    n = np.arange(1, e.size + 1)
+    unit = np.gcd(n, q) == 1
+    rho = theta._weight_rounding(q, n[unit].astype(float), x)
+    return math.fsum(((rho - EPS) * e[unit]).tolist())
+
+
 def test_rounding_mass_counts_only_units():
     """The transform reads only the unit residues, so only their weights are
     charged, for the transform's rounding and their own: at q = 30030 the mass
@@ -228,8 +238,39 @@ def test_rounding_mass_counts_only_units():
               for w in (_folded_series(q, eta) for eta in (0, 1))]
     assert all(full > 4 * unit for unit, full in masses)
     eps = np.finfo(float).eps
-    assert err <= 1e-12 / 2 + max(rounding_bound(g.phi, unit) + eps * unit for unit, _ in masses)
+    assert err <= 1e-12 / 2 + max(rounding_bound(g.phi, unit) + eps * unit
+                                  + _unit_weight_rounding(q, eta)
+                                  for eta, (unit, _) in enumerate(masses))
     assert err < max(rounding_bound(g.phi, full) for _, full in masses)
+
+
+@pytest.mark.parametrize("q, x", [(1009, 1.0), (100003, 1.0), (5040, 1.0), (29, 0.05)])
+@pytest.mark.parametrize("eta", [0, 1])
+def test_folded_weight_charge_against_mpmath(q, x, eta):
+    """The transform path's weights against an exact rebuild: W(a) = sum of
+    n^eta e^{-pi n^2 x / q} over n <= N, n = a mod q, in 40-digit mpmath at
+    every unit a.  Their total deviation is within what err charges for it:
+    character_sums' eps sum |w| plus the rest of rho_n e_n and, at q = 29 and
+    x = 0.05 where N > 2q, the bin sums'.  err is the tail, character_sums'
+    bound and that charge, whose closed form is the per-term sum to 1e-9."""
+    mp = pytest.importorskip("mpmath")
+    g = build_group(q)
+    res, e, tail = theta.theta_series(q, x, eta, 1e-12)
+    assert (e.size > 2 * q) == (q == 29)
+    units = g.structure.n_of_index
+    w = np.bincount(res, weights=e, minlength=q)[units]
+    with mp.workdps(40):
+        exact = [mp.mpf(0)] * q
+        for n in range(1, e.size + 1):
+            exact[n % q] += mp.mpf(n) ** eta * mp.exp(-mp.pi * n * n * mp.mpf(x) / q)
+        deviation = float(mp.fsum(abs(mp.mpf(float(a)) - exact[u])
+                                  for a, u in zip(w.tolist(), units.tolist())))
+    values, err = theta._theta_parity(q, x, eta, 1e-12, g)
+    cs_err = g.character_sums(w, eta)[1]
+    own = err - tail - cs_err
+    assert deviation <= EPS * math.fsum(np.abs(w).tolist()) + own
+    charge = _unit_weight_rounding(q, eta, x) + (-(-e.size // q) - 1) * EPS * math.fsum(w.tolist())
+    assert charge <= own <= (1 + 1e-9) * charge
 
 
 def test_batch_parity_split():
@@ -428,6 +469,51 @@ def test_second_moment_family_size_is_the_mask_count():
             assert (raw == 0.0) == (size == 0), (q, parity)
 
 
+def _second_moment_per_divisor(q, eta, eps, fac):
+    """The identity as first written: units by gcd, one bincount per divisor
+    read back at every key and its negative, and the charge summed per term,
+    ((m + 4) eps + 2 rho_n) t_n with m = ceil(N / d)."""
+    divisors = theta._moebius_divisors(fac)
+    size = sum(mu * f * (1 + (-1) ** eta * (d <= 2)) for d, mu, f in divisors) // 2
+    if not size:
+        return 0.0, 0.0, 0
+    res, e, _ = theta.theta_series(q, 1.0, eta, eps)
+    units = np.gcd(res, q) == 1
+    n_max = e.size
+    n = np.flatnonzero(units) + 1.0
+    res, e = res[units], e[units]
+    rho2 = 2 * theta._weight_rounding(q, n)
+    parts, err = [], 0.0
+    for d, mu, f in divisors:
+        key = res % d
+        v = np.bincount(key, weights=e, minlength=d)
+        near, far = v[key], v[(d - key) % d]
+        t = e * (near + far)
+        parts.append(mu * f * math.fsum((e * (near - far) if eta else t).tolist()))
+        err += f / 2 * math.fsum((((-(-n_max // d) + 4) * EPS + rho2) * t).tolist())
+    raw = math.fsum(parts) / 2
+    return raw, err + EPS * abs(raw), size
+
+
+SCAN_PRIMES = [p for p in range(1009, 6008) if factorize(p).factors == ((p, 1),)]
+
+
+@pytest.mark.parametrize("qs", [range(3, 400), SCAN_PRIMES,
+                                [5040, 30030, 100003, 3 ** 7, 4 * 1009]],
+                         ids=["small", "scan-primes", "composite"])
+def test_second_moment_matches_per_divisor_reference(qs):
+    """The identity's moment and family size are bit for bit the per-divisor
+    loop's, for both parities; its closed-form err covers the loop's per-term
+    charge and exceeds it by less than 1e-9 of it."""
+    for q in qs:
+        fac = factorize(q)
+        for eta in (0, 1):
+            raw, err, size = theta._second_moment(q, eta, 1e-12, fac)
+            ref_raw, ref_err, ref_size = _second_moment_per_divisor(q, eta, 1e-12, fac)
+            assert (raw, size) == (ref_raw, ref_size), (q, eta)
+            assert ref_err <= err <= (1 + 1e-9) * ref_err, (q, eta)
+
+
 @pytest.mark.parametrize("q", [30030, 100003])
 @pytest.mark.parametrize("eta", [0, 1])
 def test_parity_class_identity_against_all_chars(q, eta):
@@ -508,7 +594,7 @@ def test_second_moment_rounding_charge_against_mpmath(q, eta):
 def test_second_moment_builds_no_group_and_calls_no_transform(q, monkeypatch, capsys, tmp_path):
     """theta_moment at k = 1 and theta-scan --k 1 run with building a
     character group and the group transform both raising; k = 2 still takes
-    that path."""
+    that path.  The scan takes no gcd and one bincount per prime."""
     def refuse(*args, **kwargs):
         raise AssertionError("group path taken")
 
@@ -518,9 +604,22 @@ def test_second_moment_builds_no_group_and_calls_no_transform(q, monkeypatch, ca
     monkeypatch.setattr(theta, "build_group", refuse)
     for parity in ("even", "odd"):
         assert theta_moment(q, 1, parity).family_size > 0
+    calls = {"gcd": 0, "bincount": 0}
+
+    def counted(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
     assert cli.run(["theta-scan", "--prime-range", "1009:1100", "--k", "1", "--parity", "odd",
                     "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count(",1,odd,") == 16  # the primes in 1009:1100
+    assert calls == {"gcd": 0, "bincount": 16}  # d = 1 only: d = p's bins are singletons
     with pytest.raises(AssertionError, match="group path taken"):
         theta_moment(q, 2, "even")
 
