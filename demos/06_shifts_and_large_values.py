@@ -4,7 +4,8 @@ Shifted moments, decorrelation, and large-value counts
 
 Two stories about |L(1/2 + it, chi)| across a family: products over shifted
 points decorrelate as the shifts separate, and the number of characters with
-unusually large log |L| dies off much faster than the family grows.
+unusually large log |L| dies off much faster than the family grows.  Under
+GRH, Soundararajan's majorant bounds every log |L| from above.
 """
 
 import math
@@ -12,9 +13,12 @@ import math
 import numpy as np
 
 from thetamoments import (
+    build_group,
     cutoff_exponent,
+    l_values_all_chars,
     large_value_bound,
     large_value_counts,
+    log_l_majorants,
     shifted_moment,
     variance_parameter,
 )
@@ -60,3 +64,14 @@ print(
 print("\ncutoff exponent profile at W = 100, k = 1 (knots at 100.00 and 115.13):")
 for v in (50.0, 100.0, 110.0, 115.13, 150.0, 300.0):
     print(f"  V = {v:>7.2f}: A = {cutoff_exponent(v, 100.0, 1):.4f}")
+
+# Under GRH, log|L(1/2, chi)| is at most a short sum over the prime powers
+# n <= x plus a conductor term.  The certified slack is the majorant's lower
+# end (value - err) minus log|L|'s upper end log(|L| + err).
+q = 1009
+maj, maj_err = log_l_majorants(q, t=0.0, x=1000.0)
+vals, err = l_values_all_chars(q, 0.5)
+prim = build_group(q).primitive_mask
+slack = maj[prim] - maj_err - np.log(np.abs(vals[prim]) + err)
+print(f"\nGRH majorant at x = 1000 over the {int(prim.sum())} primitive characters mod {q}:")
+print(f"  smallest certified slack {slack.min():.3f} (majorant err {maj_err:.1e})")

@@ -51,7 +51,7 @@ WORKERS_ENV = "THETAMOMENTS_WORKERS"
 _Q_FLOORS = {"bound-eval": 17, "char-table": 1, "mellin-check": 1}  # else 3
 MAX_VSTEPS = 2 ** 16  # large-values V grid points, each a CSV row
 MAX_PHI = 2 ** 23  # phi(q), about 0.8 GB at 80-90 B per unit; phi(q) < q, so q <= MAX_PHI + 1
-MAX_TABLE_Q = 2 ** 20  # char-table's q: one Python dict per character, about 650 B each
+MAX_TABLE_Q = 2 ** 20  # char-table's q: about 600 B per character (CSV), 1.9 KB (JSON)
 MAX_SAMPLES = 2 ** 23  # rand-model samples, about 100 B each
 MAX_SCAN_PRIMES = 2 ** 16  # theta-scan rows, one moment per prime
 MAX_COS_Z = 2 ** 28  # lemma-cos sieve bound, 2-3 B per unit at its peak
@@ -179,13 +179,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_char_table(args, cfg):
-    payload = [{"index": chi.index, "exponents": list(chi.exponents), "parity": chi.parity,
-                "conductor": chi.conductor, "primitive": chi.is_primitive}
-               for chi in build_group(args.q)]
-    rows = [(r["index"], ";".join(map(str, r["exponents"])) or "-", r["parity"],
-             r["conductor"], int(r["primitive"])) for r in payload]
-    meta = {"command": args.command, "q": args.q}
+    g = build_group(args.q)  # every column read off the group's tables
+    cols = (range(g.phi), np.indices(g.structure.dims).reshape(-1, g.phi).T.tolist(),
+            [("even", "odd")[b] for b in g.parity_bits.tolist()], g.conductors.tolist(),
+            g.primitive_mask.tolist())
     columns = ("index", "exponents", "parity", "conductor", "primitive")
+    payload = [dict(zip(columns, r)) for r in zip(*cols)]
+    rows = ((i, ";".join(map(str, e)) or "-", p, c, int(m)) for i, e, p, c, m in zip(*cols))
+    meta = {"command": args.command, "q": args.q}
     return csv_text(columns, rows, meta), payload, meta
 
 

@@ -36,9 +36,9 @@ Aggregates over character families:
 * shifted moments  sum prod_i |L(1/2 + i t_i, chi)|, normalized by the
   bounds-module product bound;
 * large-value counts N(q, V) = #{chi : sum_i log|L(1/2+it_i, chi)| >= V};
-* an explicit-formula style majorant for log|L(1/2+it, chi)| under GRH.
+* log_l_majorants: (values, err) of a GRH majorant of log|L(1/2+it, chi)|.
 
-All three reach L through one family path, _family_columns: it checks q
+The first three reach L through one family path, _family_columns: it checks q
 and the shifts, builds the group and the family mask once, and evaluates the
 distinct |t| as the s-points of one _l_rows call (none for an empty family,
 whose sums are exactly 0), keeping only |L| of each run (no (S, phi) complex
@@ -64,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ShiftTuple, as_shift_tuple, shifted_moment_bound
-from .characters import (Character, CharacterGroup, check_family_modulus, check_modulus,
-                         family_group)
+from .characters import (Character, CharacterGroup, build_group, check_family_modulus,
+                         check_modulus, family_group)
 from .errors import DomainError, PoleError, PrecisionError
 from .numtheory import sieve
 from .reports import MomentReport, moment_normalization, moment_report
@@ -82,6 +82,7 @@ __all__ = [
     "shifted_moment",
     "large_value_counts",
     "log_l_majorant",
+    "log_l_majorants",
 ]
 
 _EPS = np.finfo(float).eps
@@ -404,37 +405,50 @@ def lambda_zero(tol: float = 1e-15) -> float:
 LAMBDA0 = lambda_zero()
 
 
-def _log_plus(x: float) -> float:
-    return math.log(x) if x > 1 else 0.0
+def log_l_majorants(q: int, t: float = 0.0, x: float = 25.0, lam: float = 0.6,
+                     primes_only: bool = False, T: float | None = None
+                     ) -> tuple[np.ndarray, float]:
+    """Explicit-formula style upper bounds for log|L(1/2 + it, chi)| under GRH,
+    (values, err) for every character mod q >= 1 in index order:
+
+        Re sum_{n<=x} chi(n) Lambda(n) / (n^{1/2 + lam/log x + it} log n)
+           * log(x/n)/log x  +  K,   K = (1+lam)/2 * (log q + log+ T)/log x,
+
+    with prime powers n = p^j weighted 1/j; primes_only drops j >= 2.  T
+    defaults to |t| (the tightest admissible height).  The N weights c_n n^{-s},
+    c_n = log(x/n) / (j log x), fold by residue onto the units (at most m =
+    ceil(x/q) a bin) for one character_sums call.  err adds to its bound, to
+    first order, with M_n = |n^{-s}| and S = sum c_n M_n: rel S for n^{-s}
+    (_powers_rel, and 2 eps sigma log n for sigma's rounding); eps (3 S + sum
+    M_n / (2 log x)) for c_n (log, log x, two divisions, and x/n: absolute, as
+    log(x/n) -> 0 at n = x); eps S / 2 for the product, (m - 1) eps S for the
+    bins, eps (S + K) / 2 for adding K and 4 eps K for K, times (1 + 6 N eps).
+    """
+    T = abs(t) if T is None else T
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite; got {t}")
+    for name, v, floor in (("x", x, 2.0), ("lam", lam, LAMBDA0 - 1e-12), ("T", T, abs(t))):
+        if not (math.isfinite(v) and v >= floor):
+            raise DomainError(f"{name} must be finite and >= {floor:.6g}; got {v:g}")
+    group, lx = build_group(q), math.log(x)
+    s = np.array([complex(0.5 + lam / lx, t)])
+    n = [sieve(max(int(x), 2)).primes_in(2, int(x))]
+    while not primes_only and 2 * n[-1][0] <= x:  # the p with p^j <= x: a prefix of the p
+        n.append((pk := n[-1] * n[0][:n[-1].size])[pk <= x])
+    c, n = np.concatenate([np.log(x / a) / lx / j for j, a in enumerate(n, 1)]), np.concatenate(n)
+    power, mag = _powers(s[:, None], n)
+    bins = np.zeros(q, dtype=power.dtype)
+    np.add.at(bins, n % q, power[0] * c)
+    values, err = group.character_sums(bins[group.structure.n_of_index])
+    const = (1 + lam) / 2 * (math.log(q) + (math.log(T) if T > 1 else 0.0)) / lx
+    rate = _powers_rel(s, n.max())[0] + _EPS * (2 * s.real[0] * math.log(n.max()) + math.ceil(x / q) + 3)
+    own = rate * (c @ mag[0]) + _EPS * (mag.sum() / (2 * lx) + 4.5 * const)
+    return values.real + const, float(err + own * (1 + 6 * n.size * _EPS))
 
 
 def log_l_majorant(q: int, chi: Character, t: float = 0.0, x: float = 25.0,
                    lam: float = 0.6, primes_only: bool = False,
                    T: float | None = None) -> float:
-    """Explicit-formula style upper bound for log|L(1/2 + it, chi)| under GRH:
-
-        Re sum_{n<=x} chi(n) Lambda(n) / (n^{1/2 + lam/log x + it} log n)
-           * log(x/n)/log x  +  (1+lam)/2 * (log q + log+ T)/log x
-
-    with prime powers n = p^j weighted 1/j; primes_only drops j >= 2.  T
-    defaults to |t| (the tightest admissible height).
-    """
+    """Entry chi.index of log_l_majorants(q, t, x, lam, primes_only, T)."""
     check_modulus(q, chi)
-    if x < 2:
-        raise DomainError("x must be >= 2")
-    if lam < LAMBDA0 - 1e-12:
-        raise DomainError(f"lambda must be >= lambda0 = {LAMBDA0:.6f}")
-    T = abs(t) if T is None else T
-    lx = math.log(x)
-    sigma = 0.5 + lam / lx
-    acc = 0.0
-    for p in sieve(max(int(x), 2)).primes_in(2, int(x)):
-        p = int(p)
-        n, j = p, 1
-        while n <= x:
-            if not (primes_only and j >= 2):
-                coeff = math.log(x / n) / lx / j
-                acc += (chi.value(n) * n ** complex(-sigma, -t)).real * coeff
-            n *= p
-            j += 1
-    return acc + (1 + lam) / 2 * (math.log(q) + _log_plus(T)) / lx
+    return float(log_l_majorants(q, t, x, lam, primes_only, T)[0][chi.index])

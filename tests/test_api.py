@@ -46,6 +46,21 @@ def test_no_module_imports_a_sibling_private_name():
     assert hits == []
 
 
+def test_no_module_evaluates_one_character_value_at_a_time():
+    """Outside characters.py no module calls `.value(...)` or
+    `.root_exponent(...)`: every library path sums characters against weights
+    through CharacterGroup.character_sums, one transform for the whole group."""
+    hits = []
+    for path in sorted(pathlib.Path(thetamoments.__file__).parent.glob("*.py")):
+        if path.name == "characters.py":
+            continue
+        hits += [f"{path.name}:{node.lineno}: .{node.func.attr}(...)"
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("value", "root_exponent")]
+    assert hits == []
+
+
 # the library modules the package re-exports, in its order
 LIBRARY = ["errors", "numtheory", "specfun", "characters", "reports", "bounds", "lfunc",
            "theta", "randmodel"]

@@ -18,7 +18,7 @@ from thetamoments.characters import build_group
 from thetamoments.bounds import MAX_COS_A, ShiftTuple, cos_sum_check, shifted_moment_bound
 from thetamoments.cli import WORKERS_ENV, load_config, run
 from thetamoments.errors import DomainError
-from thetamoments.reports import make_envelope
+from thetamoments.reports import ReportEnvelope, csv_text, make_envelope
 
 
 @pytest.fixture(autouse=True)
@@ -828,6 +828,33 @@ def test_char_table_rows(capsys, tmp_path):
     rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 4
     assert rows[0].split(",") == ["0", "0", "even", "1", "0"]  # trivial char
+
+
+def _char_table_reference(q):
+    """(CSV text, payload) of char-table --q q as a row writer over Character
+    objects produces them, one Character per row."""
+    payload = [{"index": chi.index, "exponents": list(chi.exponents), "parity": chi.parity,
+                "conductor": chi.conductor, "primitive": chi.is_primitive}
+               for chi in build_group(q)]
+    rows = [(r["index"], ";".join(map(str, r["exponents"])) or "-", r["parity"],
+             r["conductor"], int(r["primitive"])) for r in payload]
+    columns = ("index", "exponents", "parity", "conductor", "primitive")
+    return csv_text(columns, rows, {"command": "char-table", "q": q}), payload
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 12, 5040, 30030])
+def test_char_table_matches_the_per_character_row_writer(capsys, tmp_path, q):
+    """char-table reads its columns off the group's tables; the CSV and the
+    JSON document are byte-identical to the per-character writer's."""
+    csv_ref, payload = _char_table_reference(q)
+    code, out, _ = invoke(capsys, "char-table", "--q", str(q), "--out", str(tmp_path))
+    assert code == 0 and out == csv_ref
+    code, out, _ = invoke(capsys, "char-table", "--q", str(q), "--format", "json",
+                          "--out", str(tmp_path))
+    doc = json.loads(out)
+    ref = ReportEnvelope(tool=doc["tool"], version=doc["version"], command=doc["command"],
+                         config=doc["config"], timestamp=doc["timestamp"], payload=payload)
+    assert code == 0 and out == ref.to_json()
 
 
 # ---------------------------------------------------------------------------

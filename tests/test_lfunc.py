@@ -20,6 +20,7 @@ from thetamoments.lfunc import (
     lambda_zero,
     large_value_counts,
     log_l_majorant,
+    log_l_majorants,
     shifted_moment,
 )
 
@@ -767,6 +768,96 @@ def test_majorant_options():
         log_l_majorant(q, chi, x=10.0, lam=0.5)  # below lambda0
     with pytest.raises(DomainError):
         log_l_majorant(5, chi, x=10.0, lam=0.6)  # modulus mismatch
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 17, 101, 1009, 5040])
+def test_majorant_is_the_family_entry(q):
+    """log_l_majorant is entry chi.index of log_l_majorants, bit for bit;
+    q = 1 and 2, one character each, stay accepted."""
+    g = build_group(q)
+    for t in (0.0, 2.0):
+        for primes_only in (False, True):
+            values, _ = log_l_majorants(q, t, primes_only=primes_only)
+            assert [log_l_majorant(q, chi, t=t, primes_only=primes_only) for chi in g] \
+                == values.tolist()
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"t": math.nan}, "t"), ({"t": -math.inf}, "t"), ({"x": math.nan}, "x"),
+    ({"x": math.inf}, "x"), ({"x": 1.5}, "x"), ({"lam": math.nan}, "lam"),
+    ({"lam": math.inf}, "lam"), ({"lam": 0.5}, "lam"), ({"T": math.nan}, "T"),
+    ({"T": math.inf}, "T"), ({"T": -5.0}, "T"), ({"t": 2.0, "T": 1.0}, "T")])
+def test_majorant_refuses_bad_inputs_by_name(kwargs, name):
+    """A non-finite t, x, lam or T, x < 2, lam < lambda0 and T < |t| are
+    refused by argument name, by the family and by the one-character call."""
+    chi = build_group(17).char(3)
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        log_l_majorants(17, **kwargs)
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        log_l_majorant(17, chi, **kwargs)
+
+
+@pytest.mark.parametrize("q", [1009, 10007, 100003])
+def test_majorant_dominates_log_l_with_no_slack(q):
+    """Under GRH, verified at these heights and moduli, the majorant's lower
+    end is above log|L(1/2 + it, chi)|'s upper end for every primitive
+    character (the trivial one is not primitive at q > 1), at x = 1000 and
+    x = log^2 q, with nothing added to the bound."""
+    g = build_group(q)
+    prim = g.primitive_mask
+    ts = (0.0, 14.0, 50.0)
+    values, errs = l_values_all_chars(q, 0.5 + 1j * np.array(ts), group=g)
+    for t, v, err in zip(ts, values, errs):
+        upper = np.log(np.abs(v[prim]) + err)
+        for x in (1000.0, math.log(q) ** 2):
+            maj, maj_err = log_l_majorants(q, t, x, 0.6)
+            assert np.min(maj[prim] - maj_err - upper) >= 0, (t, x)
+
+
+def mp_majorants(q, t, x, lam, primes_only):
+    """The majorant of every character mod a prime q in 40-digit mpmath: each
+    unit's weight sum_{n = g^m} log(x/n) / (j log x) n^{-s} and the roots
+    e(k / (q - 1)) rounded to multiples of 2^-140, so the character sums,
+    chi_j(g^m) = e(jm / (q - 1)), are exact integer sums."""
+    g = build_group(q)
+    e, scale = g.phi, 2 ** 140
+    ind = g.structure.index_of_n
+    with mp.workdps(40):
+        lx = mp.log(x)
+        s = mp.mpc(mp.mpf(0.5) + lam / lx, t)
+        w = {}
+        for p in range(2, int(x) + 1):
+            if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                continue
+            n, j = p, 1
+            while n <= x and (j == 1 or not primes_only):
+                if ind[n % q] >= 0:
+                    z = mp.log(x / mp.mpf(n)) / (j * lx) * mp.power(n, -s)
+                    re, im = w.get(int(ind[n % q]), (0, 0))
+                    w[int(ind[n % q])] = (re + int(mp.nint(z.real * scale)),
+                                          im + int(mp.nint(z.imag * scale)))
+                n, j = n * p, j + 1
+        roots = [(int(mp.nint(mp.cospi(mp.mpf(2 * k) / e) * scale)),
+                  int(mp.nint(mp.sinpi(mp.mpf(2 * k) / e) * scale))) for k in range(e)]
+        const = (1 + mp.mpf(lam)) / 2 * mp.log(q) / lx + (
+            (1 + mp.mpf(lam)) / 2 * mp.log(abs(t)) / lx if abs(t) > 1 else 0)
+        return [mp.mpf(sum(roots[c * m % e][0] * re - roots[c * m % e][1] * im
+                           for m, (re, im) in w.items())) / scale ** 2 + const
+                for c in range(e)]
+
+
+@pytest.mark.parametrize("q", [17, 101, 1009])
+def test_majorant_family_within_err_of_mpmath(q):
+    """The family's worst-case audit: every value within err of the same
+    polynomial summed in mpmath, at x = 2.9 (one term), 25 and 1000 (x > q
+    included), on and off the real line, over prime powers and primes only."""
+    for x in (2.9, 25.0, 1000.0):
+        for t in (0.0, 2.0, 14.0):
+            for primes_only in (False, True):
+                values, err = log_l_majorants(q, t, x, 0.6, primes_only)
+                exact = mp_majorants(q, t, x, 0.6, primes_only)
+                worst = max(abs(mp.mpf(float(v)) - ex) for v, ex in zip(values, exact))
+                assert worst <= err, (x, t, primes_only, float(worst), err)
 
 
 def test_tol_below_the_float_floor_costs_what_the_floor_does(em_rows):
